@@ -105,7 +105,8 @@ def _cmd_route(args) -> int:
             pairing = formats.loads_pairing(fh.read())
     plan = routing.route(b, pairing)
     _emit(formats.dumps_plan(plan, extras), args.output)
-    print(f"n {b.n}\ndiameter {diameter(b.graph)}\n"
+    # the blown cycle has diameter m by construction
+    print(f"n {b.n}\ndiameter {b.m}\n"
           f"max_route_length {plan.max_route_length}\n"
           f"edges_used {plan.edges_used}", file=sys.stderr)
     return 0

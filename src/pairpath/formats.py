@@ -9,8 +9,8 @@ import json
 import re
 from typing import Any
 
-from .graph import Graph, GraphError, make_graph
-from .routing import Pairing, Route, RoutePlan, edge_key, make_pairing
+from .graph import Graph, GraphError, edge_key, make_graph
+from .routing import Pairing, Route, RoutePlan, make_pairing
 
 
 class FormatError(ValueError):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -207,34 +208,65 @@ def bfs_layers(g: Graph, root: int) -> LayerProfile:
     return LayerProfile(root=root, layers=tuple(layers))
 
 
+def edge_array(g: Graph) -> np.ndarray:
+    """Edges as an (E, 2) int array of (u, v) rows, u < v, in no set order."""
+    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
+                       count=2 * len(g.edges))
+    return flat.reshape(-1, 2)
+
+
 def _csr(g: Graph) -> csr_matrix:
-    if not g.edges:
-        return csr_matrix((g.n, g.n), dtype=np.int8)
-    us, vs = zip(*g.edges)
+    us, vs = edge_array(g).T
     row = np.concatenate([us, vs])
     col = np.concatenate([vs, us])
     data = np.ones(len(row), dtype=np.int8)
     return csr_matrix((data, (row, col)), shape=(g.n, g.n))
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop distances as an (n, n) int array.  Raises if disconnected."""
+def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
+    """Group vertices into false-twin classes (identical open neighbourhoods).
+
+    Returns (reps, cls): reps[k] is the smallest vertex of class k, so reps
+    is ascending, and cls[v] is the class of v.  Swapping two false twins is
+    an automorphism, so twins share eccentricity, BFS layer sizes and
+    layered-cut counts; their distance rows differ only by that swap.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    reps: list[int] = []
+    cls = np.empty(g.n, dtype=np.intp)
+    for v, nbrs in enumerate(g.adj):
+        k = index.setdefault(nbrs, len(reps))
+        if k == len(reps):
+            reps.append(v)
+        cls[v] = k
+    return reps, cls
+
+
+def distance_matrix(g: Graph, sources: Sequence[int] | None = None
+                    ) -> np.ndarray:
+    """Hop distances from each vertex of `sources` (default: every vertex) as
+    a (len(sources), n) int array.  Raises if disconnected."""
     if g.n == 0:
         raise GraphError("empty graph has no distances")
-    dist = shortest_path(_csr(g), method="D", unweighted=True)
+    dist = shortest_path(_csr(g), method="D", unweighted=True,
+                         indices=sources)
     if np.isinf(dist).any():
-        u, v = map(int, np.argwhere(np.isinf(dist))[0])
+        i, v = map(int, np.argwhere(np.isinf(dist))[0])
+        u = i if sources is None else int(sources[i])
         raise GraphError(f"graph is disconnected: vertex {v} unreachable from {u}")
     return dist.astype(np.int64)
 
 
 def eccentricities(g: Graph) -> tuple[int, ...]:
-    return tuple(int(e) for e in distance_matrix(g).max(axis=1))
+    """Per-vertex eccentricity from one BFS per false-twin class."""
+    reps, cls = twin_classes(g)
+    ecc = distance_matrix(g, reps).max(axis=1)
+    return tuple(int(e) for e in ecc[cls])
 
 
 def diameter(g: Graph) -> int:
     """Max eccentricity over all vertices; exact."""
-    return int(distance_matrix(g).max())
+    return max(eccentricities(g))
 
 
 def edge_cut_size(g: Graph, side: Iterable[int]) -> int:

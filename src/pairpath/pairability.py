@@ -17,8 +17,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, distance_matrix
-from .routing import Pairing, Route, RoutePlan, edge_key, make_pairing
+from .graph import (Graph, GraphError, distance_matrix, edge_array, edge_key,
+                    twin_classes)
+from .routing import Pairing, Route, RoutePlan, make_pairing
 
 DEFAULT_NODE_BUDGET = 100_000_000
 ENUMERATION_GUARD = 12
@@ -361,21 +362,28 @@ def screen(g: Graph) -> ScreenReport:
     is certified not-path-pairable; passing all of them rules nothing in.
     Roots are scanned ascending and the scan stops at the first root with a
     violation, reporting every condition that root breaks.
+
+    Distances are computed once per false-twin class.  Twins are swapped by
+    an automorphism, so they pass or fail together; the smallest twin comes
+    first in the scan, so only class representatives need checking and the
+    first violating root is always one.
     """
     if g.n % 2:
         raise GraphError(f"screening needs an even vertex count, got {g.n}")
-    dist = distance_matrix(g)  # raises on disconnected input
-    ecc = dist.max(axis=1)
-    d = int(ecc.max())
-    roots = [int(r) for r in np.flatnonzero(ecc == d)]
-    edges = g.sorted_edges()
-    eu = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    ev = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
+    reps, cls = twin_classes(g)
+    dist = distance_matrix(g, reps)  # raises on disconnected input
+    rep_ecc = dist.max(axis=1)
+    d = int(rep_ecc.max())
+    roots = [int(r) for r in np.flatnonzero(rep_ecc[cls] == d)]
+    eu, ev = edge_array(g).T
 
     checked: list[int] = []
     for root in roots:
         checked.append(root)
-        found = _screen_root(g.n, d, dist[root], eu, ev, root)
+        k = cls[root]
+        if reps[k] != root:
+            continue  # a twin of an earlier root that passed
+        found = _screen_root(g.n, d, dist[k], eu, ev, root)
         if found:
             return ScreenReport(verdict=NOT_PATH_PAIRABLE, diameter=d,
                                 roots_checked=tuple(checked),

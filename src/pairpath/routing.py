@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .blowup import BlownCycle, free_common_neighbors
+from .graph import Edge, edge_key
 from .rng import random_permutation
-
-Edge = tuple[int, int]
 
 
 class PairingError(ValueError):
@@ -28,10 +27,6 @@ class PairingError(ValueError):
 
 class RoutingError(RuntimeError):
     """Internal routing failure; signals a construction bug, not a user error."""
-
-
-def edge_key(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import Graph
-from .routing import Pairing, RoutePlan, edge_key
+from .graph import Graph, edge_key
+from .routing import Pairing, RoutePlan
 
 NOT_A_WALK = "not-a-walk"
 WRONG_ENDPOINTS = "wrong-endpoints"

@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
+from hypothesis import strategies as st
 
-from pairpath.blowup import BlownCycle
-from pairpath.graph import Graph, make_graph
+from pairpath.blowup import BlownCycle, build
+from pairpath.graph import FamilySpec, Graph, GraphError, generate, make_graph
+from pairpath.pairability import (CANNOT_RULE_OUT, NOT_PATH_PAIRABLE,
+                                  ScreenReport, _screen_root)
 from pairpath.routing import Pairing, make_pairing
 
 
@@ -45,3 +49,87 @@ def adversarial_pairings(b: BlownCycle) -> list[Pairing]:
     shift_one = [(b.vertex(2 * t, a), b.vertex(2 * t + 1, a))
                  for t in range(m) for a in range(q)]
     return [make_pairing(pairs) for pairs in (antipodal, same_class, shift_one)]
+
+
+@st.composite
+def graphs_with_twins(draw, max_n=8, max_twins=6, even=False):
+    """Connected random graph (path spine plus extra edges), then false twins
+    added by copying the neighbourhood of existing vertices (twins of twins
+    included), with ids shuffled so a twin may precede its original."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    nbrs = [set() for _ in range(n)]
+    extra = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=2 * n))
+    for u, v in [(i, i + 1) for i in range(n - 1)] + list(extra):
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    twins = draw(st.integers(0, max_twins))
+    while twins or (even and len(nbrs) % 2):
+        twins = max(twins - 1, 0)
+        src = draw(st.integers(0, len(nbrs) - 1))
+        w = len(nbrs)
+        nbrs.append(set(nbrs[src]))
+        for x in nbrs[w]:
+            nbrs[x].add(w)
+    perm = draw(st.permutations(range(len(nbrs))))
+    return make_graph(len(nbrs), [(perm[u], perm[v])
+                                  for u, ns in enumerate(nbrs) for v in ns])
+
+
+# every generate family and small blown cycles, all of even order
+ORACLE_GRAPHS = {
+    **{spec.family: generate(spec) for spec in (
+        FamilySpec("cycle", (8,)), FamilySpec("complete", (6,)),
+        FamilySpec("complete-bipartite", (3, 5)),
+        FamilySpec("hypercube", (4,)), FamilySpec("petersen"),
+        FamilySpec("grid2", (3, 4)), FamilySpec("grid3", (2, 2, 3)))},
+    **{f"blown-cycle-{m}": build(m).graph for m in range(2, 6)},
+}
+
+
+def dense_distances(g: Graph) -> np.ndarray:
+    """Oracle: all-pairs hop distances by plain BFS from every vertex."""
+    dist = np.full((g.n, g.n), -1, dtype=np.int64)
+    for root in range(g.n):
+        dist[root, root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in g.adj[v]:
+                    if dist[root, w] < 0:
+                        dist[root, w] = dist[root, v] + 1
+                        nxt.append(w)
+            frontier = nxt
+    if (dist < 0).any():
+        raise GraphError("graph is disconnected")
+    return dist
+
+
+def dense_eccentricities(g: Graph) -> tuple[int, ...]:
+    return tuple(int(e) for e in dense_distances(g).max(axis=1))
+
+
+def dense_diameter(g: Graph) -> int:
+    return int(dense_distances(g).max())
+
+
+def dense_screen(g: Graph) -> ScreenReport:
+    """Oracle: the screen evaluated on every diametral root's own distance
+    row, without grouping twins."""
+    dist = dense_distances(g)
+    ecc = dist.max(axis=1)
+    d = int(ecc.max())
+    edges = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+    checked = []
+    for root in map(int, np.flatnonzero(ecc == d)):
+        checked.append(root)
+        found = _screen_root(g.n, d, dist[root], edges[:, 0], edges[:, 1],
+                             root)
+        if found:
+            return ScreenReport(verdict=NOT_PATH_PAIRABLE, diameter=d,
+                                roots_checked=tuple(checked),
+                                violations=tuple(found))
+    return ScreenReport(verdict=CANNOT_RULE_OUT, diameter=d,
+                        roots_checked=tuple(checked), violations=())

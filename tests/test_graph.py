@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import path_graph, to_networkx
+import pairpath.graph as graph_module
+from helpers import (ORACLE_GRAPHS, dense_diameter, dense_distances,
+                     dense_eccentricities, graphs_with_twins, path_graph,
+                     to_networkx)
 from pairpath.blowup import build
 from pairpath.graph import (FamilySpec, GraphError, bfs_layers, diameter,
                             distance_matrix, eccentricities, edge_cut_size,
-                            generate, make_graph)
+                            generate, make_graph, twin_classes)
 
 
 def connected_graphs(max_n=10):
@@ -219,3 +222,65 @@ def test_distance_matrix_agrees_with_layers(blown2):
     profile = bfs_layers(blown2.graph, 5)
     for t, layer in enumerate(profile.layers):
         assert all(dist[5, v] == t for v in layer)
+
+
+# ------------------------------------------------- twin-reduced distances
+
+
+def test_twin_classes_of_blown_cycle(blown3):
+    reps, cls = twin_classes(blown3.graph)
+    b = blown3
+    assert reps == [b.vertex(c, 0) for c in range(b.num_classes)]
+    assert [reps[k] for k in cls] == [b.vertex(b.class_of(v), 0)
+                                      for v in range(b.n)]
+
+
+def test_twin_classes_of_star():
+    reps, cls = twin_classes(generate(FamilySpec("complete-bipartite",
+                                                 (1, 7))))
+    assert reps == [0, 1]
+    assert list(cls) == [0] + [1] * 7
+
+
+def test_distance_matrix_rows_for_sources(petersen):
+    dense = dense_distances(petersen)
+    assert (distance_matrix(petersen) == dense).all()
+    assert (distance_matrix(petersen, [7, 2]) == dense[[7, 2]]).all()
+
+
+def test_diameter_runs_one_bfs_per_twin_class(monkeypatch, blown3):
+    calls = []
+    real = graph_module.distance_matrix
+
+    def spy(g, sources=None):
+        calls.append(sources)
+        return real(g, sources)
+
+    monkeypatch.setattr(graph_module, "distance_matrix", spy)
+    assert diameter(blown3.graph) == 3
+    assert eccentricities(blown3.graph) == (3,) * blown3.n
+    assert [len(s) for s in calls] == [2 * 3, 2 * 3]
+
+
+@given(graphs_with_twins())
+@settings(max_examples=80, deadline=None)
+def test_twin_reduced_metrics_match_oracle(g):
+    assert diameter(g) == dense_diameter(g)
+    assert eccentricities(g) == dense_eccentricities(g)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_metrics_match_oracle_on_families(name):
+    g = ORACLE_GRAPHS[name]
+    assert diameter(g) == dense_diameter(g)
+    assert eccentricities(g) == dense_eccentricities(g)
+
+
+def test_disconnected_twins_name_witness():
+    # 1, 2 are twins and 4, 5 are twins, in two separate stars
+    g = make_graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
+    for metric in (diameter, eccentricities):
+        with pytest.raises(GraphError, match="vertex 3 unreachable from 0"):
+            metric(g)
+    with pytest.raises(GraphError, match="vertex 0 unreachable from 4"):
+        distance_matrix(g, [4])

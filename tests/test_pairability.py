@@ -16,7 +16,9 @@ from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
 from pairpath.routing import make_pairing
 from pairpath.verify import verify_plan
 
-from helpers import dumbbell, path_graph
+import pairpath.pairability as pairability_module
+from helpers import (ORACLE_GRAPHS, dense_screen, dumbbell, graphs_with_twins,
+                     path_graph)
 
 
 # ---------------------------------------------------------------- search
@@ -236,3 +238,61 @@ def test_blown_cycle_diameter_under_bound():
     for m in (2, 5, 9):
         b = build(m)
         assert diameter(b.graph) == m <= diameter_upper_bound(b.n)
+
+
+# ------------------------------------------- twin-reduced screen vs oracle
+
+
+@given(graphs_with_twins(even=True))
+@settings(max_examples=150, deadline=None)
+def test_twin_reduced_screen_matches_oracle(g):
+    assert screen(g).to_json() == dense_screen(g).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_screen_matches_oracle_on_families(name):
+    g = ORACLE_GRAPHS[name]
+    assert screen(g).to_json() == dense_screen(g).to_json()
+
+
+def test_screen_rejects_path_with_twin_end_leaves():
+    # path 1..10 with a twin leaf at each end; the twin of the left leaf
+    # gets the smallest id, so it is the representative that is reported
+    g = make_graph(12, [(i, i + 1) for i in range(1, 10)]
+                   + [(0, 2), (11, 9)])
+    report = screen(g)
+    assert report.verdict == NOT_PATH_PAIRABLE
+    assert report.roots_checked == (0,)
+    assert {v.root for v in report.violations} == {0}
+    assert report.to_json() == dense_screen(g).to_json()
+
+
+def test_screen_star_lists_every_leaf_root():
+    # K1,7 is path-pairable; its 7 leaves form one twin class, evaluated
+    # once but all reported as checked
+    star = generate(FamilySpec("complete-bipartite", (1, 7)))
+    report = screen(star)
+    assert report.verdict == CANNOT_RULE_OUT
+    assert report.roots_checked == tuple(range(1, 8))
+    assert report.to_json() == dense_screen(star).to_json()
+
+
+def test_screen_runs_one_bfs_per_twin_class(monkeypatch):
+    b = build(16)
+    calls = []
+    real = pairability_module.distance_matrix
+
+    def spy(g, sources=None):
+        calls.append(sources)
+        return real(g, sources)
+
+    monkeypatch.setattr(pairability_module, "distance_matrix", spy)
+    report = screen(b.graph)
+    assert [len(s) for s in calls] == [2 * 16]
+    assert report.verdict == CANNOT_RULE_OUT
+    assert report.roots_checked == tuple(range(b.n))
+
+
+def test_screen_rejects_disconnected_twins():
+    with pytest.raises(GraphError, match="vertex 3 unreachable from 0"):
+        screen(make_graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)]))

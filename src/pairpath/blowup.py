@@ -38,9 +38,6 @@ class ShiftSystem:
     def free(self) -> frozenset[int]:
         return frozenset({0} | set(range(self.m + 1, self.q)))
 
-    def is_free(self, shift: int) -> bool:
-        return shift % self.q not in self.reserved
-
 
 @dataclass(frozen=True)
 class BlownCycle:
@@ -115,19 +112,36 @@ def free_common_neighbors(b: BlownCycle, u: int, v: int) -> list[int]:
     """All z in the next class adjacent to both u and v through free shifts.
 
     u and v must be distinct vertices of one class; the list is sorted by
-    within-class index and always holds at least 2m+3 vertices.
+    within-class index and always holds at least 2m+3 vertices.  These are
+    the next-class indices outside the two reserved windows a_u+1..a_u+m and
+    a_v+1..a_v+m (mod q), computed as the gaps between the windows.
     """
     if u == v:
         raise BlowupError("u and v must be distinct")
     for w in (u, v):
         if not (0 <= w < b.n):
             raise BlowupError(f"vertex {w} out of range")
-    i = b.class_of(u)
-    if b.class_of(v) != i:
+    q = b.q
+    i, au = divmod(u, q)
+    iv, av = divmod(v, q)
+    if iv != i:
         raise BlowupError(
-            f"vertices {u} and {v} lie in different classes "
-            f"({i} and {b.class_of(v)})")
-    au, av = b.index_of(u), b.index_of(v)
-    free = b.shifts.free
-    return [b.vertex(i + 1, t) for t in range(b.q)
-            if (t - au) % b.q in free and (t - av) % b.q in free]
+            f"vertices {u} and {v} lie in different classes ({i} and {iv})")
+    windows = []  # half-open [lo, hi) index ranges of reserved shifts
+    for a in (au, av):
+        lo = (a + 1) % q
+        hi = lo + b.m
+        if hi > q:
+            windows += [(lo, q), (0, hi - q)]
+        else:
+            windows.append((lo, hi))
+    windows.sort()
+    base = (i + 1) % b.num_classes * q
+    out: list[int] = []
+    t = 0
+    for lo, hi in windows:
+        if lo > t:
+            out.extend(range(base + t, base + lo))
+        t = max(t, hi)
+    out.extend(range(base + t, base + q))
+    return out

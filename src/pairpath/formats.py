@@ -37,13 +37,14 @@ def _as_edge(item: Any) -> tuple[int, int]:
 def dumps_graph(g: Graph, fmt: str = "json",
                 annotations: dict[str, Any] | None = None) -> str:
     if fmt == "json":
-        doc: dict[str, Any] = {
-            "n": g.n,
-            "edges": [list(e) for e in g.sorted_edges()],
-        }
-        if annotations:
-            doc.update(annotations)
-        return json.dumps(doc, indent=2) + "\n"
+        # the json.dumps(indent=2) layout, except one [u, v] row per edge
+        rows = ",\n".join(f"    [{u}, {v}]" for u, v in g.sorted_edges())
+        fields = [f'  "n": {json.dumps(g.n)}',
+                  f'  "edges": [\n{rows}\n  ]' if rows else '  "edges": []']
+        for key, value in (annotations or {}).items():
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+            fields.append(f"  {json.dumps(key)}: {text}")
+        return "{\n" + ",\n".join(fields) + "\n}\n"
     if fmt == "dot":
         lines = ["graph G {"]
         for v in range(g.n):

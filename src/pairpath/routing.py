@@ -9,7 +9,10 @@ compete for a matching edge.
 Phase two joins the two same-class vertices that remain for each pair through
 a common neighbor in the next class reached by free shifts only.  Every such
 task has at least 2m+3 candidates and each candidate serves at most one task
-per boundary.
+per boundary.  A class can hold up to q = 4m+3 such tasks, though, and then
+the candidates need not admit a distinct choice per task (Hall's condition
+fails; reproducible for m >= 4): `route` raises RoutingError there.  Any plan
+it returns is edge-disjoint with every route of length at most m+2.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .blowup import BlownCycle, free_common_neighbors
-from .graph import Edge, edge_key
+from .graph import Edge
 from .rng import random_permutation
 
 
@@ -26,7 +29,13 @@ class PairingError(ValueError):
 
 
 class RoutingError(RuntimeError):
-    """Internal routing failure; signals a construction bug, not a user error."""
+    """The router found no plan for a valid pairing.
+
+    Raised when a class's closing tasks fail Hall's condition, so no distinct
+    common neighbour exists for every task; some perfect pairings reproduce
+    this for every m >= 4.  An edge claimed twice raises it too, which would
+    be a construction bug.
+    """
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,14 @@ class Pairing:
     """Disjoint vertex pairs, sorted by smaller endpoint; may be partial."""
 
     pairs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        seen: set[int] = set()
+        for pair in self.pairs:
+            for v in pair:
+                if v in seen:
+                    raise PairingError(f"duplicate endpoint {v} across pairs")
+                seen.add(v)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -49,12 +66,6 @@ def make_pairing(pairs: Iterable[Sequence[int]]) -> Pairing:
     for pair in pairs:
         x, y = pair
         norm.append((int(x), int(y)))
-    seen: set[int] = set()
-    for x, y in norm:
-        for v in (x, y):
-            if v in seen:
-                raise PairingError(f"duplicate endpoint {v} across pairs")
-            seen.add(v)
     norm.sort(key=lambda pair: min(pair))
     return Pairing(pairs=tuple(norm))
 
@@ -117,35 +128,33 @@ class PhaseOneResult:
 def canonical_labeling(b: BlownCycle, p: Pairing) -> list[tuple[int, int, int]]:
     """Orient each pair (x, y) so the cyclic class distance d = cls(y) - cls(x)
     (mod 2m) is at most m; at a tie (d = m or d = 0) the input order is kept."""
-    seen: set[int] = set()
-    for x, y in p.pairs:
-        for v in (x, y):
-            if not (0 <= v < b.n):
-                raise PairingError(f"vertex {v} out of range 0..{b.n - 1}")
-            if v in seen:
-                raise PairingError(f"duplicate endpoint {v} across pairs")
-            seen.add(v)
+    n, q, m, two_m = b.n, b.q, b.m, b.num_classes
     out = []
     for x, y in p.pairs:
-        d = (b.class_of(y) - b.class_of(x)) % b.num_classes
-        if d <= b.m:
+        for v in (x, y):
+            if not (0 <= v < n):
+                raise PairingError(f"vertex {v} out of range 0..{n - 1}")
+        d = (y // q - x // q) % two_m
+        if d <= m:
             out.append((x, y, d))
         else:
-            out.append((y, x, b.num_classes - d))
+            out.append((y, x, two_m - d))
     return out
 
 
 def phase_one(b: BlownCycle, oriented: Sequence[tuple[int, int, int]]) -> PhaseOneResult:
     """Walk each pair's x across d boundaries: step j uses shift j, landing at
     within-class index a + 1 + 2 + ... + j."""
+    q, two_m = b.q, b.num_classes
     entries = []
     for x, y, d in oriented:
+        c, a = divmod(x, q)
         walk = [x]
-        cur = x
         for j in range(1, d + 1):
-            cur = b.vertex(b.class_of(cur) + 1, b.index_of(cur) + j)
-            walk.append(cur)
-        complete = d >= 1 and cur == y
+            c = (c + 1) % two_m
+            a = (a + j) % q
+            walk.append(c * q + a)
+        complete = d >= 1 and walk[-1] == y
         entries.append(PhaseOneEntry(x=x, y=y, d=d, walk=tuple(walk),
                                      complete=complete))
     return PhaseOneResult(entries=tuple(entries))
@@ -182,6 +191,11 @@ def assign_candidates(cand_lists: Sequence[Sequence[int]]) -> list[int]:
     return assigned
 
 
+def _edge_clash(e: Edge, first: int, second: int) -> RoutingError:
+    return RoutingError(f"edge {e} claimed by pairs {first} and {second}: "
+                        "construction bug")
+
+
 def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     """Complete every residual task (target, reached) through a common free
     neighbor z in the next class: ... reached, z, target.
@@ -192,33 +206,26 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     shared between tasks at one boundary, and the closing edges use free
     shifts only, so the plan stays edge-disjoint.
     """
+    q = b.q
     used: dict[Edge, int] = {}
-
-    def claim(u: int, v: int, idx: int) -> None:
-        e = edge_key(u, v)
-        if e in used:
-            raise RoutingError(
-                f"edge {e} claimed by pairs {used[e]} and {idx}: "
-                "construction bug")
-        used[e] = idx
-
-    for idx, entry in enumerate(result.entries):
-        for u, v in zip(entry.walk, entry.walk[1:]):
-            claim(u, v, idx)
-
     # group residual tasks per class; entry index tags each task
     by_class: dict[int, list[tuple[int, int, int]]] = {}
     for idx, entry in enumerate(result.entries):
-        if entry.task is None:
-            continue
-        target, reached = entry.task
-        by_class.setdefault(b.class_of(target), []).append(
-            (b.index_of(target), idx, reached))
+        walk = entry.walk
+        for u, v in zip(walk, walk[1:]):
+            e = (u, v) if u < v else (v, u)
+            if e in used:
+                raise _edge_clash(e, used[e], idx)
+            used[e] = idx
+        if not entry.complete:
+            cls, a = divmod(entry.y, q)
+            by_class.setdefault(cls, []).append((a, idx, walk[-1]))
 
     closing: dict[int, int] = {}  # entry index -> chosen z
     for cls in sorted(by_class):
         tasks = sorted(by_class[cls])
-        cands = [free_common_neighbors(b, reached, b.vertex(cls, a))
+        base = cls * q
+        cands = [free_common_neighbors(b, reached, base + a)
                  for a, _, reached in tasks]
         try:
             chosen = assign_candidates(cands)
@@ -228,12 +235,16 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
                 "construction bug") from None
         for (a, idx, reached), z in zip(tasks, chosen):
             closing[idx] = z
-            claim(reached, z, idx)
-            claim(z, b.vertex(cls, a), idx)
+            target = base + a
+            for e in ((reached, z) if reached < z else (z, reached),
+                      (z, target) if z < target else (target, z)):
+                if e in used:
+                    raise _edge_clash(e, used[e], idx)
+                used[e] = idx
 
     routes = []
     for idx, entry in enumerate(result.entries):
-        if entry.task is None:
+        if entry.complete:
             path = entry.walk
         else:
             path = entry.walk + (closing[idx], entry.y)
@@ -242,7 +253,9 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
 
 
 def route(b: BlownCycle, p: Pairing) -> RoutePlan:
-    """Full two-phase routing; every route has length at most m+2 and the
-    returned plan is edge-disjoint.  Deterministic for fixed input."""
+    """Full two-phase routing.  Raises RoutingError when a class's closing
+    tasks fail Hall's condition (reproducible for m >= 4); any plan it
+    returns is edge-disjoint with every route of length at most m+2.
+    Deterministic for fixed input."""
     oriented = canonical_labeling(b, p)
     return phase_two(b, phase_one(b, oriented))

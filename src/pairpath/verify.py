@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import Graph, edge_key
+from .graph import Graph
 from .routing import Pairing, RoutePlan
 
 NOT_A_WALK = "not-a-walk"
@@ -64,7 +64,7 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     become report entries; nothing raises."""
     violations: list[Violation] = []
     warnings: list[PlanWarning] = []
-    adj = [set(ns) for ns in g.adj]
+    n, edges = g.n, g.edges
     endpoint_set = p.endpoints()
     owner: dict[tuple[int, int], int] = {}
 
@@ -89,7 +89,7 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
                     vertex=path[0] if path else None))
         seen_vertices: set[int] = set()
         for v in path:
-            if not (0 <= v < g.n):
+            if not (0 <= v < n):
                 violations.append(Violation(
                     kind=NOT_A_WALK, pair_indexes=(idx,), vertex=v))
             elif v in seen_vertices:
@@ -97,12 +97,12 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
                     kind="vertex-repeated", pair_index=idx, vertex=v))
             seen_vertices.add(v)
         for u, v in zip(path, path[1:]):
-            if not (0 <= u < g.n and 0 <= v < g.n and v in adj[u]):
+            # out-of-range ids and self-loops are never in g.edges
+            e = (u, v) if u < v else (v, u)
+            if e not in edges:
                 violations.append(Violation(
-                    kind=NOT_A_WALK, pair_indexes=(idx,),
-                    edge=tuple(sorted((u, v)))))
+                    kind=NOT_A_WALK, pair_indexes=(idx,), edge=e))
                 continue
-            e = edge_key(u, v)
             if e in owner:
                 violations.append(Violation(
                     kind=EDGE_REUSED, pair_indexes=(owner[e], idx), edge=e))

@@ -123,15 +123,20 @@ def test_free_common_lower_bound_exhaustive(m):
             assert len(free_common_neighbors(b, u, v)) >= floor
 
 
-def test_free_common_matches_residual_graph_oracle(blown2):
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_free_common_matches_residual_graph_oracle(m):
     # independent check: drop all reserved-shift edges, then z must be a
-    # plain common neighbor of u and v in the next class
-    h = to_networkx(blown2.graph)
-    for boundary in range(blown2.num_classes):
-        for shift in range(1, blown2.m + 1):
-            for v in blown2.class_members(boundary):
-                h.remove_edge(v, matching_step(blown2, boundary, shift, v))
-    for u, v in [(0, 1), (0, 10), (22, 25), (39, 42)]:
-        expected = sorted(set(h[u]) & set(h[v])
-                          & set(blown2.class_members(blown2.class_of(u) + 1)))
-        assert free_common_neighbors(blown2, u, v) == expected
+    # plain common neighbor of u and v in the next class; the first and the
+    # last class cover the wrap of the cycle, all their pairs every wrap of
+    # the reserved windows
+    b = build(m)
+    h = to_networkx(b.graph)
+    for boundary in range(b.num_classes):
+        for shift in range(1, b.m + 1):
+            for v in b.class_members(boundary):
+                h.remove_edge(v, matching_step(b, boundary, shift, v))
+    for cls in (0, b.num_classes - 1):
+        nxt = set(b.class_members(cls + 1))
+        for u, v in itertools.permutations(b.class_members(cls), 2):
+            expected = sorted(set(h[u]) & set(h[v]) & nxt)
+            assert free_common_neighbors(b, u, v) == expected

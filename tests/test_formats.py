@@ -52,6 +52,21 @@ def test_json_blown_cycle_annotation(blown2):
     assert annotations == {"blown_cycle": {"m": 2, "q": 11}}
 
 
+def test_json_writes_one_edge_row_per_line(blown2):
+    # the document json.dumps(doc, indent=2) writes, one line per edge
+    ann = {"blown_cycle": {"m": 2, "q": 11, "classes": [[0, 11], [11, 22]]},
+           "note": "a\nb"}
+    text = dumps_graph(blown2.graph, "json", ann)
+    assert json.loads(text) == {
+        "n": 44, "edges": [list(e) for e in blown2.graph.sorted_edges()],
+        **ann}
+    lines = text.split("\n")
+    assert lines[:4] == ["{", '  "n": 44,', '  "edges": [', "    [0, 11],"]
+    assert sum(line.startswith("    [") for line in lines) == 484
+    assert dumps_graph(make_graph(1, []), "json") == (
+        '{\n  "n": 1,\n  "edges": []\n}\n')
+
+
 def test_dot_labels_round_trip():
     g = make_graph(3, [(0, 1), (1, 2)], labels={0: 'say "hi"', 2: "a\\b"})
     text = dumps_graph(g, "dot")

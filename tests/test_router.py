@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import adversarial_pairings
-from pairpath.blowup import build
+from pairpath.blowup import build, matching_step
 from pairpath.formats import dumps_plan
 from pairpath.routing import (Pairing, PairingError, assign_candidates,
                               canonical_labeling, make_pairing, phase_one,
@@ -85,15 +85,21 @@ def test_phase_one_same_class_passes_through(blown2):
     assert entry.task == (y, x)
 
 
-def test_phase_one_uses_reserved_shifts_only(blown3):
-    pairing = random_perfect_pairing(blown3.n, 5)
-    result = phase_one(blown3, canonical_labeling(blown3, pairing))
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_phase_one_uses_reserved_shifts_only(m):
+    b = build(m)
+    pairing = random_perfect_pairing(b.n, 5)
+    result = phase_one(b, canonical_labeling(b, pairing))
     for entry in result.entries:
         assert len(entry.walk) == entry.d + 1
         for j, (u, v) in enumerate(zip(entry.walk, entry.walk[1:]), start=1):
-            assert blown3.class_of(v) == (blown3.class_of(u) + 1) % 6
-            shift = (blown3.index_of(v) - blown3.index_of(u)) % blown3.q
+            assert b.class_of(v) == (b.class_of(u) + 1) % b.num_classes
+            shift = (b.index_of(v) - b.index_of(u)) % b.q
             assert shift == j  # step j rides the shift-j matching
+            assert v == matching_step(b, b.class_of(u), j, u)
+        # closed form: d steps from index a land at a + 1 + 2 + ... + d
+        d, a = entry.d, b.index_of(entry.x)
+        assert b.index_of(entry.walk[-1]) == (a + d * (d + 1) // 2) % b.q
 
 
 def test_assign_candidates_greedy_smallest():

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 from pairpath.formats import loads_plan
 from pairpath.graph import make_graph
@@ -11,6 +12,31 @@ from pairpath.verify import (EDGE_REUSED, ENDPOINT_NOT_IN_PAIRING, NOT_A_WALK,
 def plan_of(*routes):
     return RoutePlan(routes=tuple(Route(x=p[0], y=p[-1], path=tuple(p))
                                   for p in routes), used_edges={})
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_golden_report_covers_every_check():
+    # path 0..8 plus chord (0, 2); vertex 8 is in no pair, 9 and -1 are not
+    # vertices.  Route 0 reuses its own edge (1, 2) and revisits 2, route 1
+    # ends at the wrong pair member and reuses route 0's edges, route 2
+    # skips (2, 4), loops at 4 and leaves the graph, route 3 ends at the
+    # stray vertex 8, route 4 has no pair; cut to two routes, pairs 2 and 3
+    # are missing.  The expected texts come from the earlier verifier,
+    # which checked steps against adjacency sets.
+    g = make_graph(9, [(i, i + 1) for i in range(8)] + [(0, 2)])
+    pairing = make_pairing([(0, 3), (1, 5), (2, 6), (4, 7)])
+    routes = ([0, 2, 1, 2, 3], [1, 2, 3, 4], [2, 4, 4, 9, -1, 6], [7, 8],
+              [5, 6])
+    extra = verify_plan(g, pairing, plan_of(*routes))
+    assert extra.to_json() == (
+        GOLDEN / "verify_report_extra_route.json").read_text()
+    missing = verify_plan(g, pairing, plan_of(*routes[:2]))
+    assert missing.to_json() == (
+        GOLDEN / "verify_report_missing_route.json").read_text()
+    assert {v.kind for v in extra.violations} == {
+        NOT_A_WALK, WRONG_ENDPOINTS, EDGE_REUSED, ENDPOINT_NOT_IN_PAIRING}
 
 
 def test_valid_routed_plan_passes(blown2):

@@ -6,36 +6,27 @@ their vertices; route such pairings with a deterministic two-phase algorithm;
 verify the plans independently; decide path-pairability of small graphs
 exhaustively; and screen arbitrary graphs against necessary conditions.
 """
-from .blowup import BlownCycle, BlowupError, ShiftSystem, build, \
-    free_common_neighbors, matching_step
-from .graph import (FamilySpec, Graph, GraphError, LayerProfile, bfs_layers,
-                    diameter, distance_matrix, eccentricities, edge_cut_size,
-                    generate, make_graph)
-from .pairability import (ScreenReport, ScreenViolation, SearchResult,
-                          Verdict, diameter_upper_bound, enumerate_pairings,
-                          find_disjoint_paths, is_path_pairable,
-                          pairing_count, screen)
-from .routing import (Pairing, PairingError, PhaseOneResult, Route, RoutePlan,
-                      RoutingError, canonical_labeling, make_pairing,
-                      phase_one, phase_two, random_perfect_pairing, route)
-from .rng import SplitMix64
+from . import formats
+from .blowup import BlownCycle, BlowupError, build
+from .graph import (FamilySpec, Graph, GraphError, diameter, generate,
+                    make_graph)
+from .pairability import (ScreenReport, ScreenViolation, Verdict,
+                          is_path_pairable, screen)
+from .routing import (Pairing, PairingError, RoutePlan, RoutingError,
+                      make_pairing, random_perfect_pairing, route)
 from .verify import VerificationReport, Violation, verify_plan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlownCycle", "BlowupError", "ShiftSystem", "build",
-    "free_common_neighbors", "matching_step",
-    "FamilySpec", "Graph", "GraphError", "LayerProfile", "bfs_layers",
-    "diameter", "distance_matrix", "eccentricities", "edge_cut_size",
-    "generate", "make_graph",
-    "ScreenReport", "ScreenViolation", "SearchResult", "Verdict",
-    "diameter_upper_bound", "enumerate_pairings", "find_disjoint_paths",
-    "is_path_pairable", "pairing_count", "screen",
-    "Pairing", "PairingError", "PhaseOneResult", "Route", "RoutePlan",
-    "RoutingError", "canonical_labeling", "make_pairing", "phase_one",
-    "phase_two", "random_perfect_pairing", "route",
-    "SplitMix64",
+    "BlownCycle", "BlowupError", "build",
+    "FamilySpec", "Graph", "GraphError", "diameter", "generate",
+    "make_graph",
+    "Pairing", "PairingError", "RoutePlan", "RoutingError", "make_pairing",
+    "random_perfect_pairing", "route",
     "VerificationReport", "Violation", "verify_plan",
+    "Verdict", "is_path_pairable",
+    "ScreenReport", "ScreenViolation", "screen",
+    "formats",
     "__version__",
 ]

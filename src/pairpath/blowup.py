@@ -14,29 +14,12 @@ same-class vertex pair coexist; see README for the arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .graph import Graph, GraphError, make_graph
+from .graph import Graph, make_graph
 
 
 class BlowupError(ValueError):
     """Invalid blown-cycle parameter or operation argument."""
-
-
-@dataclass(frozen=True)
-class ShiftSystem:
-    """Partition of the q shift matchings at every boundary."""
-
-    m: int
-    q: int
-
-    @cached_property
-    def reserved(self) -> frozenset[int]:
-        return frozenset(range(1, self.m + 1))
-
-    @cached_property
-    def free(self) -> frozenset[int]:
-        return frozenset({0} | set(range(self.m + 1, self.q)))
 
 
 @dataclass(frozen=True)
@@ -46,7 +29,6 @@ class BlownCycle:
     m: int
     q: int
     graph: Graph
-    shifts: ShiftSystem
 
     @property
     def num_classes(self) -> int:
@@ -87,25 +69,7 @@ def build(m: int) -> BlownCycle:
             for b in range(q):
                 edges.append((i * q + a, j * q + b))
     g = make_graph(two_m * q, edges)
-    return BlownCycle(m=m, q=q, graph=g, shifts=ShiftSystem(m=m, q=q))
-
-
-def matching_step(b: BlownCycle, boundary: int, shift: int, frm: int) -> int:
-    """Follow the reserved shift matching at a boundary.
-
-    Returns the partner of `frm` in class boundary+1 under the shift-j
-    matching; only reserved shifts 1..m are steppable.
-    """
-    if not (1 <= shift <= b.m):
-        raise BlowupError(
-            f"shift {shift} outside reserved range 1..{b.m}")
-    if not (0 <= frm < b.n):
-        raise BlowupError(f"vertex {frm} out of range")
-    i = b.class_of(frm)
-    if i != boundary % b.num_classes:
-        raise BlowupError(
-            f"vertex {frm} is in class {i}, not boundary class {boundary}")
-    return b.vertex(i + 1, b.index_of(frm) + shift)
+    return BlownCycle(m=m, q=q, graph=g)
 
 
 def free_common_neighbors(b: BlownCycle, u: int, v: int) -> list[int]:

@@ -28,19 +28,39 @@ def edge_key(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph.  Build via make_graph, not directly."""
+    """Simple undirected graph.  Build via make_graph, not directly.
+
+    The edge set is the one stored representation; `csr` derives the
+    adjacency matrix from it on first use.
+    """
 
     n: int
     edges: frozenset[Edge]
-    adj: tuple[tuple[int, ...], ...] = field(compare=False)
     labels: Mapping[int, str] | None = field(default=None, compare=False)
 
+    @cached_property
+    def csr(self) -> csr_matrix:
+        """Symmetric 0/1 adjacency matrix with sorted rows."""
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int32,
+                           count=2 * len(self.edges))
+        us, vs = flat[0::2], flat[1::2]
+        a = csr_matrix((np.ones(len(flat), dtype=np.int8),
+                        (np.concatenate([us, vs]), np.concatenate([vs, us]))),
+                       shape=(self.n, self.n))
+        a.sort_indices()
+        return a
+
+    def neighbors(self, v: int) -> list[int]:
+        ptr = self.csr.indptr
+        return self.csr.indices[ptr[v]:ptr[v + 1]].tolist()
+
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        ptr = self.csr.indptr
+        return int(ptr[v + 1] - ptr[v])
 
     @property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return int(np.diff(self.csr.indptr).max(initial=0))
 
     @cached_property
     def edge_count(self) -> int:
@@ -69,17 +89,12 @@ def make_graph(n: int, edges: Iterable[Sequence[int]],
         if u == v:
             raise GraphError(f"self-loop at vertex {u} not allowed")
         dedup.add(edge_key(u, v))
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in dedup:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    adj = tuple(tuple(sorted(ns)) for ns in neighbors)
     if labels is not None:
         bad = [v for v in labels if not (0 <= v < n)]
         if bad:
             raise GraphError(f"label for unknown vertex {bad[0]}")
         labels = dict(labels)
-    return Graph(n=n, edges=frozenset(dedup), adj=adj, labels=labels)
+    return Graph(n=n, edges=frozenset(dedup), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -158,71 +173,6 @@ def generate(spec: FamilySpec) -> Graph:
     return make_graph(n, edges)
 
 
-@dataclass(frozen=True)
-class LayerProfile:
-    """BFS layers from a root: layer t holds all vertices at distance t."""
-
-    root: int
-    layers: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
-
-    @cached_property
-    def prefix_sums(self) -> tuple[int, ...]:
-        out, total = [], 0
-        for s in self.sizes:
-            total += s
-            out.append(total)
-        return tuple(out)
-
-    @property
-    def eccentricity(self) -> int:
-        return len(self.layers) - 1
-
-
-def bfs_layers(g: Graph, root: int) -> LayerProfile:
-    """Exact distance layers from root.  Raises on disconnected graphs."""
-    if not (0 <= root < g.n):
-        raise GraphError(f"root {root} out of range 0..{g.n - 1}")
-    seen = [False] * g.n
-    seen[root] = True
-    layers: list[tuple[int, ...]] = []
-    frontier = [root]
-    reached = 1
-    while frontier:
-        layers.append(tuple(sorted(frontier)))
-        nxt = []
-        for v in frontier:
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(w)
-        reached += len(nxt)
-        frontier = nxt
-    if reached != g.n:
-        witness = seen.index(False)
-        raise GraphError(
-            f"graph is disconnected: vertex {witness} unreachable from {root}")
-    return LayerProfile(root=root, layers=tuple(layers))
-
-
-def edge_array(g: Graph) -> np.ndarray:
-    """Edges as an (E, 2) int array of (u, v) rows, u < v, in no set order."""
-    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
-                       count=2 * len(g.edges))
-    return flat.reshape(-1, 2)
-
-
-def _csr(g: Graph) -> csr_matrix:
-    us, vs = edge_array(g).T
-    row = np.concatenate([us, vs])
-    col = np.concatenate([vs, us])
-    data = np.ones(len(row), dtype=np.int8)
-    return csr_matrix((data, (row, col)), shape=(g.n, g.n))
-
-
 def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     """Group vertices into false-twin classes (identical open neighbourhoods).
 
@@ -231,11 +181,12 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     an automorphism, so twins share eccentricity, BFS layer sizes and
     layered-cut counts; their distance rows differ only by that swap.
     """
-    index: dict[tuple[int, ...], int] = {}
+    ptr, indices = g.csr.indptr, g.csr.indices
+    index: dict[bytes, int] = {}
     reps: list[int] = []
     cls = np.empty(g.n, dtype=np.intp)
-    for v, nbrs in enumerate(g.adj):
-        k = index.setdefault(nbrs, len(reps))
+    for v in range(g.n):
+        k = index.setdefault(indices[ptr[v]:ptr[v + 1]].tobytes(), len(reps))
         if k == len(reps):
             reps.append(v)
         cls[v] = k
@@ -248,7 +199,7 @@ def distance_matrix(g: Graph, sources: Sequence[int] | None = None
     a (len(sources), n) int array.  Raises if disconnected."""
     if g.n == 0:
         raise GraphError("empty graph has no distances")
-    dist = shortest_path(_csr(g), method="D", unweighted=True,
+    dist = shortest_path(g.csr, method="D", unweighted=True,
                          indices=sources)
     if np.isinf(dist).any():
         i, v = map(int, np.argwhere(np.isinf(dist))[0])
@@ -267,14 +218,3 @@ def eccentricities(g: Graph) -> tuple[int, ...]:
 def diameter(g: Graph) -> int:
     """Max eccentricity over all vertices; exact."""
     return max(eccentricities(g))
-
-
-def edge_cut_size(g: Graph, side: Iterable[int]) -> int:
-    """Number of edges with exactly one endpoint in side."""
-    s = set(side)
-    if not s or len(s) >= g.n:
-        raise GraphError("cut side must be a nonempty proper subset")
-    for v in s:
-        if not (0 <= v < g.n):
-            raise GraphError(f"cut side vertex {v} out of range")
-    return sum(1 for u, v in g.edges if (u in s) != (v in s))

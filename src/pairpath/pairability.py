@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import triu
 
-from .graph import (Graph, GraphError, distance_matrix, edge_array, edge_key,
-                    twin_classes)
+from .graph import Graph, GraphError, distance_matrix, edge_key, twin_classes
 from .routing import Pairing, Route, RoutePlan, make_pairing
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -114,7 +114,7 @@ class _Search:
     """
 
     def __init__(self, g: Graph, pairs: Sequence[tuple[int, int]], budget: int):
-        self.adj = g.adj
+        self.adj = [g.neighbors(v) for v in range(g.n)]
         self.n = g.n
         self.e_total = g.edge_count
         self.pairs = list(pairs)
@@ -375,7 +375,8 @@ def screen(g: Graph) -> ScreenReport:
     rep_ecc = dist.max(axis=1)
     d = int(rep_ecc.max())
     roots = [int(r) for r in np.flatnonzero(rep_ecc[cls] == d)]
-    eu, ev = edge_array(g).T
+    upper = triu(g.csr, k=1, format="coo")
+    eu, ev = upper.row, upper.col
 
     checked: list[int] = []
     for root in roots:

@@ -230,9 +230,11 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
         try:
             chosen = assign_candidates(cands)
         except ValueError:
+            distinct = len(set().union(*cands))
             raise RoutingError(
-                f"no free candidate at class {cls} (m={b.m}): "
-                "construction bug") from None
+                f"class {cls} (m={b.m}): {len(tasks)} closing tasks share "
+                f"{distinct} distinct candidates and no assignment gives "
+                "each its own; Hall's condition fails") from None
         for (a, idx, reached), z in zip(tasks, chosen):
             closing[idx] = z
             target = base + a

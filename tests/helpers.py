@@ -1,15 +1,26 @@
 """Shared builders and oracles for the test suite."""
 from __future__ import annotations
 
+import pathlib
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
+
 import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from pairpath.blowup import BlownCycle, build
+from pairpath.blowup import BlownCycle, BlowupError, build
 from pairpath.graph import FamilySpec, Graph, GraphError, generate, make_graph
 from pairpath.pairability import (CANNOT_RULE_OUT, NOT_PATH_PAIRABLE,
                                   ScreenReport, _screen_root)
 from pairpath.routing import Pairing, make_pairing
+
+# a perfect pairing of build(4) whose 19 closing tasks in class 1 all miss
+# vertex 46, so they share 18 candidates; drawn once with
+# bench/pairings.py: hall_deficient(build(4), SplitMix64(1))
+HALL_DEFICIENT_M4 = (pathlib.Path(__file__).parent / "golden"
+                     / "hall_deficient_m4.json")
 
 
 def path_graph(n: int) -> Graph:
@@ -35,6 +46,86 @@ def to_networkx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
+
+
+@dataclass(frozen=True)
+class LayerProfile:
+    """BFS layers from a root: layer t holds all vertices at distance t."""
+
+    root: int
+    layers: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(layer) for layer in self.layers)
+
+    @cached_property
+    def prefix_sums(self) -> tuple[int, ...]:
+        out, total = [], 0
+        for s in self.sizes:
+            total += s
+            out.append(total)
+        return tuple(out)
+
+    @property
+    def eccentricity(self) -> int:
+        return len(self.layers) - 1
+
+
+def bfs_layers(g: Graph, root: int) -> LayerProfile:
+    """Oracle: exact distance layers from root.  Raises on disconnected
+    graphs."""
+    if not (0 <= root < g.n):
+        raise GraphError(f"root {root} out of range 0..{g.n - 1}")
+    seen = [False] * g.n
+    seen[root] = True
+    layers: list[tuple[int, ...]] = []
+    frontier = [root]
+    reached = 1
+    while frontier:
+        layers.append(tuple(sorted(frontier)))
+        nxt = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    nxt.append(w)
+        reached += len(nxt)
+        frontier = nxt
+    if reached != g.n:
+        witness = seen.index(False)
+        raise GraphError(
+            f"graph is disconnected: vertex {witness} unreachable from {root}")
+    return LayerProfile(root=root, layers=tuple(layers))
+
+
+def edge_cut_size(g: Graph, side: Iterable[int]) -> int:
+    """Oracle: number of edges with exactly one endpoint in side."""
+    s = set(side)
+    if not s or len(s) >= g.n:
+        raise GraphError("cut side must be a nonempty proper subset")
+    for v in s:
+        if not (0 <= v < g.n):
+            raise GraphError(f"cut side vertex {v} out of range")
+    return sum(1 for u, v in g.edges if (u in s) != (v in s))
+
+
+def matching_step(b: BlownCycle, boundary: int, shift: int, frm: int) -> int:
+    """Oracle: follow the reserved shift matching at a boundary.
+
+    Returns the partner of `frm` in class boundary+1 under the shift-j
+    matching; only reserved shifts 1..m are steppable.
+    """
+    if not (1 <= shift <= b.m):
+        raise BlowupError(
+            f"shift {shift} outside reserved range 1..{b.m}")
+    if not (0 <= frm < b.n):
+        raise BlowupError(f"vertex {frm} out of range")
+    i = b.class_of(frm)
+    if i != boundary % b.num_classes:
+        raise BlowupError(
+            f"vertex {frm} is in class {i}, not boundary class {boundary}")
+    return b.vertex(i + 1, b.index_of(frm) + shift)
 
 
 def adversarial_pairings(b: BlownCycle) -> list[Pairing]:
@@ -97,7 +188,7 @@ def dense_distances(g: Graph) -> np.ndarray:
         while frontier:
             nxt = []
             for v in frontier:
-                for w in g.adj[v]:
+                for w in g.neighbors(v):
                     if dist[root, w] < 0:
                         dist[root, w] = dist[root, v] + 1
                         nxt.append(w)

@@ -7,7 +7,7 @@ from pairpath.cli import main
 from pairpath.formats import dumps_graph, dumps_pairing, loads_graph
 from pairpath.routing import make_pairing
 
-from helpers import path_graph
+from helpers import HALL_DEFICIENT_M4, path_graph
 
 
 def run(capsys, *argv):
@@ -79,6 +79,15 @@ def test_route_explicit_pairing_file(capsys, tmp_path):
     assert [tuple(r["path"][::len(r["path"]) - 1]) for r in doc["routes"]] \
         == [(0, 22), (1, 23)]
     assert "seed" not in doc
+
+
+def test_route_hall_deficient_pairing_exits_one(capsys):
+    code, out, err = run(capsys, "route", "--m", "4", "--pairing",
+                         str(HALL_DEFICIENT_M4))
+    assert code == 1
+    assert out == ""
+    assert "19 closing tasks share 18 distinct candidates" in err
+    assert "Hall's condition fails" in err
 
 
 def test_route_from_annotated_graph_file(capsys, tmp_path):

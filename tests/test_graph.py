@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairpath.graph as graph_module
-from helpers import (ORACLE_GRAPHS, dense_diameter, dense_distances,
-                     dense_eccentricities, graphs_with_twins, path_graph,
-                     to_networkx)
+from helpers import (ORACLE_GRAPHS, bfs_layers, dense_diameter,
+                     dense_distances, dense_eccentricities, edge_cut_size,
+                     graphs_with_twins, path_graph, to_networkx)
 from pairpath.blowup import build
-from pairpath.graph import (FamilySpec, GraphError, bfs_layers, diameter,
-                            distance_matrix, eccentricities, edge_cut_size,
-                            generate, make_graph, twin_classes)
+from pairpath.graph import (FamilySpec, GraphError, diameter, distance_matrix,
+                            eccentricities, generate, make_graph,
+                            twin_classes)
 
 
 def connected_graphs(max_n=10):
@@ -35,7 +35,7 @@ def test_make_graph_c4_degrees():
 def test_make_graph_collapses_duplicates():
     g = make_graph(2, [(0, 1), (1, 0)])
     assert g.edge_count == 1
-    assert g.adj == ((1,), (0,))
+    assert [g.neighbors(v) for v in range(2)] == [[1], [0]]
 
 
 def test_make_graph_rejects_out_of_range():
@@ -80,7 +80,7 @@ def _shortest_cycle_through(g, root):
     while frontier:
         nxt = []
         for v in frontier:
-            for w in g.adj[v]:
+            for w in g.neighbors(v):
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     parent[w] = v
@@ -274,6 +274,28 @@ def test_metrics_match_oracle_on_families(name):
     g = ORACLE_GRAPHS[name]
     assert diameter(g) == dense_diameter(g)
     assert eccentricities(g) == dense_eccentricities(g)
+    h = to_networkx(g)
+    assert [g.neighbors(v) for v in range(g.n)] == [sorted(h[v])
+                                                     for v in range(g.n)]
+    assert [g.degree(v) for v in range(g.n)] == [h.degree(v)
+                                                 for v in range(g.n)]
+    assert g.max_degree == max(d for _, d in h.degree)
+    reps, cls = twin_classes(g)
+    first: dict[frozenset, int] = {}
+    for v in range(g.n):
+        first.setdefault(frozenset(h[v]), v)
+    assert reps == sorted(first.values())
+    assert [reps[k] for k in cls] == [first[frozenset(h[v])]
+                                      for v in range(g.n)]
+
+
+def test_equality_and_hash_ignore_the_built_csr():
+    a = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    b = make_graph(4, [(2, 3), (1, 0), (1, 2)])
+    hash_a = hash(a)
+    assert a.csr.nnz == 6
+    assert "csr" in vars(a) and "csr" not in vars(b)
+    assert a == b and hash(a) == hash(b) == hash_a
 
 
 def test_disconnected_twins_name_witness():

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import adversarial_pairings
-from pairpath.blowup import build, matching_step
-from pairpath.formats import dumps_plan
-from pairpath.routing import (Pairing, PairingError, assign_candidates,
-                              canonical_labeling, make_pairing, phase_one,
-                              phase_two, random_perfect_pairing, route)
+from helpers import HALL_DEFICIENT_M4, adversarial_pairings, matching_step
+from pairpath.blowup import build
+from pairpath.formats import dumps_plan, loads_pairing
+from pairpath.routing import (Pairing, PairingError, RoutingError,
+                              assign_candidates, canonical_labeling,
+                              make_pairing, phase_one, phase_two,
+                              random_perfect_pairing, route)
 from pairpath.verify import verify_plan
 
 # routes through one contended boundary: eight pairs complete in class 0,
@@ -116,6 +117,15 @@ def test_assign_candidates_raises_when_starved():
         assign_candidates([[0], [0]])
     with pytest.raises(ValueError, match="no free candidate"):
         assign_candidates([[0, 1], [0, 1], [1, 0]])
+
+
+def test_route_names_hall_failure():
+    pairing = loads_pairing(HALL_DEFICIENT_M4.read_text())
+    with pytest.raises(RoutingError) as info:
+        route(build(4), pairing)
+    assert str(info.value) == (
+        "class 1 (m=4): 19 closing tasks share 18 distinct candidates and "
+        "no assignment gives each its own; Hall's condition fails")
 
 
 def test_phase_two_single_task_takes_smallest_free_z(blown2):
@@ -256,7 +266,7 @@ def test_phase_edges_split_by_shift_class(blown2):
     oriented = canonical_labeling(blown2, pairing)
     result = phase_one(blown2, oriented)
     plan = phase_two(blown2, result)
-    reserved = blown2.shifts.reserved
+    reserved = range(1, blown2.m + 1)
     for entry, r in zip(result.entries, plan.routes):
         walk_len = len(entry.walk) - 1
         for pos, (u, v) in enumerate(zip(r.path, r.path[1:])):

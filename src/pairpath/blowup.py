@@ -14,6 +14,7 @@ same-class vertex pair coexist; see README for the arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Graph, make_graph
 
@@ -24,19 +25,29 @@ class BlowupError(ValueError):
 
 @dataclass(frozen=True)
 class BlownCycle:
-    """The constructed graph plus its class structure."""
+    """The construction for half cycle length m.  Everything else derives
+    from m; the graph is built on first use, so routing builds none."""
 
     m: int
-    q: int
-    graph: Graph
 
-    @property
+    @cached_property
+    def q(self) -> int:
+        return 4 * self.m + 3
+
+    @cached_property
     def num_classes(self) -> int:
         return 2 * self.m
 
-    @property
+    @cached_property
     def n(self) -> int:
-        return self.graph.n
+        return self.num_classes * self.q
+
+    @cached_property
+    def graph(self) -> Graph:
+        q, two_m = self.q, self.num_classes
+        return make_graph(self.n, ((i * q + a, (i + 1) % two_m * q + c)
+                                   for i in range(two_m)
+                                   for a in range(q) for c in range(q)))
 
     def class_of(self, v: int) -> int:
         return v // self.q
@@ -53,23 +64,14 @@ class BlownCycle:
 
 
 def build(m: int) -> BlownCycle:
-    """Construct the blown cycle for half cycle length m.
+    """The blown cycle for half cycle length m; builds no edges.
 
     m must be at least 2: with only two classes the cycle's two boundaries
     coincide, which would demand parallel edges.
     """
     if m < 2:
         raise BlowupError(f"half cycle length must be >= 2, got {m}")
-    q = 4 * m + 3
-    two_m = 2 * m
-    edges = []
-    for i in range(two_m):
-        j = (i + 1) % two_m
-        for a in range(q):
-            for b in range(q):
-                edges.append((i * q + a, j * q + b))
-    g = make_graph(two_m * q, edges)
-    return BlownCycle(m=m, q=q, graph=g)
+    return BlownCycle(m=m)
 
 
 def free_common_neighbors(b: BlownCycle, u: int, v: int) -> list[int]:

@@ -60,19 +60,21 @@ def _resolve_graph(args) -> tuple[Graph, dict[str, Any]]:
 
 def _resolve_blown(args) -> blowup.BlownCycle:
     """Blown cycle for route: either --m or an annotated graph file."""
-    if args.m is not None and args.graph is None:
-        return blowup.build(args.m)
     if args.graph is None:
-        raise GraphError("route needs --m or an annotated --graph file")
+        return blowup.build(args.m)
     with open(args.graph) as fh:
-        g, annotations = formats.loads_graph(fh.read(), args.format)
+        g, annotations = formats.loads_graph(fh.read())
     block = annotations.get("blown_cycle")
     if not isinstance(block, dict) or "m" not in block:
         raise formats.FormatError(
             "graph file carries no blown-cycle annotation; route only works "
             "on the blown-cycle construction")
-    b = blowup.build(int(block["m"]))
-    if g != b.graph:
+    if not isinstance(block["m"], int):
+        raise formats.FormatError(
+            f'blown-cycle annotation "m" must be an integer, got {block["m"]!r}')
+    b = blowup.build(block["m"])
+    # compare sizes first, so a false claim never builds the claimed graph
+    if g.n != b.n or g != b.graph:
         raise formats.FormatError(
             "graph file does not match the construction its annotation claims")
     return b
@@ -95,8 +97,6 @@ def _cmd_generate(args) -> int:
 def _cmd_route(args) -> int:
     b = _resolve_blown(args)
     extras: dict[str, Any] = {"m": b.m}
-    if (args.pairing is None) == (args.random is None):
-        raise GraphError("route needs exactly one of --pairing or --random")
     if args.random is not None:
         pairing = routing.random_perfect_pairing(b.n, args.random)
         extras["seed"] = args.random
@@ -181,10 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = subs.add_parser("route", help="route a pairing through a blown cycle")
-    _add_graph_source(p)
-    p.add_argument("--pairing", metavar="FILE")
-    p.add_argument("--random", type=int, metavar="SEED",
-                   help="route a seeded uniform random perfect pairing")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--m", type=int, help="half cycle length")
+    source.add_argument("--graph", metavar="FILE",
+                        help="graph JSON with a blown_cycle annotation")
+    pairs = p.add_mutually_exclusive_group(required=True)
+    pairs.add_argument("--pairing", metavar="FILE")
+    pairs.add_argument("--random", type=int, metavar="SEED",
+                       help="route a seeded uniform random perfect pairing")
     p.add_argument("--output", "-o", metavar="FILE")
     p.set_defaults(func=_cmd_route)
 

@@ -9,7 +9,7 @@ import json
 import re
 from typing import Any
 
-from .graph import Graph, GraphError, edge_key, make_graph
+from .graph import Graph, GraphError, make_graph
 from .routing import Pairing, Route, RoutePlan, make_pairing
 
 
@@ -25,6 +25,13 @@ def _json_loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+
+
+def _as_list(doc: dict[str, Any], key: str) -> list[Any]:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise FormatError(f'"{key}" must be a list, got {type(value).__name__}')
+    return value
 
 
 def _as_edge(item: Any) -> tuple[int, int]:
@@ -86,7 +93,7 @@ def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
         n = doc["n"]
         if not isinstance(n, int):
             raise FormatError(f'"n" must be an integer, got {n!r}')
-        edges = [_as_edge(e) for e in doc["edges"]]
+        edges = [_as_edge(e) for e in _as_list(doc, "edges")]
         annotations = {k: v for k, v in doc.items() if k not in ("n", "edges")}
         return make_graph(n, edges), annotations
     if fmt == "dot":
@@ -150,7 +157,7 @@ def loads_pairing(text: str) -> Pairing:
     if not isinstance(doc, dict) or "pairs" not in doc:
         raise FormatError('pairing JSON needs key "pairs"')
     try:
-        return make_pairing(_as_edge(pair) for pair in doc["pairs"])
+        return make_pairing(_as_edge(pair) for pair in _as_list(doc, "pairs"))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -173,15 +180,14 @@ def loads_plan(text: str) -> tuple[RoutePlan, dict[str, Any]]:
     if not isinstance(doc, dict) or "routes" not in doc:
         raise FormatError('plan JSON needs key "routes"')
     routes = []
-    used: dict[tuple[int, int], int] = {}
-    for idx, item in enumerate(doc["routes"]):
+    for idx, item in enumerate(_as_list(doc, "routes")):
         if not isinstance(item, dict) or not {"x", "y", "path"} <= set(item):
             raise FormatError(f'route #{idx} needs keys "x", "y", "path"')
         path = item["path"]
         if not isinstance(path, list) or not all(isinstance(v, int) for v in path):
             raise FormatError(f"route #{idx} path must be a list of ids")
+        if not (isinstance(item["x"], int) and isinstance(item["y"], int)):
+            raise FormatError(f'route #{idx} "x" and "y" must be ids')
         routes.append(Route(x=item["x"], y=item["y"], path=tuple(path)))
-        for u, v in zip(path, path[1:]):
-            used.setdefault(edge_key(u, v), idx)
     extras = {k: v for k, v in doc.items() if k not in ("routes", "edges_used")}
-    return RoutePlan(routes=tuple(routes), used_edges=used), extras
+    return RoutePlan.from_routes(routes), extras

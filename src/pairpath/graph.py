@@ -180,7 +180,16 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     is ascending, and cls[v] is the class of v.  Swapping two false twins is
     an automorphism, so twins share eccentricity, BFS layer sizes and
     layered-cut counts; their distance rows differ only by that swap.
+
+    Every caller goes on to distances, so a graph with n >= 2 and n > 2E,
+    which must leave some vertex isolated, raises GraphError here, before
+    the n-sized CSR arrays are built.
     """
+    if g.n >= 2 and g.n > 2 * g.edge_count:
+        touched = set(chain.from_iterable(g.edges))
+        v = next(v for v in range(g.n) if v not in touched)
+        u = 1 if v == 0 else 0
+        raise GraphError(f"graph is disconnected: vertex {v} unreachable from {u}")
     ptr, indices = g.csr.indptr, g.csr.indices
     index: dict[bytes, int] = {}
     reps: list[int] = []

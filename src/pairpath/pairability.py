@@ -196,13 +196,9 @@ def find_disjoint_paths(g: Graph, p: Pairing,
     if not ok:
         return SearchResult(status=INFEASIBLE, plan=None,
                             nodes_expanded=search.nodes)
-    used: dict[tuple[int, int], int] = {}
-    routes = []
-    for idx, ((x, y), path) in enumerate(zip(p.pairs, search.routed)):
-        routes.append(Route(x=x, y=y, path=tuple(path)))
-        for u, v in zip(path, path[1:]):
-            used[edge_key(u, v)] = idx
-    plan = RoutePlan(routes=tuple(routes), used_edges=used)
+    plan = RoutePlan.from_routes(
+        Route(x=x, y=y, path=tuple(path))
+        for (x, y), path in zip(p.pairs, search.routed))
     return SearchResult(status=FEASIBLE, plan=plan, nodes_expanded=search.nodes)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .blowup import BlownCycle, free_common_neighbors
-from .graph import Edge
+from .graph import Edge, edge_key
 from .rng import random_permutation
 
 
@@ -94,6 +94,17 @@ class RoutePlan:
 
     routes: tuple[Route, ...]
     used_edges: Mapping[Edge, int]
+
+    @classmethod
+    def from_routes(cls, routes: Iterable[Route]) -> RoutePlan:
+        """Plan with the owner map rebuilt from the paths; the first route
+        to use an edge owns it."""
+        routes = tuple(routes)
+        used: dict[Edge, int] = {}
+        for idx, r in enumerate(routes):
+            for u, v in zip(r.path, r.path[1:]):
+                used.setdefault(edge_key(u, v), idx)
+        return cls(routes=routes, used_edges=used)
 
     @property
     def edges_used(self) -> int:

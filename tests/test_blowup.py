@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 
 import pytest
 
+import pairpath.blowup as blowup_module
 from helpers import matching_step, to_networkx
-from pairpath.blowup import BlowupError, build, free_common_neighbors
+from pairpath.blowup import BlownCycle, BlowupError, build, free_common_neighbors
 from pairpath.graph import diameter
+from pairpath.routing import random_perfect_pairing, route
 
 
 def test_build_m2_metrics(blown2):
@@ -20,6 +23,48 @@ def test_build_m3_metrics(blown3):
     assert blown3.n == 90
     assert blown3.graph.edge_count == 1350
     assert diameter(blown3.graph) == 3
+
+
+def test_blown_cycle_stores_only_m():
+    assert [f.name for f in dataclasses.fields(BlownCycle)] == ["m"]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_derived_sizes(m):
+    b = build(m)
+    assert (b.q, b.num_classes, b.n) == (4 * m + 3, 2 * m, 2 * m * (4 * m + 3))
+    assert "graph" not in vars(b)
+    assert b.graph.n == b.n
+    assert b.graph.edge_count == 2 * m * b.q ** 2
+
+
+def test_graph_is_built_once_through_the_module_global(monkeypatch):
+    calls = []
+    real = blowup_module.make_graph
+
+    def spy(n, edges):
+        calls.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(blowup_module, "make_graph", spy)
+    b = build(2)
+    assert calls == []
+    assert b.graph is b.graph
+    assert calls == [44]
+
+
+def test_route_builds_no_graph():
+    b = build(48)
+    plan = route(b, random_perfect_pairing(b.n, 1))
+    assert len(plan.routes) == b.n // 2
+    assert "graph" not in vars(b)
+
+
+def test_equality_and_hash_are_those_of_m():
+    a, b = build(5), build(5)
+    assert a == b and hash(a) == hash(b)
+    assert a != build(6)
+    assert "graph" not in vars(a) and "graph" not in vars(b)
 
 
 def test_build_rejects_small_m():

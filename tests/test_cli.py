@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import pairpath.blowup as blowup_module
 from pairpath.cli import main
 from pairpath.formats import dumps_graph, dumps_pairing, loads_graph
 from pairpath.routing import make_pairing
@@ -114,6 +115,35 @@ def test_route_needs_exactly_one_pairing_source(capsys):
     assert run(capsys, "route", "--m", "2")[0] == 2
     assert run(capsys, "route", "--m", "2", "--random", "1",
                "--pairing", "x.json")[0] == 2
+
+
+def test_route_rejects_options_it_does_not_read(capsys, tmp_path):
+    target = tmp_path / "b2.json"
+    assert run(capsys, "generate", "--family", "blown-cycle", "--m", "2",
+               "-o", str(target))[0] == 0
+    for argv in (["--family", "petersen", "--m", "2"],
+                 ["--m", "5", "--graph", str(target)],
+                 ["--m", "2", "--format", "json"],
+                 []):
+        code, out, err = run(capsys, "route", *argv, "--random", "1")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
+def test_route_false_annotation_builds_no_graph(capsys, tmp_path,
+                                                monkeypatch):
+    calls = []
+    monkeypatch.setattr(blowup_module, "make_graph",
+                        lambda *args: calls.append(args))
+    target = tmp_path / "claim.json"
+    target.write_text(dumps_graph(path_graph(2), "json",
+                                  {"blown_cycle": {"m": 10**6}}))
+    code, _, err = run(capsys, "route", "--graph", str(target),
+                       "--random", "0")
+    assert code == 2
+    assert "does not match the construction" in err
+    assert calls == []
 
 
 # ---------------------------------------------------------------- verify
@@ -279,6 +309,44 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                "--graph", str(target))[0] == 2
     assert run(capsys, "stats", "--graph", str(tmp_path / "missing.json"))[0] \
         == 2
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["stats", "--graph"], {"n": 3, "edges": 5}),
+    (["screen", "--graph"], {"n": 3, "edges": 5}),
+    (["generate", "--graph"], {"n": 3, "edges": 5}),
+    (["verify", "--plan", "-", "--graph"], {"n": 3, "edges": 5}),
+    (["route", "--m", "2", "--pairing"], {"pairs": 5}),
+    (["verify", "--plan"], {"routes": 5}),
+    (["verify", "--plan"],
+     {"routes": [{"x": [0], "y": 1, "path": [0, 1]}], "m": 2}),
+    (["route", "--random", "0", "--graph"],
+     {"n": 44, "edges": [], "blown_cycle": {"m": [2]}}),
+    (["route", "--random", "0", "--graph"],
+     {"n": 44, "edges": [], "blown_cycle": {"m": "2"}}),
+], ids=["stats-edges", "screen-edges", "generate-edges", "verify-edges",
+        "route-pairs", "verify-routes", "verify-route-x", "route-m-list",
+        "route-m-str"])
+def test_malformed_json_shapes_exit_two(capsys, tmp_path, monkeypatch, argv,
+                                        doc):
+    # a valid plan on stdin, so "verify --plan -" gets as far as the graph
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"routes": []}'))
+    target = tmp_path / "doc.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_stats_huge_isolated_graph_exits_two(capsys, tmp_path):
+    target = tmp_path / "huge.json"
+    target.write_text('{"n": 1000000000, "edges": [[0, 1]]}')
+    code, out, err = run(capsys, "stats", "--graph", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: graph is disconnected: "
+                   "vertex 2 unreachable from 0\n")
 
 
 def test_malformed_graph_file_exits_two(capsys, tmp_path):

@@ -8,7 +8,8 @@ from pairpath.formats import (FormatError, dumps_graph, dumps_pairing,
                               dumps_plan, loads_graph, loads_pairing,
                               loads_plan)
 from pairpath.graph import make_graph
-from pairpath.routing import make_pairing, random_perfect_pairing, route
+from pairpath.routing import (RoutePlan, make_pairing, random_perfect_pairing,
+                              route)
 
 
 def graphs():
@@ -143,6 +144,14 @@ def test_plan_round_trip(blown2):
     assert loaded.routes == plan.routes
     assert loaded.used_edges == dict(plan.used_edges)
     assert extras == {"m": 2, "seed": 11}
+
+
+def test_plan_owner_map_first_claim_wins():
+    plan, _ = loads_plan(json.dumps({"routes": [
+        {"x": 0, "y": 2, "path": [0, 1, 2]},
+        {"x": 3, "y": 0, "path": [3, 1, 0]}]}))
+    assert plan.used_edges == {(0, 1): 0, (1, 2): 0, (1, 3): 1}
+    assert plan == RoutePlan.from_routes(plan.routes)
 
 
 def test_plan_rejects_malformed():

@@ -298,6 +298,18 @@ def test_equality_and_hash_ignore_the_built_csr():
     assert a == b and hash(a) == hash(b) == hash_a
 
 
+def test_isolated_vertex_fails_before_csr():
+    # n > 2E forces an isolated vertex; nothing n-sized may be allocated
+    g = make_graph(10**9, [(0, 1)])
+    for metric in (diameter, eccentricities):
+        with pytest.raises(GraphError,
+                           match="disconnected: vertex 2 unreachable from 0$"):
+            metric(g)
+    assert "csr" not in vars(g)
+    with pytest.raises(GraphError, match="vertex 0 unreachable from 1$"):
+        diameter(make_graph(4, [(1, 2)]))
+
+
 def test_disconnected_twins_name_witness():
     # 1, 2 are twins and 4, 5 are twins, in two separate stars
     g = make_graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])

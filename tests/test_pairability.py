@@ -293,6 +293,13 @@ def test_screen_runs_one_bfs_per_twin_class(monkeypatch):
     assert report.roots_checked == tuple(range(b.n))
 
 
+def test_screen_rejects_isolated_vertex_before_csr():
+    g = make_graph(10**9, [(0, 1)])
+    with pytest.raises(GraphError, match="vertex 2 unreachable from 0$"):
+        screen(g)
+    assert "csr" not in vars(g)
+
+
 def test_screen_rejects_disconnected_twins():
     with pytest.raises(GraphError, match="vertex 3 unreachable from 0"):
         screen(make_graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)]))

@@ -58,10 +58,6 @@ class BlownCycle:
     def vertex(self, cls: int, idx: int) -> int:
         return (cls % self.num_classes) * self.q + idx % self.q
 
-    def class_members(self, cls: int) -> range:
-        base = (cls % self.num_classes) * self.q
-        return range(base, base + self.q)
-
 
 def build(m: int) -> BlownCycle:
     """The blown cycle for half cycle length m; builds no edges.

@@ -66,9 +66,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edges
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

@@ -6,13 +6,27 @@ so any two walks that start in the same class stay vertex-disjoint (their
 within-class offsets never collide) and walks from different classes never
 compete for a matching edge.
 
-Phase two joins the two same-class vertices that remain for each pair through
-a common neighbor in the next class reached by free shifts only.  Every such
-task has at least 2m+3 candidates and each candidate serves at most one task
-per boundary.  A class can hold up to q = 4m+3 such tasks, though, and then
-the candidates need not admit a distinct choice per task (Hall's condition
-fails; reproducible for m >= 4): `route` raises RoutingError there.  Any plan
-it returns is edge-disjoint with every route of length at most m+2.
+Phase two closes each remaining task, a reached vertex r and its target y in
+one class c, through a common neighbour z in class c+1 reached by free
+shifts only, so the route ends r, z, y.  The tasks of a class, in order, each
+take the smallest such z whose edges (r, z) and (y, z) no earlier task has
+taken.  Distinct tasks may share z.  This rule never fails:
+
+* Phase one rides reserved shifts only, so no free edge is claimed before
+  phase two, and only class c's own tasks claim free edges between c and c+1.
+* At most m walks end at any vertex, one per length d in 1..m, because the
+  walk's end and d fix its start.
+* A task shares an end with at most 2m other tasks.  Targets are distinct,
+  so no other task has target y, and at most m others have reached y.  At
+  most m others involve r: the other walks that end at r, plus the one pair
+  whose target is r; when r is the source of a same-class pair, no pair has
+  target r.
+* Each of those tasks took one z, which blocks only that z.  Every task has
+  at least 2m+3 candidates, so at least 3 remain at every pick, and the rule
+  never backtracks.
+
+So `route` succeeds on every pairing, and every route has length at most
+m+2: d <= m transport edges plus two closing edges.
 """
 from __future__ import annotations
 
@@ -31,10 +45,9 @@ class PairingError(ValueError):
 class RoutingError(RuntimeError):
     """The router found no plan for a valid pairing.
 
-    Raised when a class's closing tasks fail Hall's condition, so no distinct
-    common neighbour exists for every task; some perfect pairings reproduce
-    this for every m >= 4.  An edge claimed twice raises it too, which would
-    be a construction bug.
+    The routing proof (module docstring) says this cannot happen: it is
+    raised only for a construction bug, when a closing task finds no free
+    candidate or an edge is claimed twice.
     """
 
 
@@ -171,35 +184,24 @@ def phase_one(b: BlownCycle, oriented: Sequence[tuple[int, int, int]]) -> PhaseO
     return PhaseOneResult(entries=tuple(entries))
 
 
-def assign_candidates(cand_lists: Sequence[Sequence[int]]) -> list[int]:
-    """Assign each task a distinct candidate, greedily taking the smallest
-    still-unclaimed one; when a task finds all its candidates claimed,
-    reassign earlier tasks along an augmenting path.  Deterministic.
+def assign_candidates(cand_lists: Sequence[Sequence[int]],
+                      ends: Sequence[tuple[int, int]]) -> list[int]:
+    """Give each task, in order, the smallest of its candidates z whose
+    edges to both of its ends (reached, target) no earlier task has taken.
 
-    Raises ValueError when no conflict-free assignment exists at all.
+    Raises ValueError when a task has no such candidate.
     """
-    owner: dict[int, int] = {}
-
-    def augment(task: int, visited: set[int]) -> bool:
-        for c in cand_lists[task]:
-            if c in visited:
-                continue
-            visited.add(c)
-            if c not in owner or augment(owner[c], visited):
-                owner[c] = task
-                return True
-        return False
-
-    for i, cands in enumerate(cand_lists):
-        free = next((c for c in cands if c not in owner), None)
-        if free is not None:
-            owner[free] = i
-        elif not augment(i, set()):
+    taken: set[tuple[int, int]] = set()
+    chosen = []
+    for cands, (reached, target) in zip(cand_lists, ends):
+        z = next((z for z in cands
+                  if (reached, z) not in taken and (target, z) not in taken),
+                 None)
+        if z is None:
             raise ValueError("no free candidate")
-    assigned = [-1] * len(cand_lists)
-    for c, i in owner.items():
-        assigned[i] = c
-    return assigned
+        taken.update(((reached, z), (target, z)))
+        chosen.append(z)
+    return chosen
 
 
 def _edge_clash(e: Edge, first: int, second: int) -> RoutingError:
@@ -212,10 +214,10 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     neighbor z in the next class: ... reached, z, target.
 
     Tasks are processed by class ascending, within a class by target index
-    ascending; each takes the smallest available z, with earlier choices
-    reassigned if a later task would otherwise starve.  Candidates are never
-    shared between tasks at one boundary, and the closing edges use free
-    shifts only, so the plan stays edge-disjoint.
+    ascending; each takes the smallest z whose two closing edges are still
+    unclaimed (`assign_candidates`), which the module docstring proves always
+    exists.  Every claimed edge is checked against all earlier claims, so a
+    clash would raise RoutingError instead of returning a bad plan.
     """
     q = b.q
     used: dict[Edge, int] = {}
@@ -235,20 +237,16 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     closing: dict[int, int] = {}  # entry index -> chosen z
     for cls in sorted(by_class):
         tasks = sorted(by_class[cls])
-        base = cls * q
-        cands = [free_common_neighbors(b, reached, base + a)
-                 for a, _, reached in tasks]
+        ends = [(reached, cls * q + a) for a, _, reached in tasks]
         try:
-            chosen = assign_candidates(cands)
+            chosen = assign_candidates(
+                [free_common_neighbors(b, r, y) for r, y in ends], ends)
         except ValueError:
-            distinct = len(set().union(*cands))
             raise RoutingError(
-                f"class {cls} (m={b.m}): {len(tasks)} closing tasks share "
-                f"{distinct} distinct candidates and no assignment gives "
-                "each its own; Hall's condition fails") from None
-        for (a, idx, reached), z in zip(tasks, chosen):
+                f"class {cls} (m={b.m}): a closing task has no free "
+                "candidate: construction bug") from None
+        for (_, idx, _), (reached, target), z in zip(tasks, ends, chosen):
             closing[idx] = z
-            target = base + a
             for e in ((reached, z) if reached < z else (z, reached),
                       (z, target) if z < target else (target, z)):
                 if e in used:
@@ -266,9 +264,8 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
 
 
 def route(b: BlownCycle, p: Pairing) -> RoutePlan:
-    """Full two-phase routing.  Raises RoutingError when a class's closing
-    tasks fail Hall's condition (reproducible for m >= 4); any plan it
-    returns is edge-disjoint with every route of length at most m+2.
+    """Full two-phase routing: an edge-disjoint plan for any pairing, every
+    route of length at most m+2 (proof in the module docstring).
     Deterministic for fixed input."""
     oriented = canonical_labeling(b, p)
     return phase_two(b, phase_one(b, oriented))

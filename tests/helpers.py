@@ -10,17 +10,26 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from pairpath.blowup import BlownCycle, BlowupError, build
+from pairpath.blowup import (BlownCycle, BlowupError, build,
+                             free_common_neighbors)
 from pairpath.graph import FamilySpec, Graph, GraphError, generate, make_graph
 from pairpath.pairability import (CANNOT_RULE_OUT, NOT_PATH_PAIRABLE,
                                   ScreenReport, _screen_root)
-from pairpath.routing import Pairing, make_pairing
+from pairpath.rng import SplitMix64
+from pairpath.routing import (Pairing, RoutePlan, canonical_labeling,
+                              make_pairing, phase_one)
 
 # a perfect pairing of build(4) whose 19 closing tasks in class 1 all miss
-# vertex 46, so they share 18 candidates; drawn once with
-# bench/pairings.py: hall_deficient(build(4), SplitMix64(1))
+# vertex 46, so they share 18 candidates and cannot each get their own
+# (Hall's condition fails); it routes because tasks with disjoint ends may
+# share a candidate; drawn once with bench/pairings.py:
+# hall_deficient(build(4), SplitMix64(1))
 HALL_DEFICIENT_M4 = (pathlib.Path(__file__).parent / "golden"
                      / "hall_deficient_m4.json")
+
+# two walks of build(2) that both end at vertex 12 (index 1 of class 1) and
+# close towards targets 16 and 18; both tasks' smallest candidate is 22
+SHARED_END_PAIRS_M2 = [(0, 16), (42, 18)]
 
 
 def path_graph(n: int) -> Graph:
@@ -128,6 +137,12 @@ def matching_step(b: BlownCycle, boundary: int, shift: int, frm: int) -> int:
     return b.vertex(i + 1, b.index_of(frm) + shift)
 
 
+def class_members(b: BlownCycle, cls: int) -> range:
+    """The ids of class cls (mod 2m), which are consecutive."""
+    base = b.vertex(cls, 0)
+    return range(base, base + b.q)
+
+
 def adversarial_pairings(b: BlownCycle) -> list[Pairing]:
     """Structured worst-case pairings: all-antipodal by class, all-same-class
     (maximal partial; a perfect one cannot exist with odd class size), and
@@ -140,6 +155,89 @@ def adversarial_pairings(b: BlownCycle) -> list[Pairing]:
     shift_one = [(b.vertex(2 * t, a), b.vertex(2 * t + 1, a))
                  for t in range(m) for a in range(q)]
     return [make_pairing(pairs) for pairs in (antipodal, same_class, shift_one)]
+
+
+def piled_pairing(b: BlownCycle, classes: Iterable[int],
+                  seed: int) -> Pairing:
+    """A perfect pairing that piles phase-one walks onto few endpoints.
+
+    Every member y of each class c in `classes` becomes the target of a walk
+    of length d in 1..m that ends at index r != y of class c; slot (r, d)
+    names the source vertex(c - d, r - d(d+1)/2).  Targets outside a window
+    W of m indices, drawn from the seed, take slots with r in W, so up to m
+    walks end at each vertex of W; targets in W take any slot.  Slots are
+    tried in a seeded order, and a slot whose source is already used is
+    skipped.  The vertices left over are paired from the seed.
+
+    No task of the first class c can then use vertex (c+1, z) with
+    W = z-m..z-1 (every task has an end in W), so its q tasks share at most
+    q-1 candidates (Hall-deficient) whenever m*m >= 3m+3, that is m >= 4.
+    """
+    m, q = b.m, b.q
+    rng = SplitMix64(seed)
+    used: set[int] = set()
+    pairs = []
+    for c in classes:
+        z = rng.randrange(q)
+        window = {(z - s) % q for s in range(1, m + 1)}
+        order = list(range(q * m))
+        rng.shuffle(order)
+        slots = []  # (r, source) of each slot with an unused source
+        for slot in order:
+            r, d = slot // m, slot % m + 1
+            src = b.vertex(c - d, r - d * (d + 1) // 2)
+            if src not in used:
+                slots.append((r, src))
+        for y in sorted(range(q), key=lambda y: y in window):
+            target = b.vertex(c, y)
+            k = next((k for k, (r, _) in enumerate(slots)
+                      if r != y and (y in window or r in window)), None)
+            if k is not None and target not in used:
+                src = slots.pop(k)[1]
+                used.update((src, target))
+                pairs.append((src, target))
+    rest = [v for v in range(b.n) if v not in used]
+    rng.shuffle(rest)
+    return make_pairing(pairs + list(zip(rest[0::2], rest[1::2])))
+
+
+@st.composite
+def piled_pairings(draw):
+    """(b, pairing) for m = 4..12 with walks piled onto one or more classes
+    (`piled_pairing`)."""
+    b = build(draw(st.integers(4, 12)))
+    classes = draw(st.lists(st.integers(0, b.num_classes - 1), min_size=1,
+                            max_size=b.m, unique=True))
+    return b, piled_pairing(b, classes, draw(st.integers(0, 2**32)))
+
+
+def closing_replay(b: BlownCycle, pairing: Pairing, plan: RoutePlan
+                   ) -> dict[int, list[tuple[list[int], list[int], int]]]:
+    """Oracle: replay phase two's picks from a plan.
+
+    Per class, in the router's order (target index ascending), returns each
+    closing task's (candidates, left, z): `left` holds the candidates whose
+    edges to both task ends no earlier task of the class had taken, and z is
+    the vertex the plan closes the route through.
+    """
+    entries = phase_one(b, canonical_labeling(b, pairing)).entries
+    tasks: dict[int, list[tuple[int, int, int]]] = {}
+    for entry, rt in zip(entries, plan.routes):
+        if entry.task is not None:
+            target, reached = entry.task
+            tasks.setdefault(b.class_of(target), []).append(
+                (target, reached, rt.path[-2]))
+    out: dict[int, list[tuple[list[int], list[int], int]]] = {}
+    for cls, items in tasks.items():
+        taken: set[tuple[int, int]] = set()
+        rows = out[cls] = []
+        for target, reached, z in sorted(items):
+            cands = free_common_neighbors(b, reached, target)
+            left = [c for c in cands
+                    if (reached, c) not in taken and (target, c) not in taken]
+            taken.update(((reached, z), (target, z)))
+            rows.append((cands, left, z))
+    return out
 
 
 @st.composite

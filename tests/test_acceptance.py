@@ -19,7 +19,8 @@ from pairpath.rng import SplitMix64
 from pairpath.routing import make_pairing, random_perfect_pairing, route
 from pairpath.verify import verify_plan
 
-from helpers import adversarial_pairings, dumbbell, path_graph
+from helpers import (adversarial_pairings, class_members, dumbbell,
+                     path_graph)
 
 
 def _report(capsys, num, desc, fn):
@@ -111,7 +112,7 @@ def test_acceptance_5_construction_metrics(capsys):
             floor = 2 * m + 3
             if m <= 4:
                 for cls in range(2 * m):
-                    members = b.class_members(cls)
+                    members = class_members(b, cls)
                     for i, u in enumerate(members):
                         for v in members[i + 1:]:
                             assert len(free_common_neighbors(b, u, v)) \

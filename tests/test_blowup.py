@@ -4,9 +4,9 @@ import itertools
 import pytest
 
 import pairpath.blowup as blowup_module
-from helpers import matching_step, to_networkx
+from helpers import class_members, matching_step, to_networkx
 from pairpath.blowup import BlownCycle, BlowupError, build, free_common_neighbors
-from pairpath.graph import diameter
+from pairpath.graph import diameter, edge_key
 from pairpath.routing import random_perfect_pairing, route
 
 
@@ -78,8 +78,8 @@ def test_classes_are_independent_joined_to_neighbors(blown2):
     g = blown2.graph
     for v in range(blown2.n):
         i = blown2.class_of(v)
-        expected = set(blown2.class_members(i - 1)) | set(
-            blown2.class_members(i + 1))
+        expected = set(class_members(blown2, i - 1)) | set(
+            class_members(blown2, i + 1))
         assert set(g.neighbors(v)) == expected
 
 
@@ -105,8 +105,9 @@ def test_matching_step_rejects_wrong_class(blown2):
 def test_matching_step_edges_exist(blown2):
     g = blown2.graph
     for shift in (1, 2):
-        for v in blown2.class_members(0):
-            assert g.has_edge(v, matching_step(blown2, 0, shift, v))
+        for v in class_members(blown2, 0):
+            w = matching_step(blown2, 0, shift, v)
+            assert edge_key(v, w) in g.edges
 
 
 def test_shift_matchings_are_perfect_and_disjoint(blown3):
@@ -116,10 +117,11 @@ def test_shift_matchings_are_perfect_and_disjoint(blown3):
         edges_by_shift = []
         for shift in range(1, blown3.m + 1):
             images = [matching_step(blown3, boundary, shift, v)
-                      for v in blown3.class_members(boundary)]
-            assert sorted(images) == list(blown3.class_members(boundary + 1))
-            edges_by_shift.append({(v, w) for v, w in
-                                   zip(blown3.class_members(boundary), images)})
+                      for v in class_members(blown3, boundary)]
+            assert sorted(images) == list(class_members(blown3,
+                                                        boundary + 1))
+            edges_by_shift.append({(v, w) for v, w in zip(
+                class_members(blown3, boundary), images)})
         union = set().union(*edges_by_shift)
         assert len(union) == blown3.m * blown3.q
 
@@ -136,7 +138,7 @@ def test_free_common_neighbors_avoid_reserved_shifts(blown2):
     u, v = blown2.vertex(0, 0), blown2.vertex(0, 1)
     for z in free_common_neighbors(blown2, u, v):
         for w in (u, v):
-            assert blown2.graph.has_edge(w, z)
+            assert edge_key(w, z) in blown2.graph.edges
             shift = (blown2.index_of(z) - blown2.index_of(w)) % blown2.q
             assert shift not in range(1, blown2.m + 1)
 
@@ -153,7 +155,7 @@ def test_free_common_lower_bound_exhaustive(m):
     b = build(m)
     floor = 2 * m + 3
     for i in range(b.num_classes):
-        for u, v in itertools.combinations(b.class_members(i), 2):
+        for u, v in itertools.combinations(class_members(b, i), 2):
             assert len(free_common_neighbors(b, u, v)) >= floor
 
 
@@ -167,10 +169,10 @@ def test_free_common_matches_residual_graph_oracle(m):
     h = to_networkx(b.graph)
     for boundary in range(b.num_classes):
         for shift in range(1, b.m + 1):
-            for v in b.class_members(boundary):
+            for v in class_members(b, boundary):
                 h.remove_edge(v, matching_step(b, boundary, shift, v))
     for cls in (0, b.num_classes - 1):
-        nxt = set(b.class_members(cls + 1))
-        for u, v in itertools.permutations(b.class_members(cls), 2):
+        nxt = set(class_members(b, cls + 1))
+        for u, v in itertools.permutations(class_members(b, cls), 2):
             expected = sorted(set(h[u]) & set(h[v]) & nxt)
             assert free_common_neighbors(b, u, v) == expected

@@ -4,11 +4,12 @@ import json
 import pytest
 
 import pairpath.blowup as blowup_module
+import pairpath.routing as routing_module
 from pairpath.cli import main
 from pairpath.formats import dumps_graph, dumps_pairing, loads_graph
 from pairpath.routing import make_pairing
 
-from helpers import HALL_DEFICIENT_M4, path_graph
+from helpers import HALL_DEFICIENT_M4, SHARED_END_PAIRS_M2, path_graph
 
 
 def run(capsys, *argv):
@@ -82,13 +83,28 @@ def test_route_explicit_pairing_file(capsys, tmp_path):
     assert "seed" not in doc
 
 
-def test_route_hall_deficient_pairing_exits_one(capsys):
-    code, out, err = run(capsys, "route", "--m", "4", "--pairing",
-                         str(HALL_DEFICIENT_M4))
+def test_route_hall_deficient_pairing_exits_zero(capsys, monkeypatch):
+    code, plan_text, _ = run(capsys, "route", "--m", "4", "--pairing",
+                             str(HALL_DEFICIENT_M4))
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(plan_text))
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+def test_route_construction_bug_exits_one(capsys, tmp_path, monkeypatch):
+    # one candidate per task starves the second of two walks that end at
+    # one vertex
+    real = routing_module.free_common_neighbors
+    monkeypatch.setattr(routing_module, "free_common_neighbors",
+                        lambda b, u, v: real(b, u, v)[:1])
+    src = tmp_path / "pairs.json"
+    src.write_text(dumps_pairing(make_pairing(SHARED_END_PAIRS_M2)))
+    code, out, err = run(capsys, "route", "--m", "2", "--pairing", str(src))
     assert code == 1
     assert out == ""
-    assert "19 closing tasks share 18 distinct candidates" in err
-    assert "Hall's condition fails" in err
+    assert "a closing task has no free candidate: construction bug" in err
 
 
 def test_route_from_annotated_graph_file(capsys, tmp_path):

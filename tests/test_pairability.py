@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairpath.blowup import build
-from pairpath.graph import (FamilySpec, GraphError, diameter, generate,
-                            make_graph)
+from pairpath.graph import (FamilySpec, GraphError, diameter, edge_key,
+                            generate, make_graph)
 from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
                                   INCONCLUSIVE, INFEASIBLE, LAYERED_CUT,
                                   LAYER_GROWTH, NOT_PATH_PAIRABLE,
@@ -136,7 +136,7 @@ def test_adding_an_edge_preserves_feasible_pairings(extra, data):
     if before.status != FEASIBLE:
         return
     candidates = [(u, v) for u in range(6) for v in range(u + 1, 6)
-                  if not base.has_edge(u, v)]
+                  if edge_key(u, v) not in base.edges]
     chosen = candidates[:extra]
     bigger = make_graph(6, list(base.edges) + chosen)
     assert find_disjoint_paths(bigger, pairing).status == FEASIBLE

@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HALL_DEFICIENT_M4, adversarial_pairings, matching_step
+import pairpath.routing as routing_module
+from helpers import (HALL_DEFICIENT_M4, SHARED_END_PAIRS_M2,
+                     adversarial_pairings, closing_replay, matching_step,
+                     piled_pairing, piled_pairings)
 from pairpath.blowup import build
 from pairpath.formats import dumps_plan, loads_pairing
 from pairpath.routing import (Pairing, PairingError, RoutingError,
@@ -12,9 +15,10 @@ from pairpath.routing import (Pairing, PairingError, RoutingError,
 from pairpath.verify import verify_plan
 
 # routes through one contended boundary: eight pairs complete in class 0,
-# one more than the guaranteed candidate floor, so the smallest-z rule alone
-# dead-ends and the assignment must reshuffle earlier choices; orientation
-# matters (it decides the targets of the distance-2 ties), keep it
+# one more than the guaranteed candidate floor, so giving each task its own
+# smallest unclaimed z dead-ends, while sharing z between tasks with disjoint
+# ends routes it; orientation matters (it decides the targets of the
+# distance-2 ties), keep it
 CONTENDED_PAIRING_M2 = [
     (10, 0), (43, 1), (2, 21), (3, 41), (4, 33), (32, 5), (6, 34), (28, 7),
     (25, 8), (9, 30), (38, 11), (15, 12), (16, 13), (14, 27), (18, 17),
@@ -104,28 +108,83 @@ def test_phase_one_uses_reserved_shifts_only(m):
 
 
 def test_assign_candidates_greedy_smallest():
-    assert assign_candidates([[0, 1], [1, 2]]) == [0, 1]
+    # tasks with disjoint ends share the smallest z
+    assert assign_candidates([[5, 6], [5, 6]], [(0, 1), (2, 3)]) == [5, 5]
 
 
-def test_assign_candidates_reassigns_on_dead_end():
-    assert assign_candidates([[0, 1], [0]]) == [1, 0]
-    assert assign_candidates([[0, 1], [0, 2], [0]]) == [1, 2, 0]
+def test_assign_candidates_skips_z_taken_at_shared_end():
+    for ends in ([(0, 1), (0, 2)], [(0, 1), (2, 1)],
+                 [(0, 1), (1, 2)], [(0, 1), (2, 0)]):
+        assert assign_candidates([[5, 6], [5, 6]], ends) == [5, 6]
+    # a z is blocked only at the ends of the task that took it
+    assert assign_candidates([[5, 6]] * 3, [(0, 1), (1, 2), (3, 4)]) \
+        == [5, 6, 5]
 
 
 def test_assign_candidates_raises_when_starved():
     with pytest.raises(ValueError, match="no free candidate"):
-        assign_candidates([[0], [0]])
+        assign_candidates([[5], [5]], [(0, 1), (0, 2)])
     with pytest.raises(ValueError, match="no free candidate"):
-        assign_candidates([[0, 1], [0, 1], [1, 0]])
+        assign_candidates([[5, 6]] * 3, [(0, 1), (1, 2), (2, 0)])
 
 
-def test_route_names_hall_failure():
+def assert_routes_above_floor(b, pairing):
+    """route succeeds, the plan verifies, every route has length <= m+2, and
+    each pick took the smallest z still free, with at least 3 free (the
+    proof's floor)."""
+    plan = route(b, pairing)
+    assert verify_plan(b.graph, pairing, plan).ok
+    assert plan.max_route_length <= b.m + 2
+    replay = closing_replay(b, pairing, plan)
+    for rows in replay.values():
+        for _, left, z in rows:
+            assert len(left) >= 3
+            assert z == left[0]
+    return replay
+
+
+def assert_hall_deficient(b, replay, cls):
+    """The q tasks of class cls share fewer than q candidates, so no
+    assignment of distinct candidates exists."""
+    cands = [row[0] for row in replay[cls]]
+    assert len(cands) == b.q
+    assert len(set().union(*cands)) < b.q
+
+
+def test_route_hall_deficient_golden_verifies():
+    b = build(4)
     pairing = loads_pairing(HALL_DEFICIENT_M4.read_text())
+    assert_hall_deficient(b, assert_routes_above_floor(b, pairing), 1)
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_route_piled_pairings_regression(m):
+    # one full class of piled walks is Hall-deficient; several classes at
+    # once crowd the sources too
+    b = build(m)
+    for seed in range(2):
+        replay = assert_routes_above_floor(b, piled_pairing(b, [seed], seed))
+        assert_hall_deficient(b, replay, seed)
+        for classes in (range(seed, 2 * m, 2), range(2 * m)):
+            assert_routes_above_floor(b, piled_pairing(b, classes, seed))
+
+
+@given(piled_pairings())
+@settings(max_examples=25, deadline=None)
+def test_route_property_piled_pairings(case):
+    assert_routes_above_floor(*case)
+
+
+def test_route_starved_task_is_a_construction_bug(blown2, monkeypatch):
+    # with one candidate per task, two walks that end at one vertex both
+    # need the edge from it to that candidate, so the second task starves
+    real = routing_module.free_common_neighbors
+    monkeypatch.setattr(routing_module, "free_common_neighbors",
+                        lambda b, u, v: real(b, u, v)[:1])
     with pytest.raises(RoutingError) as info:
-        route(build(4), pairing)
-    assert str(info.value) == (
-        "class 1 (m=4): 19 closing tasks share 18 distinct candidates and "
-        "no assignment gives each its own; Hall's condition fails")
+        route(blown2, make_pairing(SHARED_END_PAIRS_M2))
+    assert str(info.value) == ("class 1 (m=2): a closing task has no free "
+                               "candidate: construction bug")
 
 
 def test_phase_two_single_task_takes_smallest_free_z(blown2):
@@ -182,8 +241,8 @@ def test_route_contended_boundary_regression(blown2):
 
 
 def test_contended_regression_fixture_starves_bare_greedy(blown2):
-    # guard the fixture's bite: taking the smallest unclaimed z in task
-    # order, with no reassignment, must dead-end on this pairing
+    # guard the fixture's bite: giving each task its own smallest unclaimed
+    # z in task order must dead-end on this pairing
     from pairpath.blowup import free_common_neighbors
     pairing = make_pairing(CONTENDED_PAIRING_M2)
     result = phase_one(blown2, canonical_labeling(blown2, pairing))

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .graph import Graph, make_graph
 
 
@@ -45,9 +47,12 @@ class BlownCycle:
     @cached_property
     def graph(self) -> Graph:
         q, two_m = self.q, self.num_classes
-        return make_graph(self.n, ((i * q + a, (i + 1) % two_m * q + c)
-                                   for i in range(two_m)
-                                   for a in range(q) for c in range(q)))
+        # row (i, a, c) is the edge from (i, a) to (i+1, c)
+        edges = np.empty((two_m, q, q, 2), dtype=np.int64)
+        edges[..., 0] = np.arange(self.n).reshape(two_m, q, 1)
+        edges[..., 1] = (np.arange(1, two_m + 1) % two_m * q).reshape(
+            two_m, 1, 1) + np.arange(q)
+        return make_graph(self.n, edges.reshape(-1, 2))
 
     def class_of(self, v: int) -> int:
         return v // self.q

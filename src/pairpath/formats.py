@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from .graph import Graph, GraphError, make_graph
 from .routing import Pairing, Route, RoutePlan, make_pairing
@@ -36,9 +39,24 @@ def _as_list(doc: dict[str, Any], key: str) -> list[Any]:
 
 def _as_edge(item: Any) -> tuple[int, int]:
     if (not isinstance(item, (list, tuple)) or len(item) != 2
-            or not all(isinstance(v, int) for v in item)):
+            or not all(type(v) is int for v in item)):
         raise FormatError(f"expected [u, v] integer pair, got {item!r}")
     return item[0], item[1]
+
+
+def _as_edges(rows: list[Any]) -> np.ndarray | list[tuple[int, int]]:
+    """JSON edge rows as one (E, 2) integer array.  The per-row scan runs only
+    when that check fails, to name the first bad row; rows that all pass it
+    hold an id beyond int64, which make_graph rejects as out of range."""
+    try:
+        edges = np.array(rows) if rows else np.empty((0, 2), dtype=np.int64)
+    except ValueError:  # ragged rows
+        edges = None
+    if (edges is not None and edges.dtype.kind in "iu"
+            and edges.shape == (len(rows), 2)
+            and bool not in set(map(type, chain.from_iterable(rows)))):
+        return edges
+    return [_as_edge(item) for item in rows]
 
 
 def dumps_graph(g: Graph, fmt: str = "json",
@@ -93,7 +111,7 @@ def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
         n = doc["n"]
         if not isinstance(n, int):
             raise FormatError(f'"n" must be an integer, got {n!r}')
-        edges = [_as_edge(e) for e in _as_list(doc, "edges")]
+        edges = _as_edges(_as_list(doc, "edges"))
         annotations = {k: v for k, v in doc.items() if k not in ("n", "edges")}
         return make_graph(n, edges), annotations
     if fmt == "dot":

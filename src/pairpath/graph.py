@@ -1,14 +1,14 @@
 """Immutable simple undirected graphs, named-family generators, and basic metrics.
 
-Vertices are integer ids 0..n-1.  Edges are stored as unordered pairs (u, v)
-with u < v.  All metrics are pure functions; Graph values are safe to share
-across threads and processes.
+Vertices are integer ids 0..n-1.  An edge {u, v} with u < v is stored as the
+int64 key u*n + v, and a graph keeps its edges as one sorted, duplicate-free
+array of keys.  All metrics are pure functions; Graph values are safe to
+share across threads and processes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -16,6 +16,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 Edge = tuple[int, int]
+
+# the largest n for which every key u*n + v (u < v < n) fits in int64
+MAX_VERTICES = 3_037_000_500
 
 
 class GraphError(ValueError):
@@ -26,25 +29,33 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph.  Build via make_graph, not directly.
 
-    The edge set is the one stored representation; `csr` derives the
-    adjacency matrix from it on first use.
+    `keys` is the one stored representation of the edge set: the sorted,
+    duplicate-free int64 keys u*n + v with u < v, read-only.  `csr` derives
+    the adjacency matrix from it on first use.  Equality and hash use n and
+    the keys, not the labels.
     """
 
     n: int
-    edges: frozenset[Edge]
-    labels: Mapping[int, str] | None = field(default=None, compare=False)
+    keys: np.ndarray
+    labels: Mapping[int, str] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.keys, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.keys.tobytes()))
 
     @cached_property
     def csr(self) -> csr_matrix:
         """Symmetric 0/1 adjacency matrix with sorted rows."""
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int32,
-                           count=2 * len(self.edges))
-        us, vs = flat[0::2], flat[1::2]
-        a = csr_matrix((np.ones(len(flat), dtype=np.int8),
+        us, vs = np.divmod(self.keys, self.n)
+        a = csr_matrix((np.ones(2 * len(us), dtype=np.int8),
                         (np.concatenate([us, vs]), np.concatenate([vs, us]))),
                        shape=(self.n, self.n))
         a.sort_indices()
@@ -62,36 +73,76 @@ class Graph:
     def max_degree(self) -> int:
         return int(np.diff(self.csr.indptr).max(initial=0))
 
-    @cached_property
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.keys)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        us, vs = np.divmod(self.keys, self.n)
+        return list(zip(us.tolist(), vs.tolist()))
 
 
-def make_graph(n: int, edges: Iterable[Sequence[int]],
+def make_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray,
                labels: Mapping[int, str] | None = None) -> Graph:
-    """Build a Graph from an edge list; duplicates collapse, order is irrelevant.
+    """Build a Graph from an edge list or an (E, 2) integer array; duplicates
+    collapse, order is irrelevant.
 
-    Rejects self-loops and ids outside 0..n-1.
+    Rejects self-loops and ids outside 0..n-1, naming the first bad edge in
+    input order, and n above MAX_VERTICES.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    dedup: set[Edge] = set()
-    for e in edges:
-        u, v = e
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}, the "
+                         "largest whose edge keys fit in int64")
+    pairs = _edge_array(edges, n)
+    us, vs = pairs[:, 0], pairs[:, 1]
+    bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs)
+    if bad.any():
+        _check_edges([pairs[int(np.argmax(bad))].tolist()], n)
+    # ids are in 0..n-1 now, so they and the keys fit in int64
+    us, vs = us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False)
+    keys = np.minimum(us, vs)
+    keys *= n
+    keys += np.maximum(us, vs)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]  # one key per edge
+    keys.flags.writeable = False
+    if labels is not None:
+        bad_labels = [v for v in labels if not (0 <= v < n)]
+        if bad_labels:
+            raise GraphError(f"label for unknown vertex {bad_labels[0]}")
+        labels = dict(labels)
+    return Graph(n=n, keys=keys, labels=labels)
+
+
+def _edge_array(edges: Iterable[Sequence[int]] | np.ndarray, n: int
+                ) -> np.ndarray:
+    """Edges as an (E, 2) integer array.  An id that fits no int64 is out of
+    range, so the list then raises for its first bad edge."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+        try:
+            edges = np.array(edges, dtype=np.int64)
+        except OverflowError:
+            _check_edges(edges, n)
+            raise
+    if edges.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphError(f"edges must be (u, v) pairs, got shape {edges.shape}")
+    return edges
+
+
+def _check_edges(edges: Iterable[Sequence[int]], n: int) -> None:
+    """Raise for the first out-of-range or self-loop edge."""
+    for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) has id out of range 0..{n - 1}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u} not allowed")
-        dedup.add(edge_key(u, v))
-    if labels is not None:
-        bad = [v for v in labels if not (0 <= v < n)]
-        if bad:
-            raise GraphError(f"label for unknown vertex {bad[0]}")
-        labels = dict(labels)
-    return Graph(n=n, edges=frozenset(dedup), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -183,8 +234,9 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     the n-sized CSR arrays are built.
     """
     if g.n >= 2 and g.n > 2 * g.edge_count:
-        touched = set(chain.from_iterable(g.edges))
-        v = next(v for v in range(g.n) if v not in touched)
+        touched = np.unique(np.concatenate(np.divmod(g.keys, g.n)))
+        gaps = np.flatnonzero(touched != np.arange(len(touched)))
+        v = int(gaps[0]) if gaps.size else len(touched)
         u = 1 if v == 0 else 0
         raise GraphError(f"graph is disconnected: vertex {v} unreachable from {u}")
     ptr, indices = g.csr.indptr, g.csr.indices

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
 
 from .graph import Graph
-from .routing import Pairing, RoutePlan
+from .routing import Pairing, Route, RoutePlan
 
 NOT_A_WALK = "not-a-walk"
 WRONG_ENDPOINTS = "wrong-endpoints"
@@ -61,54 +65,101 @@ class VerificationReport:
 def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     """Check a plan: route i must walk g's edges between exactly the two
     endpoints of pair i, and no edge may be used twice anywhere.  All problems
-    become report entries; nothing raises."""
-    violations: list[Violation] = []
-    warnings: list[PlanWarning] = []
-    n, edges = g.n, g.edges
-    endpoint_set = p.endpoints()
-    owner: dict[tuple[int, int], int] = {}
+    become report entries; nothing raises.
 
-    for idx, route in enumerate(plan.routes):
-        path = route.path
-        if idx >= len(p.pairs):
-            violations.append(Violation(
-                kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
-                vertex=route.x))
-            continue
-        ends = {path[0], path[-1]} if path else set()
-        if not path or ends != set(p.pairs[idx]) \
-                or path[0] != route.x or path[-1] != route.y:
-            stray = next((v for v in ends if v not in endpoint_set), None)
-            if stray is not None:
-                violations.append(Violation(
-                    kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
-                    vertex=stray))
-            else:
-                violations.append(Violation(
-                    kind=WRONG_ENDPOINTS, pair_indexes=(idx,),
-                    vertex=path[0] if path else None))
-        seen_vertices: set[int] = set()
-        for v in path:
-            if not (0 <= v < n):
-                violations.append(Violation(
-                    kind=NOT_A_WALK, pair_indexes=(idx,), vertex=v))
-            elif v in seen_vertices:
-                warnings.append(PlanWarning(
-                    kind="vertex-repeated", pair_index=idx, vertex=v))
-            seen_vertices.add(v)
-        for u, v in zip(path, path[1:]):
-            # out-of-range ids and self-loops are never in g.edges
-            e = (u, v) if u < v else (v, u)
-            if e not in edges:
-                violations.append(Violation(
-                    kind=NOT_A_WALK, pair_indexes=(idx,), edge=e))
-                continue
-            if e in owner:
-                violations.append(Violation(
-                    kind=EDGE_REUSED, pair_indexes=(owner[e], idx), edge=e))
-            else:
-                owner[e] = idx
+    Entries come per route, in route order: the endpoint problem, then the
+    route's bad vertex ids in path order, then its bad steps in path order;
+    routes for missing pairs come last.  A step reuses an edge when an
+    earlier step, in route order, took it; that step's route owns the edge.
+    The checks run on arrays of all routes' ids at once, and entries are
+    built only for what they flag.
+    """
+    n = g.n
+    routes = plan.routes[:len(p.pairs)]  # a route with no pair is not walked
+    paths = [r.path for r in routes]
+    lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    ends = np.cumsum(lens)
+    values = list(chain.from_iterable(paths))
+    flat = _as_ids(values, len(values))
+    exact = flat is not None
+    if not exact:  # some id fits no int64, so it is out of range
+        flat = _as_ids((v if 0 <= v < n else -1 for v in values), len(values))
+    rid = np.repeat(np.arange(len(paths)), lens)
+    in_range = (flat >= 0) & (flat < n)
+    entries: list[tuple[int, int, int, Violation]] = []
 
+    # endpoints: compared as arrays, checked again in Python where flagged
+    pair_ids = _as_ids(chain.from_iterable(p.pairs[:len(paths)]),
+                       2 * len(paths))
+    xs = _as_ids([r.x for r in routes], len(paths))
+    ys = _as_ids([r.y for r in routes], len(paths))
+    if exact and len(flat) and not any(
+            ids is None for ids in (pair_ids, xs, ys)):
+        first = flat[np.minimum(ends - lens, len(flat) - 1)]
+        last = flat[ends - 1]
+        a, b = pair_ids[0::2], pair_ids[1::2]
+        ends_ok = (lens > 0) & (first == xs) & (last == ys) & (
+            ((first == a) & (last == b)) | ((first == b) & (last == a)))
+        flagged = np.flatnonzero(~ends_ok).tolist()
+    else:
+        flagged = range(len(paths))
+    if len(flagged):
+        endpoint_set = p.endpoints()
+        for idx in flagged:
+            bad = _endpoint_violation(idx, routes[idx], p.pairs[idx],
+                                      endpoint_set)
+            if bad is not None:
+                entries.append((idx, 0, 0, bad))
+    for idx in range(len(paths), len(plan.routes)):
+        entries.append((idx, 0, 0, Violation(
+            kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
+            vertex=plan.routes[idx].x)))
+
+    # vertex ids: out of range, or repeated within a route (a warning),
+    # found as runs of equal keys route*n + id (below routes*n, which fits
+    # in int64 for up to graph.MAX_VERTICES routes)
+    for pos in np.flatnonzero(~in_range).tolist():
+        entries.append((int(rid[pos]), 1, pos, Violation(
+            kind=NOT_A_WALK, pair_indexes=(int(rid[pos]),),
+            vertex=values[pos])))
+    by_vertex, first_seen = _runs(np.where(in_range, rid * n + flat, -1))
+    repeated = np.zeros(len(flat), dtype=bool)
+    repeated[by_vertex[~first_seen]] = True
+    warnings = [PlanWarning(kind="vertex-repeated", pair_index=int(rid[pos]),
+                            vertex=values[pos])
+                for pos in np.flatnonzero(repeated & in_range).tolist()]
+
+    # steps: one stable sort of the step keys; one searchsorted into g.keys
+    # gives membership, and the first of a run of equal keys owns the edge
+    is_last = np.zeros(len(flat), dtype=bool)
+    is_last[ends[lens > 0] - 1] = True
+    step_pos = np.flatnonzero(~is_last)  # step s walks flat[s] -> flat[s+1]
+    su, sv = flat[step_pos], flat[step_pos + 1]
+    lo, hi = np.minimum(su, sv), np.maximum(su, sv)
+    keys = np.where((lo >= 0) & (hi < n) & (lo != hi), lo * n + hi, -1)
+    by_key, first_claim = _runs(keys)
+    sorted_keys = keys[by_key]
+    slot = np.searchsorted(g.keys, sorted_keys)
+    member = slot < len(g.keys)
+    member[member] = g.keys[slot[member]] == sorted_keys[member]
+    owner = by_key[np.maximum.accumulate(
+        np.where(first_claim, np.arange(len(by_key)), 0))]
+    reused = member & ~first_claim
+    step_route = rid[step_pos]
+    bad_steps = [(s, None) for s in by_key[~member].tolist()]
+    bad_steps += zip(by_key[reused].tolist(),
+                     step_route[owner[reused]].tolist())
+    for s, own in bad_steps:
+        pos, idx = int(step_pos[s]), int(step_route[s])
+        u, v = values[pos], values[pos + 1]
+        e = (u, v) if u < v else (v, u)
+        entries.append((idx, 2, pos, Violation(
+            kind=NOT_A_WALK, pair_indexes=(idx,), edge=e) if own is None
+            else Violation(kind=EDGE_REUSED, pair_indexes=(own, idx),
+                           edge=e)))
+
+    entries.sort(key=lambda entry: entry[:3])
+    violations = [entry[3] for entry in entries]
     for idx in range(len(plan.routes), len(p.pairs)):
         violations.append(Violation(
             kind=WRONG_ENDPOINTS, pair_indexes=(idx,),
@@ -117,3 +168,38 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     return VerificationReport(ok=not violations,
                               violations=tuple(violations),
                               warnings=tuple(warnings))
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of keys, and for each key in that order whether
+    it starts a run of equal keys."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[order[1:]] != keys[order[:-1]]
+    return order, starts
+
+
+def _as_ids(ids: Iterable[int], count: int) -> np.ndarray | None:
+    """count integer ids as an int64 array; None when one fits no int64."""
+    try:
+        return np.fromiter(ids, dtype=np.int64, count=count)
+    except OverflowError:
+        return None
+
+
+def _endpoint_violation(idx: int, route: Route, pair: tuple[int, int],
+                        endpoint_set: frozenset[int]) -> Violation | None:
+    """The endpoint problem of route idx, if it has one: a path end that no
+    pair mentions, else ends that are not pair idx or not the route's own
+    x and y."""
+    path = route.path
+    ends = {path[0], path[-1]} if path else set()
+    if path and ends == set(pair) and path[0] == route.x \
+            and path[-1] == route.y:
+        return None
+    stray = next((v for v in ends if v not in endpoint_set), None)
+    if stray is not None:
+        return Violation(kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
+                         vertex=stray)
+    return Violation(kind=WRONG_ENDPOINTS, pair_indexes=(idx,),
+                     vertex=path[0] if path else None)

@@ -18,6 +18,9 @@ from pairpath.pairability import (CANNOT_RULE_OUT, NOT_PATH_PAIRABLE,
 from pairpath.rng import SplitMix64
 from pairpath.routing import (Pairing, RoutePlan, canonical_labeling,
                               make_pairing, phase_one)
+from pairpath.verify import (EDGE_REUSED, ENDPOINT_NOT_IN_PAIRING, NOT_A_WALK,
+                             WRONG_ENDPOINTS, PlanWarning, VerificationReport,
+                             Violation)
 
 # a perfect pairing of build(4) whose 19 closing tasks in class 1 all miss
 # vertex 46, so they share 18 candidates and cannot each get their own
@@ -53,9 +56,70 @@ def dumbbell(internals: int) -> Graph:
 def to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
+    h.add_edges_from(set(g.sorted_edges()))
     return h
 
+
+
+def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
+                          ) -> VerificationReport:
+    """Oracle: verify_plan as one Python loop over routes, vertices and
+    steps, checking each step against the edge set."""
+    violations: list[Violation] = []
+    warnings: list[PlanWarning] = []
+    n, edges = g.n, set(g.sorted_edges())
+    endpoint_set = p.endpoints()
+    owner: dict[tuple[int, int], int] = {}
+
+    for idx, route in enumerate(plan.routes):
+        path = route.path
+        if idx >= len(p.pairs):
+            violations.append(Violation(
+                kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
+                vertex=route.x))
+            continue
+        ends = {path[0], path[-1]} if path else set()
+        if not path or ends != set(p.pairs[idx]) \
+                or path[0] != route.x or path[-1] != route.y:
+            stray = next((v for v in ends if v not in endpoint_set), None)
+            if stray is not None:
+                violations.append(Violation(
+                    kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
+                    vertex=stray))
+            else:
+                violations.append(Violation(
+                    kind=WRONG_ENDPOINTS, pair_indexes=(idx,),
+                    vertex=path[0] if path else None))
+        seen_vertices: set[int] = set()
+        for v in path:
+            if not (0 <= v < n):
+                violations.append(Violation(
+                    kind=NOT_A_WALK, pair_indexes=(idx,), vertex=v))
+            elif v in seen_vertices:
+                warnings.append(PlanWarning(
+                    kind="vertex-repeated", pair_index=idx, vertex=v))
+            seen_vertices.add(v)
+        for u, v in zip(path, path[1:]):
+            # out-of-range ids and self-loops are never in the edge set
+            e = (u, v) if u < v else (v, u)
+            if e not in edges:
+                violations.append(Violation(
+                    kind=NOT_A_WALK, pair_indexes=(idx,), edge=e))
+                continue
+            if e in owner:
+                violations.append(Violation(
+                    kind=EDGE_REUSED, pair_indexes=(owner[e], idx), edge=e))
+            else:
+                owner[e] = idx
+
+    for idx in range(len(plan.routes), len(p.pairs)):
+        violations.append(Violation(
+            kind=WRONG_ENDPOINTS, pair_indexes=(idx,),
+            vertex=p.pairs[idx][0]))
+
+    return VerificationReport(ok=not violations,
+                              violations=tuple(violations),
+                              warnings=tuple(warnings))
 
 @dataclass(frozen=True)
 class LayerProfile:
@@ -116,7 +180,7 @@ def edge_cut_size(g: Graph, side: Iterable[int]) -> int:
     for v in s:
         if not (0 <= v < g.n):
             raise GraphError(f"cut side vertex {v} out of range")
-    return sum(1 for u, v in g.edges if (u in s) != (v in s))
+    return sum(1 for u, v in set(g.sorted_edges()) if (u in s) != (v in s))
 
 
 def matching_step(b: BlownCycle, boundary: int, shift: int, frm: int) -> int:

@@ -340,9 +340,17 @@ def test_usage_errors_exit_two(capsys, tmp_path):
      {"n": 44, "edges": [], "blown_cycle": {"m": [2]}}),
     (["route", "--random", "0", "--graph"],
      {"n": 44, "edges": [], "blown_cycle": {"m": "2"}}),
+    # each edge row below would make a connected graph if it were accepted
+    (["stats", "--graph"], {"n": 2, "edges": [[False, True]]}),
+    (["stats", "--graph"], {"n": 3, "edges": [[0, 1], [True, 2]]}),
+    (["stats", "--graph"], {"n": 2, "edges": [[0.0, 1]]}),
+    (["stats", "--graph"], {"n": 3, "edges": [[0, 1], [2]]}),
+    (["stats", "--graph"], {"n": 3, "edges": [[0, 1, 2]]}),
+    (["stats", "--graph"], {"n": 2, "edges": [[0, 1], [0, 10**30]]}),
 ], ids=["stats-edges", "screen-edges", "generate-edges", "verify-edges",
         "route-pairs", "verify-routes", "verify-route-x", "route-m-list",
-        "route-m-str"])
+        "route-m-str", "edge-bools", "edge-bool", "edge-float",
+        "edge-ragged", "edge-triple", "edge-beyond-int64"])
 def test_malformed_json_shapes_exit_two(capsys, tmp_path, monkeypatch, argv,
                                         doc):
     # a valid plan on stdin, so "verify --plan -" gets as far as the graph
@@ -363,6 +371,16 @@ def test_stats_huge_isolated_graph_exits_two(capsys, tmp_path):
     assert out == ""
     assert err == ("error: graph is disconnected: "
                    "vertex 2 unreachable from 0\n")
+
+
+def test_stats_graph_beyond_int64_keys_exits_two(capsys, tmp_path):
+    target = tmp_path / "huge.json"
+    target.write_text('{"n": 10000000000, '
+                      '"edges": [[9999999998, 9999999999]]}')
+    code, out, err = run(capsys, "stats", "--graph", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: vertex count 10000000000 exceeds")
 
 
 def test_malformed_graph_file_exits_two(capsys, tmp_path):

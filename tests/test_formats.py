@@ -99,6 +99,16 @@ def test_loads_graph_rejects_malformed():
         loads_graph('{"n": 2, "edges": [[0, 0]]}', "json")  # self-loop
     with pytest.raises(FormatError):
         loads_graph('{"n": 1, "edges": [[0, 4]]}', "json")  # out of range
+    for rows, bad in (([[False, True]], [False, True]),
+                      ([[0, 1], [True, 2]], [True, 2]),
+                      ([[0.0, 1]], [0.0, 1]), ([[0, 1], [2]], [2]),
+                      ([[0, 1, 2]], [0, 1, 2])):
+        with pytest.raises(FormatError) as err:
+            loads_graph(json.dumps({"n": 3, "edges": rows}), "json")
+        assert str(err.value) == f"expected [u, v] integer pair, got {bad!r}"
+    with pytest.raises(FormatError, match=r"^edge \(0,10{30}\) has id out "
+                       r"of range 0\.\.2$"):
+        loads_graph(f'{{"n": 3, "edges": [[0, 1], [0, {10**30}]]}}', "json")
     with pytest.raises(FormatError):
         loads_graph("digraph G { 0 -> 1; }", "dot")
     with pytest.raises(FormatError):

@@ -48,6 +48,28 @@ def test_make_graph_rejects_self_loop():
         make_graph(3, [(1, 1)])
 
 
+def test_make_graph_names_the_first_bad_edge_in_input_order():
+    with pytest.raises(GraphError, match=r"^self-loop at vertex 2 not"):
+        make_graph(3, [(0, 1), (2, 2), (0, 3)])
+    with pytest.raises(GraphError, match=r"^edge \(0,3\) has id out of"):
+        make_graph(3, [(0, 1), (0, 3), (2, 2), (0, 2**64)])
+    with pytest.raises(GraphError, match=r"^edge \(0,18446744073709551616\)"):
+        make_graph(3, [(0, 1), (0, 2**64), (2, 2)])
+
+
+def test_make_graph_rejects_keys_beyond_int64():
+    top = graph_module.MAX_VERTICES
+    g = make_graph(top, [(top - 2, top - 1), (0, top - 1)])
+    assert g.sorted_edges() == [(0, top - 1), (top - 2, top - 1)]
+    assert int(g.keys.max()) == (top - 2) * top + top - 1 <= 2**63 - 1
+    assert (top + 1) ** 2 - (top + 1) - 1 > 2**63 - 1
+    with pytest.raises(GraphError,
+                       match=f"^vertex count {top + 1} exceeds {top}, the"):
+        make_graph(top + 1, [(top - 1, top)])
+    with pytest.raises(GraphError, match="exceeds"):
+        make_graph(10**10, [(9999999998, 9999999999)])
+
+
 def test_generate_hypercube3(q3):
     assert q3.n == 8
     assert q3.edge_count == 12
@@ -59,7 +81,7 @@ def test_generate_hypercube_matches_networkx():
     h = nx.hypercube_graph(4)
     relabel = {node: sum(b << i for i, b in enumerate(node)) for node in h}
     expected = {tuple(sorted((relabel[u], relabel[v]))) for u, v in h.edges}
-    assert set(g.edges) == expected
+    assert set(g.sorted_edges()) == expected
 
 
 def test_generate_petersen_structure(petersen):
@@ -198,7 +220,8 @@ def test_layers_partition_and_edges_stay_local(g):
     assert sum(profile.sizes) == g.n
     assert profile.sizes[0] == 1
     level = {v: t for t, layer in enumerate(profile.layers) for v in layer}
-    assert all(abs(level[u] - level[v]) <= 1 for u, v in g.edges)
+    assert all(abs(level[u] - level[v]) <= 1
+               for u, v in set(g.sorted_edges()))
 
 
 @given(connected_graphs())
@@ -280,6 +303,10 @@ def test_metrics_match_oracle_on_families(name):
     assert [g.degree(v) for v in range(g.n)] == [h.degree(v)
                                                  for v in range(g.n)]
     assert g.max_degree == max(d for _, d in h.degree)
+    assert g.sorted_edges() == sorted(tuple(sorted(e)) for e in h.edges)
+    assert g.edge_count == h.number_of_edges()
+    assert (g.csr != nx.to_scipy_sparse_array(h, nodelist=range(g.n),
+                                              format="csr")).nnz == 0
     reps, cls = twin_classes(g)
     first: dict[frozenset, int] = {}
     for v in range(g.n):
@@ -296,6 +323,16 @@ def test_equality_and_hash_ignore_the_built_csr():
     assert a.csr.nnz == 6
     assert "csr" in vars(a) and "csr" not in vars(b)
     assert a == b and hash(a) == hash(b) == hash_a
+    # edge lists that are shuffled or repeat edges give equal graphs
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+    base = make_graph(4, edges)
+    for variant in (edges[::-1], [(v, u) for u, v in edges[2:] + edges[:2]],
+                    edges + [(1, 0), (3, 1)] + edges):
+        same = make_graph(4, variant)
+        assert same == base and hash(same) == hash(base)
+    assert make_graph(4, edges[:-1] + [(0, 2)]) != base
+    assert make_graph(4, edges[:-1]) != base
+    assert make_graph(5, edges) != base
 
 
 def test_isolated_vertex_fails_before_csr():

@@ -135,10 +135,11 @@ def test_adding_an_edge_preserves_feasible_pairings(extra, data):
     before = find_disjoint_paths(base, pairing)
     if before.status != FEASIBLE:
         return
+    edges = set(base.sorted_edges())
     candidates = [(u, v) for u in range(6) for v in range(u + 1, 6)
-                  if edge_key(u, v) not in base.edges]
+                  if edge_key(u, v) not in edges]
     chosen = candidates[:extra]
-    bigger = make_graph(6, list(base.edges) + chosen)
+    bigger = make_graph(6, list(edges) + chosen)
     assert find_disjoint_paths(bigger, pairing).status == FEASIBLE
 
 

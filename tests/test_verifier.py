@@ -1,6 +1,12 @@
 import json
 import pathlib
 
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import ORACLE_GRAPHS, reference_verify_plan, to_networkx
+from pairpath.blowup import build
 from pairpath.formats import loads_plan
 from pairpath.graph import make_graph
 from pairpath.routing import Pairing, Route, RoutePlan, make_pairing, \
@@ -168,3 +174,79 @@ def test_empty_pairing_empty_plan():
     g = make_graph(2, [(0, 1)])
     report = verify_plan(g, Pairing(()), RoutePlan(routes=(), used_edges={}))
     assert report.ok
+
+
+# ------------------------------------------------- reference oracle
+
+
+MUTATIONS = ("out-of-range", "negative", "int64-extreme", "beyond-int64",
+             "reverse", "double-back", "empty", "extra", "drop",
+             "reuse-within", "reuse-across", "drop-pair")
+
+
+@st.composite
+def mutated_plans(draw):
+    """(graph, pairing, plan): a perfect pairing of an oracle graph, routed
+    by the router on blown cycles and by shortest paths (which may share
+    edges) elsewhere, then damaged by a few drawn mutations."""
+    name = draw(st.sampled_from(sorted(ORACLE_GRAPHS)))
+    g = ORACLE_GRAPHS[name]
+    pairing = random_perfect_pairing(g.n, draw(st.integers(0, 2**32)))
+    if name.startswith("blown-cycle-"):
+        b = build(int(name.rsplit("-", 1)[1]))
+        paths = [list(r.path) for r in route(b, pairing).routes]
+    else:
+        h = to_networkx(g)
+        paths = [nx.shortest_path(h, x, y) for x, y in pairing.pairs]
+    routes = [[path[0], path[-1], path] for path in paths]
+    pairs = list(pairing.pairs)
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1,
+                              max_size=4)):
+        if not routes:
+            break
+        i = draw(st.integers(0, len(routes) - 1))
+        x, y, path = routes[i]
+        if kind in ("out-of-range", "negative", "int64-extreme",
+                    "beyond-int64"):
+            bad = draw({"out-of-range": st.integers(g.n, g.n + 3),
+                        "negative": st.integers(-3, -1),
+                        "int64-extreme": st.sampled_from([2**63 - 1, -2**63]),
+                        "beyond-int64": st.sampled_from(
+                            [2**63, -2**63 - 1, 10**30])}[kind])
+            slot = draw(st.integers(0, len(path) + 1))
+            if slot == len(path):
+                routes[i][0] = bad
+            elif slot == len(path) + 1:
+                routes[i][1] = bad
+            else:
+                path[slot] = bad
+        elif kind == "reverse":
+            routes[i] = ([y, x] if draw(st.booleans()) else [x, y]) \
+                + [path[::-1]]
+        elif kind == "double-back":
+            routes[i][2] = path + path[-2::-1]
+        elif kind == "empty":
+            routes[i][2] = []
+        elif kind == "extra":
+            routes.append(list(routes[i][:2]) + [list(path)])
+        elif kind == "drop":
+            del routes[i]
+        elif kind == "reuse-within" and len(path) >= 2:
+            j = draw(st.integers(0, len(path) - 2))
+            routes[i][2] = path[:j + 2] + [path[j]] + path[j + 1:]
+        elif kind == "reuse-across":
+            routes[i][2] = list(routes[draw(st.integers(
+                0, len(routes) - 1))][2])
+        elif kind == "drop-pair" and i < len(pairs):
+            del pairs[i]
+    plan = RoutePlan(routes=tuple(Route(x=x, y=y, path=tuple(path))
+                                  for x, y, path in routes), used_edges={})
+    return g, make_pairing(pairs), plan
+
+
+@given(mutated_plans())
+@settings(max_examples=300, deadline=None)
+def test_reports_match_the_reference_loop(case):
+    g, pairing, plan = case
+    assert verify_plan(g, pairing, plan).to_json() \
+        == reference_verify_plan(g, pairing, plan).to_json()

@@ -11,51 +11,43 @@ import sys
 from typing import Any
 
 from . import blowup, formats, pairability, routing, verify
-from .graph import (FamilySpec, Graph, GraphError, diameter, generate)
+from .graph import (FAMILIES, FamilySpec, Graph, GraphError, diameter,
+                    generate)
 
-_FAMILY_PARAMS = {
-    "cycle": ("k",),
-    "complete": ("k",),
-    "complete-bipartite": ("a", "b"),
-    "hypercube": ("dim",),
-    "petersen": (),
-    "grid2": ("a", "b"),
-    "grid3": ("a", "b", "c"),
-    "blown-cycle": ("m",),
-}
+# the CLI's families: generate's, plus the blown-cycle construction
+_FAMILY_PARAMS = {**FAMILIES, "blown-cycle": ("m",)}
+_PARAM_FLAGS = tuple(dict.fromkeys(sum(_FAMILY_PARAMS.values(), ())))
 
 
 def _add_graph_source(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=sorted(_FAMILY_PARAMS))
-    sub.add_argument("--graph", metavar="FILE", help="read the graph from FILE")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=sorted(_FAMILY_PARAMS))
+    source.add_argument("--graph", metavar="FILE",
+                        help="read the graph from FILE")
     sub.add_argument("--format", choices=formats.GRAPH_FORMATS, default="json",
                      help="graph file format (default json)")
-    for name in ("k", "a", "b", "c", "dim", "m"):
+    for name in _PARAM_FLAGS:
         sub.add_argument(f"--{name}", type=int)
 
 
 def _resolve_graph(args) -> tuple[Graph, dict[str, Any]]:
     """Build or load the graph named by --family/--graph; returns annotations
     (the blown-cycle block when applicable) alongside."""
-    if (args.family is None) == (args.graph is None):
-        raise GraphError("exactly one of --family or --graph is required")
     if args.graph is not None:
         with open(args.graph) as fh:
             return formats.loads_graph(fh.read(), args.format)
     wanted = _FAMILY_PARAMS[args.family]
-    params = []
-    for name in wanted:
-        value = getattr(args, name)
-        if value is None:
-            raise GraphError(f"family {args.family} needs --{name}")
-        params.append(value)
-    for name in ("k", "a", "b", "c", "dim", "m"):
+    params = tuple(getattr(args, name) for name in wanted)
+    if None in params:
+        missing = wanted[params.index(None)]
+        raise GraphError(f"family {args.family} needs --{missing}")
+    for name in _PARAM_FLAGS:
         if getattr(args, name) is not None and name not in wanted:
             raise GraphError(f"family {args.family} does not take --{name}")
     if args.family == "blown-cycle":
         b = blowup.build(params[0])
         return b.graph, {"blown_cycle": {"m": b.m, "q": b.q}}
-    return generate(FamilySpec(family=args.family, params=tuple(params))), {}
+    return generate(FamilySpec(family=args.family, params=params)), {}
 
 
 def _resolve_blown(args) -> blowup.BlownCycle:
@@ -69,7 +61,7 @@ def _resolve_blown(args) -> blowup.BlownCycle:
         raise formats.FormatError(
             "graph file carries no blown-cycle annotation; route only works "
             "on the blown-cycle construction")
-    if not isinstance(block["m"], int):
+    if not formats.is_json_int(block["m"]):
         raise formats.FormatError(
             f'blown-cycle annotation "m" must be an integer, got {block["m"]!r}')
     b = blowup.build(block["m"])
@@ -122,7 +114,7 @@ def _cmd_verify(args) -> int:
     if args.graph is not None:
         with open(args.graph) as fh:
             g, _ = formats.loads_graph(fh.read(), args.format)
-    elif isinstance(extras.get("m"), int):
+    elif formats.is_json_int(extras.get("m")):
         g = blowup.build(extras["m"]).graph
     else:
         raise formats.FormatError(

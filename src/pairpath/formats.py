@@ -37,9 +37,14 @@ def _as_list(doc: dict[str, Any], key: str) -> list[Any]:
     return value
 
 
+def is_json_int(value: Any) -> bool:
+    """True for a JSON integer; true and false are not ids or counts."""
+    return type(value) is int
+
+
 def _as_edge(item: Any) -> tuple[int, int]:
     if (not isinstance(item, (list, tuple)) or len(item) != 2
-            or not all(type(v) is int for v in item)):
+            or not all(map(is_json_int, item))):
         raise FormatError(f"expected [u, v] integer pair, got {item!r}")
     return item[0], item[1]
 
@@ -109,7 +114,7 @@ def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
         if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
             raise FormatError('graph JSON needs keys "n" and "edges"')
         n = doc["n"]
-        if not isinstance(n, int):
+        if not is_json_int(n):
             raise FormatError(f'"n" must be an integer, got {n!r}')
         edges = _as_edges(_as_list(doc, "edges"))
         annotations = {k: v for k, v in doc.items() if k not in ("n", "edges")}
@@ -202,9 +207,9 @@ def loads_plan(text: str) -> tuple[RoutePlan, dict[str, Any]]:
         if not isinstance(item, dict) or not {"x", "y", "path"} <= set(item):
             raise FormatError(f'route #{idx} needs keys "x", "y", "path"')
         path = item["path"]
-        if not isinstance(path, list) or not all(isinstance(v, int) for v in path):
+        if not isinstance(path, list) or not all(map(is_json_int, path)):
             raise FormatError(f"route #{idx} path must be a list of ids")
-        if not (isinstance(item["x"], int) and isinstance(item["y"], int)):
+        if not (is_json_int(item["x"]) and is_json_int(item["y"])):
             raise FormatError(f'route #{idx} "x" and "y" must be ids')
         routes.append(Route(x=item["x"], y=item["y"], path=tuple(path)))
     extras = {k: v for k, v in doc.items() if k not in ("routes", "edges_used")}

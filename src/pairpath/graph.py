@@ -153,8 +153,16 @@ class FamilySpec:
     params: tuple[int, ...] = ()
 
 
-_FAMILIES = ("cycle", "complete", "complete-bipartite", "hypercube",
-             "petersen", "grid2", "grid3")
+# each family's integer parameters, in the order FamilySpec.params holds them
+FAMILIES: dict[str, tuple[str, ...]] = {
+    "complete": ("k",),
+    "complete-bipartite": ("a", "b"),
+    "cycle": ("k",),
+    "grid2": ("a", "b"),
+    "grid3": ("a", "b", "c"),
+    "hypercube": ("dim",),
+    "petersen": (),
+}
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -167,10 +175,17 @@ def generate(spec: FamilySpec) -> Graph:
     petersen: outer 5-cycle 0-4, inner pentagram 5-9, spokes i <-> i+5.
     grid2 a b / grid3 a b c: row-major product of complete graphs; two
     vertices are adjacent when they differ in exactly one coordinate.
+
+    Raises GraphError for an unknown family, a parameter count other than
+    the family's in FAMILIES, or a parameter below 1.
     """
     fam, p = spec.family, spec.params
-    if fam not in _FAMILIES:
-        raise GraphError(f"unknown family {fam!r}; expected one of {_FAMILIES}")
+    if fam not in FAMILIES:
+        raise GraphError(f"unknown family {fam!r}; expected one of "
+                         f"{tuple(FAMILIES)}")
+    if len(p) != len(FAMILIES[fam]):
+        raise GraphError(f"family {fam} takes parameters "
+                         f"({', '.join(FAMILIES[fam])}), got {p}")
     if any(x <= 0 for x in p):
         raise GraphError(f"family {fam} parameters must be positive, got {p}")
     if fam == "cycle":
@@ -190,8 +205,6 @@ def generate(spec: FamilySpec) -> Graph:
         return make_graph(n, [(v, v ^ (1 << b)) for v in range(n)
                               for b in range(dim) if v < v ^ (1 << b)])
     if fam == "petersen":
-        if p:
-            raise GraphError("petersen takes no parameters")
         outer = [(i, (i + 1) % 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, i + 5) for i in range(5)]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import triu
 
 from .graph import Graph, GraphError, distance_matrix, edge_key, twin_classes
 from .routing import Pairing, Route, RoutePlan, make_pairing
@@ -302,7 +301,6 @@ LAYERED_CUT = "layered-cut"
 DIAMETER_BOUND = "diameter-bound"
 
 _DIAMETER_COEFF = 6.0 * math.sqrt(2.0)
-_DIAMETER_CHECK_MIN = 20
 
 
 def diameter_upper_bound(n: int) -> float:
@@ -371,8 +369,7 @@ def screen(g: Graph) -> ScreenReport:
     rep_ecc = dist.max(axis=1)
     d = int(rep_ecc.max())
     roots = [int(r) for r in np.flatnonzero(rep_ecc[cls] == d)]
-    upper = triu(g.csr, k=1, format="coo")
-    eu, ev = upper.row, upper.col
+    eu, ev = np.divmod(g.keys, g.n)
 
     checked: list[int] = []
     for root in roots:
@@ -409,7 +406,7 @@ def _screen_root(n, d, dist_row, eu, ev, root) -> list[ScreenViolation]:
             found.append(ScreenViolation(
                 condition=LAYERED_CUT, root=root, index=t,
                 value=int(cuts[t]), required=required))
-    if d >= _DIAMETER_CHECK_MIN and d > diameter_upper_bound(n):
+    if d > diameter_upper_bound(n):
         found.append(ScreenViolation(
             condition=DIAMETER_BOUND, root=root, index=d,
             value=d, required=diameter_upper_bound(n)))

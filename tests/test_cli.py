@@ -94,17 +94,25 @@ def test_route_hall_deficient_pairing_exits_zero(capsys, monkeypatch):
 
 
 def test_route_construction_bug_exits_one(capsys, tmp_path, monkeypatch):
-    # one candidate per task starves the second of two walks that end at
-    # one vertex
     real = routing_module.free_common_neighbors
-    monkeypatch.setattr(routing_module, "free_common_neighbors",
-                        lambda b, u, v: real(b, u, v)[:1])
     src = tmp_path / "pairs.json"
     src.write_text(dumps_pairing(make_pairing(SHARED_END_PAIRS_M2)))
-    code, out, err = run(capsys, "route", "--m", "2", "--pairing", str(src))
-    assert code == 1
-    assert out == ""
-    assert "a closing task has no free candidate: construction bug" in err
+    for name, fake, message in (
+            # one candidate per task starves the second of two walks that
+            # end at one vertex
+            ("free_common_neighbors", lambda b, u, v: real(b, u, v)[:1],
+             "a closing task has no free candidate: construction bug"),
+            # the same first candidate for both makes them claim one edge
+            ("assign_candidates",
+             lambda cand_lists, ends: [c[0] for c in cand_lists],
+             "edge (12, 22) claimed by pairs 0 and 1: construction bug")):
+        with monkeypatch.context() as patch:
+            patch.setattr(routing_module, name, fake)
+            code, out, err = run(capsys, "route", "--m", "2",
+                                 "--pairing", str(src))
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 def test_route_from_annotated_graph_file(capsys, tmp_path):
@@ -347,10 +355,19 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     (["stats", "--graph"], {"n": 3, "edges": [[0, 1], [2]]}),
     (["stats", "--graph"], {"n": 3, "edges": [[0, 1, 2]]}),
     (["stats", "--graph"], {"n": 2, "edges": [[0, 1], [0, 10**30]]}),
+    # true is no JSON integer, though Python's bool is an int
+    (["stats", "--graph"], {"n": True, "edges": []}),
+    (["verify", "--plan"],
+     {"routes": [{"x": True, "y": 0, "path": [1, 0]}], "m": 2}),
+    (["verify", "--plan"],
+     {"routes": [{"x": 0, "y": True, "path": [0, 1]}], "m": 2}),
+    (["verify", "--plan"],
+     {"routes": [{"x": 0, "y": 1, "path": [0, True]}], "m": 2}),
 ], ids=["stats-edges", "screen-edges", "generate-edges", "verify-edges",
         "route-pairs", "verify-routes", "verify-route-x", "route-m-list",
         "route-m-str", "edge-bools", "edge-bool", "edge-float",
-        "edge-ragged", "edge-triple", "edge-beyond-int64"])
+        "edge-ragged", "edge-triple", "edge-beyond-int64", "n-bool",
+        "verify-x-bool", "verify-y-bool", "verify-path-bool"])
 def test_malformed_json_shapes_exit_two(capsys, tmp_path, monkeypatch, argv,
                                         doc):
     # a valid plan on stdin, so "verify --plan -" gets as far as the graph

@@ -95,6 +95,8 @@ def test_loads_graph_rejects_malformed():
         loads_graph("{not json", "json")
     with pytest.raises(FormatError):
         loads_graph('{"edges": []}', "json")
+    with pytest.raises(FormatError, match='^"n" must be an integer'):
+        loads_graph('{"n": true, "edges": []}', "json")
     with pytest.raises(FormatError):
         loads_graph('{"n": 2, "edges": [[0, 0]]}', "json")  # self-loop
     with pytest.raises(FormatError):
@@ -171,3 +173,9 @@ def test_plan_rejects_malformed():
         loads_plan('{"routes": [{"x": 0, "path": [0]}]}')
     with pytest.raises(FormatError):
         loads_plan('{"routes": [{"x": 0, "y": 1, "path": "ab"}]}')
+    for route, message in (
+            ('{"x": true, "y": 1, "path": [1, 1]}', '"x" and "y" must be ids'),
+            ('{"x": 0, "y": true, "path": [0, 1]}', '"x" and "y" must be ids'),
+            ('{"x": 0, "y": 1, "path": [0, true]}', "path must be a list")):
+        with pytest.raises(FormatError, match=f"^route #0 {message}"):
+            loads_plan(f'{{"routes": [{route}]}}')

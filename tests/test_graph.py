@@ -139,6 +139,11 @@ def test_generate_rejects_bad_parameters():
         generate(FamilySpec("cycle", (2,)))
     with pytest.raises(GraphError):
         generate(FamilySpec("petersen", (5,)))
+    # the parameter count must match the family's
+    for family, params in (("grid2", (3,)), ("grid3", (2, 3)),
+                           ("cycle", (3, 4))):
+        with pytest.raises(GraphError, match=f"^family {family} takes "):
+            generate(FamilySpec(family, params))
     with pytest.raises(GraphError, match="unknown family"):
         generate(FamilySpec("moebius", (5,)))
 

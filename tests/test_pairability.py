@@ -46,6 +46,12 @@ def test_c4_pairing_feasibility_split(c4):
     assert other.status == FEASIBLE
 
 
+def test_find_disjoint_paths_rejects_out_of_range_vertex(c4):
+    with pytest.raises(GraphError,
+                       match=r"^pairing vertex 9 out of range 0\.\.3$"):
+        find_disjoint_paths(c4, make_pairing([(0, 9)]))
+
+
 def test_q3_is_path_pairable(q3):
     verdict = is_path_pairable(q3)
     assert verdict.status == PATH_PAIRABLE
@@ -230,8 +236,13 @@ def test_diameter_bound_scaling():
     for n in (100, 1000, 10000):
         assert diameter_upper_bound(n) == pytest.approx(
             6.0 * math.sqrt(2.0) * math.sqrt(n))
-    # small diameters are never checked against the asymptotic bound
+    # a connected graph has n >= d+1, so the bound can only fail from d = 73
     report = screen(path_graph(18))
+    assert all(v.condition != "diameter-bound" for v in report.violations)
+    report = screen(path_graph(74))  # d = 73 > 72.99
+    assert [(v.root, v.value) for v in report.violations
+            if v.condition == "diameter-bound"] == [(0, 73)]
+    report = screen(path_graph(72))  # d = 71 <= 72.0
     assert all(v.condition != "diameter-bound" for v in report.violations)
 
 

@@ -187,6 +187,17 @@ def test_route_starved_task_is_a_construction_bug(blown2, monkeypatch):
                                "candidate: construction bug")
 
 
+def test_route_edge_clash_is_a_construction_bug(blown2, monkeypatch):
+    # two walks end at one vertex; given the same first candidate, both
+    # close through the edge from that vertex to it
+    monkeypatch.setattr(routing_module, "assign_candidates",
+                        lambda cand_lists, ends: [c[0] for c in cand_lists])
+    with pytest.raises(RoutingError) as info:
+        route(blown2, make_pairing(SHARED_END_PAIRS_M2))
+    assert str(info.value) == ("edge (12, 22) claimed by pairs 0 and 1: "
+                               "construction bug")
+
+
 def test_phase_two_single_task_takes_smallest_free_z(blown2):
     pairing = make_pairing([(blown2.vertex(0, 0), blown2.vertex(2, 0))])
     plan = route(blown2, pairing)

@@ -29,6 +29,14 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def as_ids(ids: Iterable[int], count: int) -> np.ndarray | None:
+    """count integer ids as an int64 array; None when one fits no int64."""
+    try:
+        return np.fromiter(ids, dtype=np.int64, count=count)
+    except OverflowError:
+        return None
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph.  Build via make_graph, not directly.

@@ -31,10 +31,14 @@ m+2: d <= m transport edges plus two closing edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .blowup import BlownCycle, free_common_neighbors
-from .graph import Edge, edge_key
+from .graph import Edge, as_ids, edge_key
 from .rng import random_permutation
 
 
@@ -110,14 +114,10 @@ class RoutePlan:
 
     @classmethod
     def from_routes(cls, routes: Iterable[Route]) -> RoutePlan:
-        """Plan with the owner map rebuilt from the paths; the first route
-        to use an edge owns it."""
+        """Plan whose owner map is derived from the paths on first access;
+        the first route to use an edge owns it."""
         routes = tuple(routes)
-        used: dict[Edge, int] = {}
-        for idx, r in enumerate(routes):
-            for u, v in zip(r.path, r.path[1:]):
-                used.setdefault(edge_key(u, v), idx)
-        return cls(routes=routes, used_edges=used)
+        return cls(routes=routes, used_edges=_OwnerMap(routes))
 
     @property
     def edges_used(self) -> int:
@@ -126,6 +126,35 @@ class RoutePlan:
     @property
     def max_route_length(self) -> int:
         return max((len(r) for r in self.routes), default=0)
+
+
+class _OwnerMap(Mapping[Edge, int]):
+    """Each edge the routes use, mapped to the first route that uses it.
+    The dict is built on first access; it compares equal to a plain dict
+    with the same items."""
+
+    def __init__(self, routes: tuple[Route, ...]) -> None:
+        self._routes = routes
+
+    @cached_property
+    def _owners(self) -> dict[Edge, int]:
+        used: dict[Edge, int] = {}
+        for idx, r in enumerate(self._routes):
+            for u, v in zip(r.path, r.path[1:]):
+                used.setdefault(edge_key(u, v), idx)
+        return used
+
+    def __getitem__(self, e: Edge) -> int:
+        return self._owners[e]
+
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(self._owners)
+
+    def __len__(self) -> int:
+        return len(self._owners)
+
+    def __repr__(self) -> str:
+        return repr(self._owners)
 
 
 @dataclass(frozen=True)
@@ -144,44 +173,69 @@ class PhaseOneEntry:
         return (self.y, self.walk[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseOneResult:
-    entries: tuple[PhaseOneEntry, ...]
+    """Phase one's walks as arrays, one row per oriented pair (x, y, d).
+
+    `walks` holds every walk's vertices back to back: pair i's walk is
+    walks[ends[i] - d[i] - 1:ends[i]], which starts at x[i] and ends at the
+    vertex it reached.  `complete[i]` is true when that vertex is y[i].
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    d: np.ndarray
+    walks: np.ndarray
+    ends: np.ndarray
+    complete: np.ndarray
+
+    @cached_property
+    def entries(self) -> tuple[PhaseOneEntry, ...]:
+        """The same walks, one PhaseOneEntry per pair."""
+        walks = self.walks.tolist()
+        return tuple(
+            PhaseOneEntry(x=x, y=y, d=d, walk=tuple(walks[end - d - 1:end]),
+                          complete=complete)
+            for x, y, d, end, complete in zip(
+                self.x.tolist(), self.y.tolist(), self.d.tolist(),
+                self.ends.tolist(), self.complete.tolist()))
 
 
-def canonical_labeling(b: BlownCycle, p: Pairing) -> list[tuple[int, int, int]]:
+def canonical_labeling(b: BlownCycle, p: Pairing) -> np.ndarray:
     """Orient each pair (x, y) so the cyclic class distance d = cls(y) - cls(x)
-    (mod 2m) is at most m; at a tie (d = m or d = 0) the input order is kept."""
+    (mod 2m) is at most m; at a tie (d = m or d = 0) the input order is kept.
+
+    Returns one int64 row (x, y, d) per pair, in pairing order.  Raises
+    PairingError naming the first vertex, in pairing order, outside 0..n-1.
+    """
     n, q, m, two_m = b.n, b.q, b.m, b.num_classes
-    out = []
-    for x, y in p.pairs:
-        for v in (x, y):
-            if not (0 <= v < n):
-                raise PairingError(f"vertex {v} out of range 0..{n - 1}")
-        d = (y // q - x // q) % two_m
-        if d <= m:
-            out.append((x, y, d))
-        else:
-            out.append((y, x, two_m - d))
-    return out
+    ids = as_ids(chain.from_iterable(p.pairs), 2 * len(p.pairs))
+    if ids is None or ((ids < 0) | (ids >= n)).any():
+        bad = next(v for v in chain.from_iterable(p.pairs) if not 0 <= v < n)
+        raise PairingError(f"vertex {bad} out of range 0..{n - 1}")
+    ids = ids.reshape(-1, 2)
+    d = (ids[:, 1] // q - ids[:, 0] // q) % two_m
+    swap = d > m
+    return np.column_stack([np.where(swap[:, None], ids[:, ::-1], ids),
+                            np.where(swap, two_m - d, d)])
 
 
-def phase_one(b: BlownCycle, oriented: Sequence[tuple[int, int, int]]) -> PhaseOneResult:
-    """Walk each pair's x across d boundaries: step j uses shift j, landing at
-    within-class index a + 1 + 2 + ... + j."""
+def phase_one(b: BlownCycle, oriented: np.ndarray) -> PhaseOneResult:
+    """Walk each pair's x across d boundaries: step j uses shift j, so the
+    walk's j-th vertex lies in class c + j at within-class index
+    a + 1 + 2 + ... + j = a + j(j+1)/2 (mod q), for x = (c, a).  All walks
+    are computed at once from that closed form.  `oriented` holds the rows
+    (x, y, d) that `canonical_labeling` returns."""
     q, two_m = b.q, b.num_classes
-    entries = []
-    for x, y, d in oriented:
-        c, a = divmod(x, q)
-        walk = [x]
-        for j in range(1, d + 1):
-            c = (c + 1) % two_m
-            a = (a + j) % q
-            walk.append(c * q + a)
-        complete = d >= 1 and walk[-1] == y
-        entries.append(PhaseOneEntry(x=x, y=y, d=d, walk=tuple(walk),
-                                     complete=complete))
-    return PhaseOneResult(entries=tuple(entries))
+    x, y, d = oriented.T
+    lens = d + 1
+    ends = np.cumsum(lens)
+    j = np.arange(lens.sum()) - np.repeat(ends - lens, lens)
+    c, a = np.divmod(np.repeat(x, lens), q)
+    walks = (c + j) % two_m * q + (a + j * (j + 1) // 2) % q
+    complete = (d >= 1) & (walks[ends - 1] == y)
+    return PhaseOneResult(x=x, y=y, d=d, walks=walks, ends=ends,
+                          complete=complete)
 
 
 def assign_candidates(cand_lists: Sequence[Sequence[int]],
@@ -194,12 +248,13 @@ def assign_candidates(cand_lists: Sequence[Sequence[int]],
     taken: set[tuple[int, int]] = set()
     chosen = []
     for cands, (reached, target) in zip(cand_lists, ends):
-        z = next((z for z in cands
-                  if (reached, z) not in taken and (target, z) not in taken),
-                 None)
-        if z is None:
+        for z in cands:
+            if (reached, z) not in taken and (target, z) not in taken:
+                break
+        else:
             raise ValueError("no free candidate")
-        taken.update(((reached, z), (target, z)))
+        taken.add((reached, z))
+        taken.add((target, z))
         chosen.append(z)
     return chosen
 
@@ -216,51 +271,66 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     Tasks are processed by class ascending, within a class by target index
     ascending; each takes the smallest z whose two closing edges are still
     unclaimed (`assign_candidates`), which the module docstring proves always
-    exists.  Every claimed edge is checked against all earlier claims, so a
-    clash would raise RoutingError instead of returning a bad plan.
+    exists.  All claimed edges, the walks' steps in pair order and then the
+    closing edges in task order, are checked with one stable sort of their
+    keys, so a clash raises RoutingError naming the first claim that repeats
+    an earlier one instead of returning a bad plan.
     """
-    q = b.q
-    used: dict[Edge, int] = {}
-    # group residual tasks per class; entry index tags each task
-    by_class: dict[int, list[tuple[int, int, int]]] = {}
-    for idx, entry in enumerate(result.entries):
-        walk = entry.walk
-        for u, v in zip(walk, walk[1:]):
-            e = (u, v) if u < v else (v, u)
-            if e in used:
-                raise _edge_clash(e, used[e], idx)
-            used[e] = idx
-        if not entry.complete:
-            cls, a = divmod(entry.y, q)
-            by_class.setdefault(cls, []).append((a, idx, walk[-1]))
-
-    closing: dict[int, int] = {}  # entry index -> chosen z
-    for cls in sorted(by_class):
-        tasks = sorted(by_class[cls])
-        ends = [(reached, cls * q + a) for a, _, reached in tasks]
+    q, n = b.q, b.n
+    y, d, walks, ends = result.y, result.d, result.walks, result.ends
+    # targets are distinct, so sorting tasks by target orders them by class,
+    # then by target index
+    tasks = np.flatnonzero(~result.complete)
+    tasks = tasks[np.argsort(y[tasks], kind="stable")]
+    targets, reached = y[tasks], walks[ends[tasks] - 1]
+    task_ends = list(zip(reached.tolist(), targets.tolist()))
+    classes = targets // q
+    closing = np.full(len(d), -1, dtype=np.int64)  # z per pair, -1 if none
+    starts = np.flatnonzero(np.diff(classes, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(tasks)]):
+        group = task_ends[lo:hi]
         try:
-            chosen = assign_candidates(
-                [free_common_neighbors(b, r, y) for r, y in ends], ends)
+            closing[tasks[lo:hi]] = assign_candidates(
+                [free_common_neighbors(b, r, t) for r, t in group], group)
         except ValueError:
             raise RoutingError(
-                f"class {cls} (m={b.m}): a closing task has no free "
+                f"class {classes[lo]} (m={b.m}): a closing task has no free "
                 "candidate: construction bug") from None
-        for (_, idx, _), (reached, target), z in zip(tasks, ends, chosen):
-            closing[idx] = z
-            for e in ((reached, z) if reached < z else (z, reached),
-                      (z, target) if z < target else (target, z)):
-                if e in used:
-                    raise _edge_clash(e, used[e], idx)
-                used[e] = idx
 
+    # claims: each walk's steps in pair order, then per task (reached, z)
+    # and (z, target); step s of the walks goes walks[s] -> walks[s + 1]
+    z = closing[tasks]
+    steps = np.ones(len(walks), dtype=bool)
+    steps[ends - 1] = False
+    steps = np.flatnonzero(steps)
+    us = np.concatenate([walks[steps], np.stack([reached, z], 1).ravel()])
+    vs = np.concatenate([walks[steps + 1], np.stack([z, targets], 1).ravel()])
+    owners = np.concatenate([np.repeat(np.arange(len(d)), d),
+                             np.repeat(tasks, 2)])
+    _check_disjoint(np.minimum(us, vs), np.maximum(us, vs), owners, n)
+
+    flat = walks.tolist()
     routes = []
-    for idx, entry in enumerate(result.entries):
-        if entry.complete:
-            path = entry.walk
-        else:
-            path = entry.walk + (closing[idx], entry.y)
-        routes.append(Route(x=entry.x, y=entry.y, path=path))
-    return RoutePlan(routes=tuple(routes), used_edges=used)
+    for xi, yi, di, end, zi in zip(result.x.tolist(), y.tolist(), d.tolist(),
+                                   ends.tolist(), closing.tolist()):
+        walk = tuple(flat[end - di - 1:end])
+        routes.append(Route(xi, yi, walk if zi < 0 else walk + (zi, yi)))
+    return RoutePlan.from_routes(routes)
+
+
+def _check_disjoint(lo: np.ndarray, hi: np.ndarray, owners: np.ndarray,
+                    n: int) -> None:
+    """Raise the clash of the first claim (lo, hi) that an earlier claim
+    already made, naming both claims' owners."""
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1]) + 1
+    if len(repeats):
+        second = int(order[repeats].min())
+        first = int(order[np.searchsorted(sorted_keys, keys[second])])
+        raise _edge_clash((int(lo[second]), int(hi[second])),
+                          int(owners[first]), int(owners[second]))
 
 
 def route(b: BlownCycle, p: Pairing) -> RoutePlan:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, as_ids
 from .routing import Pairing, Route, RoutePlan
 
 NOT_A_WALK = "not-a-walk"
@@ -80,19 +79,19 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     ends = np.cumsum(lens)
     values = list(chain.from_iterable(paths))
-    flat = _as_ids(values, len(values))
+    flat = as_ids(values, len(values))
     exact = flat is not None
     if not exact:  # some id fits no int64, so it is out of range
-        flat = _as_ids((v if 0 <= v < n else -1 for v in values), len(values))
+        flat = as_ids((v if 0 <= v < n else -1 for v in values), len(values))
     rid = np.repeat(np.arange(len(paths)), lens)
     in_range = (flat >= 0) & (flat < n)
     entries: list[tuple[int, int, int, Violation]] = []
 
     # endpoints: compared as arrays, checked again in Python where flagged
-    pair_ids = _as_ids(chain.from_iterable(p.pairs[:len(paths)]),
+    pair_ids = as_ids(chain.from_iterable(p.pairs[:len(paths)]),
                        2 * len(paths))
-    xs = _as_ids([r.x for r in routes], len(paths))
-    ys = _as_ids([r.y for r in routes], len(paths))
+    xs = as_ids([r.x for r in routes], len(paths))
+    ys = as_ids([r.y for r in routes], len(paths))
     if exact and len(flat) and not any(
             ids is None for ids in (pair_ids, xs, ys)):
         first = flat[np.minimum(ends - lens, len(flat) - 1)]
@@ -177,14 +176,6 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = keys[order[1:]] != keys[order[:-1]]
     return order, starts
-
-
-def _as_ids(ids: Iterable[int], count: int) -> np.ndarray | None:
-    """count integer ids as an int64 array; None when one fits no int64."""
-    try:
-        return np.fromiter(ids, dtype=np.int64, count=count)
-    except OverflowError:
-        return None
 
 
 def _endpoint_violation(idx: int, route: Route, pair: tuple[int, int],

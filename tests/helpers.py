@@ -16,8 +16,9 @@ from pairpath.graph import FamilySpec, Graph, GraphError, generate, make_graph
 from pairpath.pairability import (CANNOT_RULE_OUT, NOT_PATH_PAIRABLE,
                                   ScreenReport, _screen_root)
 from pairpath.rng import SplitMix64
-from pairpath.routing import (Pairing, RoutePlan, canonical_labeling,
-                              make_pairing, phase_one)
+from pairpath.routing import (Pairing, PairingError, Route, RoutePlan,
+                              RoutingError, assign_candidates,
+                              canonical_labeling, make_pairing, phase_one)
 from pairpath.verify import (EDGE_REUSED, ENDPOINT_NOT_IN_PAIRING, NOT_A_WALK,
                              WRONG_ENDPOINTS, PlanWarning, VerificationReport,
                              Violation)
@@ -29,6 +30,10 @@ from pairpath.verify import (EDGE_REUSED, ENDPOINT_NOT_IN_PAIRING, NOT_A_WALK,
 # hall_deficient(build(4), SplitMix64(1))
 HALL_DEFICIENT_M4 = (pathlib.Path(__file__).parent / "golden"
                      / "hall_deficient_m4.json")
+# the output of `pairpath route --m 4 --pairing` on that pairing, kept to
+# pin the router's plans byte for byte
+HALL_DEFICIENT_M4_PLAN = HALL_DEFICIENT_M4.with_name(
+    "hall_deficient_m4_plan.json")
 
 # two walks of build(2) that both end at vertex 12 (index 1 of class 1) and
 # close towards targets 16 and 18; both tasks' smallest candidate is 22
@@ -120,6 +125,65 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
     return VerificationReport(ok=not violations,
                               violations=tuple(violations),
                               warnings=tuple(warnings))
+
+def reference_route(b: BlownCycle, p: Pairing) -> RoutePlan:
+    """Oracle: route as loops over pairs and walk steps.  Orients each pair,
+    walks it one shift at a time, closes the residual tasks class by class
+    with the router's greedy, and records each claimed edge in a plain owner
+    dict, checking it against every earlier claim."""
+    n, q, m, two_m = b.n, b.q, b.m, b.num_classes
+    entries = []  # (x, y, walk, complete)
+    for x, y in p.pairs:
+        for v in (x, y):
+            if not (0 <= v < n):
+                raise PairingError(f"vertex {v} out of range 0..{n - 1}")
+        d = (y // q - x // q) % two_m
+        if d > m:
+            x, y, d = y, x, two_m - d
+        c, a = divmod(x, q)
+        walk = [x]
+        for j in range(1, d + 1):
+            c = (c + 1) % two_m
+            a = (a + j) % q
+            walk.append(c * q + a)
+        entries.append((x, y, tuple(walk), d >= 1 and walk[-1] == y))
+
+    used: dict[tuple[int, int], int] = {}
+
+    def claim(e: tuple[int, int], idx: int) -> None:
+        if e in used:
+            raise RoutingError(f"edge {e} claimed by pairs {used[e]} and "
+                               f"{idx}: construction bug")
+        used[e] = idx
+
+    by_class: dict[int, list[tuple[int, int, int]]] = {}
+    for idx, (_, y, walk, complete) in enumerate(entries):
+        for u, v in zip(walk, walk[1:]):
+            claim((u, v) if u < v else (v, u), idx)
+        if not complete:
+            cls, a = divmod(y, q)
+            by_class.setdefault(cls, []).append((a, idx, walk[-1]))
+    closing: dict[int, int] = {}
+    for cls in sorted(by_class):
+        tasks = sorted(by_class[cls])
+        ends = [(reached, cls * q + a) for a, _, reached in tasks]
+        try:
+            chosen = assign_candidates(
+                [free_common_neighbors(b, r, y) for r, y in ends], ends)
+        except ValueError:
+            raise RoutingError(
+                f"class {cls} (m={m}): a closing task has no free "
+                "candidate: construction bug") from None
+        for (_, idx, _), (reached, target), z in zip(tasks, ends, chosen):
+            closing[idx] = z
+            claim((reached, z) if reached < z else (z, reached), idx)
+            claim((z, target) if z < target else (target, z), idx)
+
+    routes = tuple(
+        Route(x=x, y=y, path=walk if complete else walk + (closing[idx], y))
+        for idx, (x, y, walk, complete) in enumerate(entries))
+    return RoutePlan(routes=routes, used_edges=used)
+
 
 @dataclass(frozen=True)
 class LayerProfile:

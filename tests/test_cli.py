@@ -9,7 +9,8 @@ from pairpath.cli import main
 from pairpath.formats import dumps_graph, dumps_pairing, loads_graph
 from pairpath.routing import make_pairing
 
-from helpers import HALL_DEFICIENT_M4, SHARED_END_PAIRS_M2, path_graph
+from helpers import (HALL_DEFICIENT_M4, HALL_DEFICIENT_M4_PLAN,
+                     SHARED_END_PAIRS_M2, path_graph)
 
 
 def run(capsys, *argv):
@@ -91,6 +92,28 @@ def test_route_hall_deficient_pairing_exits_zero(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_route_hall_deficient_plan_bytes_are_golden(capsys):
+    code, out, err = run(capsys, "route", "--m", "4", "--pairing",
+                         str(HALL_DEFICIENT_M4))
+    assert code == 0
+    assert out == HALL_DEFICIENT_M4_PLAN.read_text()
+    assert err == "n 152\ndiameter 4\nmax_route_length 6\nedges_used 322\n"
+
+
+@pytest.mark.parametrize("pairs, bad", [
+    ([[0, 1], [2, -1]], -1),
+    ([[0, 44], [2, 3]], 44),
+    ([[0, 1], [10**30, 2]], 10**30),
+], ids=["minus-one", "n", "beyond-int64"])
+def test_route_out_of_range_pairing_exits_two(capsys, tmp_path, pairs, bad):
+    src = tmp_path / "pairs.json"
+    src.write_text(json.dumps({"pairs": pairs}))
+    code, out, err = run(capsys, "route", "--m", "2", "--pairing", str(src))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: vertex {bad} out of range 0..43\n"
 
 
 def test_route_construction_bug_exits_one(capsys, tmp_path, monkeypatch):

@@ -8,8 +8,10 @@ from pairpath.formats import (FormatError, dumps_graph, dumps_pairing,
                               dumps_plan, loads_graph, loads_pairing,
                               loads_plan)
 from pairpath.graph import make_graph
-from pairpath.routing import (RoutePlan, make_pairing, random_perfect_pairing,
-                              route)
+import pairpath.routing as routing_module
+from pairpath.routing import (Route, RoutePlan, make_pairing,
+                              random_perfect_pairing, route)
+from pairpath.verify import verify_plan
 
 
 def graphs():
@@ -164,6 +166,46 @@ def test_plan_owner_map_first_claim_wins():
         {"x": 3, "y": 0, "path": [3, 1, 0]}]}))
     assert plan.used_edges == {(0, 1): 0, (1, 2): 0, (1, 3): 1}
     assert plan == RoutePlan.from_routes(plan.routes)
+
+
+def test_owner_map_first_claim_owns_a_reused_edge():
+    # route 1 walks back over route 0's edge (1, 2); route 2 reuses its own
+    # edge (6, 7)
+    plan = RoutePlan.from_routes([Route(0, 3, (0, 1, 2, 3)),
+                                  Route(4, 5, (4, 2, 1, 5)),
+                                  Route(6, 7, (6, 7, 6, 7))])
+    owners = {(0, 1): 0, (1, 2): 0, (2, 3): 0, (2, 4): 1, (1, 5): 1,
+              (6, 7): 2}
+    assert plan.used_edges[(1, 2)] == 0
+    assert plan.used_edges[(6, 7)] == 2
+    # equal to a plain dict, compared from either side
+    assert plan.used_edges == owners
+    assert owners == plan.used_edges
+    assert dict(plan.used_edges) == owners
+    other = {**owners, (1, 2): 1}
+    assert plan.used_edges != other
+    assert other != plan.used_edges
+    assert plan.edges_used == len(owners)
+
+
+def test_loads_plan_and_verify_build_no_owner_map(blown2, monkeypatch):
+    pairing = random_perfect_pairing(blown2.n, 3)
+    text = dumps_plan(route(blown2, pairing))
+    real, calls = routing_module.edge_key, []
+
+    def counting_edge_key(u, v):
+        calls.append((u, v))
+        return real(u, v)
+    monkeypatch.setattr(routing_module, "edge_key", counting_edge_key)
+    plan, _ = loads_plan(text)
+    assert verify_plan(blown2.graph, pairing, plan).ok
+    assert calls == []
+    # the map is built once, on first access, with the stored count
+    assert plan.edges_used == json.loads(text)["edges_used"]
+    built = len(calls)
+    assert built > 0
+    assert plan.used_edges == dict(plan.used_edges)
+    assert len(calls) == built
 
 
 def test_plan_rejects_malformed():

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import pairpath.routing as routing_module
 from helpers import (HALL_DEFICIENT_M4, SHARED_END_PAIRS_M2,
                      adversarial_pairings, closing_replay, matching_step,
-                     piled_pairing, piled_pairings)
+                     piled_pairing, piled_pairings, reference_route)
 from pairpath.blowup import build
 from pairpath.formats import dumps_plan, loads_pairing
 from pairpath.routing import (Pairing, PairingError, RoutingError,
@@ -38,22 +39,24 @@ def test_make_pairing_sorts_and_validates():
 def test_canonical_labeling_examples(blown2, blown3):
     # forward distance within reach: kept
     p = make_pairing([(blown3.vertex(4, 0), blown3.vertex(1, 0))])
-    assert canonical_labeling(blown3, p) == [
-        (blown3.vertex(4, 0), blown3.vertex(1, 0), 3)]
+    assert canonical_labeling(blown3, p).tolist() == [
+        [blown3.vertex(4, 0), blown3.vertex(1, 0), 3]]
     # too far forward: swapped
     p = make_pairing([(blown3.vertex(1, 0), blown3.vertex(5, 0))])
-    assert canonical_labeling(blown3, p) == [
-        (blown3.vertex(5, 0), blown3.vertex(1, 0), 2)]
+    assert canonical_labeling(blown3, p).tolist() == [
+        [blown3.vertex(5, 0), blown3.vertex(1, 0), 2]]
     # same class: distance zero, order kept
     p = make_pairing([(blown2.vertex(2, 0), blown2.vertex(2, 5))])
-    assert canonical_labeling(blown2, p) == [
-        (blown2.vertex(2, 0), blown2.vertex(2, 5), 0)]
+    assert canonical_labeling(blown2, p).tolist() == [
+        [blown2.vertex(2, 0), blown2.vertex(2, 5), 0]]
 
 
 def test_canonical_labeling_distance_tie_keeps_input_order(blown2):
     x, y = blown2.vertex(0, 3), blown2.vertex(2, 8)
-    assert canonical_labeling(blown2, Pairing(((x, y),))) == [(x, y, 2)]
-    assert canonical_labeling(blown2, Pairing(((y, x),))) == [(y, x, 2)]
+    assert canonical_labeling(blown2, Pairing(((x, y),))).tolist() \
+        == [[x, y, 2]]
+    assert canonical_labeling(blown2, Pairing(((y, x),))).tolist() \
+        == [[y, x, 2]]
 
 
 def test_canonical_labeling_rejects_bad_vertices(blown2):
@@ -61,6 +64,25 @@ def test_canonical_labeling_rejects_bad_vertices(blown2):
         canonical_labeling(blown2, Pairing(((0, 44),)))
     with pytest.raises(PairingError, match="duplicate"):
         canonical_labeling(blown2, Pairing(((0, 1), (1, 2))))
+
+
+@pytest.mark.parametrize("pairs, bad", [
+    # -1 would wrap to the last vertex as a numpy index
+    (((0, 1), (2, -1)), -1),
+    (((0, 44), (2, 3)), 44),
+    # beyond int64, so no int64 array can hold it
+    (((0, 1), (10**30, 2)), 10**30),
+    # the first bad vertex in pairing order is named
+    (((5, 44), (10**30, -1)), 44),
+    (((-1, 3), (0, 10**30)), -1),
+    (((0, 10**30), (44, 3)), 10**30),
+], ids=["minus-one", "n", "beyond-int64", "n-first", "minus-one-first",
+        "beyond-int64-first"])
+def test_out_of_range_vertices_name_the_first(blown2, pairs, bad):
+    for call in (canonical_labeling, route):
+        with pytest.raises(PairingError) as info:
+            call(blown2, Pairing(pairs))
+        assert str(info.value) == f"vertex {bad} out of range 0..43"
 
 
 def test_phase_one_walks(blown2):
@@ -196,6 +218,23 @@ def test_route_edge_clash_is_a_construction_bug(blown2, monkeypatch):
         route(blown2, make_pairing(SHARED_END_PAIRS_M2))
     assert str(info.value) == ("edge (12, 22) claimed by pairs 0 and 1: "
                                "construction bug")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_route_names_the_first_of_many_clashes(blown2, monkeypatch, seed):
+    # every task takes its smallest candidate, so walks that share an end
+    # clash, several times per pairing; the clash named is the first claim,
+    # in the loop's claim order, that repeats an earlier one
+    def smallest(cand_lists, ends):
+        return [c[0] for c in cand_lists]
+    monkeypatch.setattr(routing_module, "assign_candidates", smallest)
+    monkeypatch.setattr(helpers, "assign_candidates", smallest)
+    pairing = random_perfect_pairing(blown2.n, seed)
+    with pytest.raises(RoutingError) as expected:
+        reference_route(blown2, pairing)
+    with pytest.raises(RoutingError) as info:
+        route(blown2, pairing)
+    assert str(info.value) == str(expected.value)
 
 
 def test_phase_two_single_task_takes_smallest_free_z(blown2):
@@ -362,3 +401,32 @@ def test_route_property_random_pairings(m, seed):
     plan = route(b, pairing)
     assert verify_plan(b.graph, pairing, plan).ok
     assert plan.max_route_length <= m + 2
+
+
+@st.composite
+def oracle_pairings(draw):
+    """(b, pairing) of one of three kinds: uniform for m = 2..12, piled
+    (`piled_pairings`), or the pairs left when a seeded subset of a uniform
+    pairing's pairs is dropped."""
+    kind = draw(st.sampled_from(["uniform", "piled", "partial"]))
+    if kind == "piled":
+        return draw(piled_pairings())
+    b = build(draw(st.integers(2, 12)))
+    pairing = random_perfect_pairing(b.n, draw(st.integers(0, 2**32)))
+    if kind == "partial":
+        keep = draw(st.lists(st.booleans(), min_size=len(pairing),
+                             max_size=len(pairing)))
+        pairing = make_pairing(pair for pair, kept in zip(pairing.pairs, keep)
+                               if kept)
+    return b, pairing
+
+
+@given(oracle_pairings())
+@settings(max_examples=60, deadline=None)
+def test_route_matches_loop_reference(case):
+    b, pairing = case
+    plan, expected = route(b, pairing), reference_route(b, pairing)
+    assert plan.routes == expected.routes
+    assert plan.used_edges == expected.used_edges
+    assert expected.used_edges == plan.used_edges
+    assert plan.edges_used == len(expected.used_edges)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from collections.abc import Mapping
 
 import networkx as nx
 from hypothesis import given, settings
@@ -168,6 +169,29 @@ def test_ok_iff_no_violations():
     bad = verify_plan(g, make_pairing([(0, 1)]), plan_of([1, 0, 1]))
     assert good.ok and not good.violations
     assert not bad.ok and bad.violations
+
+
+class _UnreadOwnerMap(Mapping):
+    """An owner map that fails the test when anything reads it."""
+
+    def _read(self, *_):
+        raise AssertionError("verify_plan read the owner map")
+
+    __getitem__ = __iter__ = __len__ = _read
+
+
+def test_verify_plan_never_reads_the_owner_map(blown2):
+    pairing = random_perfect_pairing(blown2.n, 3)
+    good = route(blown2, pairing)
+    plan = RoutePlan(routes=good.routes, used_edges=_UnreadOwnerMap())
+    assert verify_plan(blown2.graph, pairing, plan).ok
+    # a reused edge is still found from the paths alone
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    reused = RoutePlan(routes=(Route(0, 2, (0, 1, 2)), Route(3, 1, (3, 2, 1))),
+                       used_edges=_UnreadOwnerMap())
+    report = verify_plan(g, make_pairing([(0, 2), (3, 1)]), reused)
+    assert [(v.kind, v.pair_indexes) for v in report.violations] \
+        == [(EDGE_REUSED, (0, 1))]
 
 
 def test_empty_pairing_empty_plan():

@@ -34,8 +34,7 @@ def _resolve_graph(args) -> tuple[Graph, dict[str, Any]]:
     """Build or load the graph named by --family/--graph; returns annotations
     (the blown-cycle block when applicable) alongside."""
     if args.graph is not None:
-        with open(args.graph) as fh:
-            return formats.loads_graph(fh.read(), args.format)
+        return formats.loads_graph(_read(args.graph), args.format)
     wanted = _FAMILY_PARAMS[args.family]
     params = tuple(getattr(args, name) for name in wanted)
     if None in params:
@@ -54,8 +53,7 @@ def _resolve_blown(args) -> blowup.BlownCycle:
     """Blown cycle for route: either --m or an annotated graph file."""
     if args.graph is None:
         return blowup.build(args.m)
-    with open(args.graph) as fh:
-        g, annotations = formats.loads_graph(fh.read())
+    g, annotations = formats.loads_graph(_read(args.graph))
     block = annotations.get("blown_cycle")
     if not isinstance(block, dict) or "m" not in block:
         raise formats.FormatError(
@@ -70,6 +68,11 @@ def _resolve_blown(args) -> blowup.BlownCycle:
         raise formats.FormatError(
             "graph file does not match the construction its annotation claims")
     return b
+
+
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -93,8 +96,7 @@ def _cmd_route(args) -> int:
         pairing = routing.random_perfect_pairing(b.n, args.random)
         extras["seed"] = args.random
     else:
-        with open(args.pairing) as fh:
-            pairing = formats.loads_pairing(fh.read())
+        pairing = formats.loads_pairing(_read(args.pairing))
     plan = routing.route(b, pairing)
     _emit(formats.dumps_plan(plan, extras), args.output)
     # the blown cycle has diameter m by construction
@@ -105,23 +107,17 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.plan == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.plan) as fh:
-            text = fh.read()
+    text = sys.stdin.read() if args.plan == "-" else _read(args.plan)
     plan, extras = formats.loads_plan(text)
     if args.graph is not None:
-        with open(args.graph) as fh:
-            g, _ = formats.loads_graph(fh.read(), args.format)
+        g, _ = formats.loads_graph(_read(args.graph), args.format)
     elif formats.is_json_int(extras.get("m")):
         g = blowup.build(extras["m"]).graph
     else:
         raise formats.FormatError(
             "verify needs --graph or a plan with an \"m\" annotation")
     if args.pairing is not None:
-        with open(args.pairing) as fh:
-            pairing = formats.loads_pairing(fh.read())
+        pairing = formats.loads_pairing(_read(args.pairing))
     else:
         pairing = routing.make_pairing((r.x, r.y) for r in plan.routes)
     report = verify.verify_plan(g, pairing, plan)

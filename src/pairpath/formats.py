@@ -156,19 +156,23 @@ def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
             if line.startswith("#"):
                 head = line[1:].split()
                 if len(head) == 2 and head[0] == "n":
-                    n = int(head[1])
+                    (n,) = _ints(head[1:], "vertex count", line)
                 continue
             parts = line.split()
             if len(parts) != 2:
                 raise FormatError(f"expected 'u v' per line, got {line!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise FormatError(f"non-integer edge endpoints: {line!r}") from None
+            edges.append(_ints(parts, "edge endpoints", line))
         if n is None:
             n = 1 + max((max(e) for e in edges), default=-1)
         return make_graph(n, edges), {}
     raise FormatError(f"unknown graph format {fmt!r}; expected {GRAPH_FORMATS}")
+
+
+def _ints(words: list[str], what: str, line: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, words))
+    except ValueError:
+        raise FormatError(f"non-integer {what}: {line!r}") from None
 
 
 def dumps_pairing(p: Pairing) -> str:

@@ -2,8 +2,10 @@
 
 Vertices are integer ids 0..n-1.  An edge {u, v} with u < v is stored as the
 int64 key u*n + v, and a graph keeps its edges as one sorted, duplicate-free
-array of keys.  All metrics are pure functions; Graph values are safe to
-share across threads and processes.
+array of keys.  This module owns both formats: other modules convert ids with
+`as_ids`, encode edges with `edge_keys`, decode and look up keys through
+`Graph`, and order repeated claims with `first_claims`.  All metrics are
+pure functions; Graph values are safe to share across threads and processes.
 """
 from __future__ import annotations
 
@@ -29,12 +31,35 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def as_ids(ids: Iterable[int], count: int) -> np.ndarray | None:
-    """count integer ids as an int64 array; None when one fits no int64."""
+def as_ids(values: Sequence[int], n: int) -> np.ndarray:
+    """Integer vertex ids of any size as an int64 array, with -1 for every id
+    outside 0..n-1."""
     try:
-        return np.fromiter(ids, dtype=np.int64, count=count)
-    except OverflowError:
-        return None
+        ids = np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:  # some id fits no int64, so it is out of range
+        ids = np.array([v if 0 <= v < n else -1 for v in values], np.int64)
+    ids[ids.view(np.uint64) >= n] = -1  # a negative id reads >= 2**63
+    return ids
+
+
+def edge_keys(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
+    """The key u*n + v (u < v) of each edge {us[i], vs[i]}, or -1 for a loop
+    or an end of -1; ids are int64 in -1..n-1."""
+    keys = np.minimum(us, vs)
+    keys *= n
+    keys += np.maximum(us, vs)
+    keys[(keys < 0) | (us == vs)] = -1
+    return keys
+
+
+def first_claims(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of keys, and for each key in that order whether
+    it is the first claim of its value: the first of a run of equal keys."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, first
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +67,10 @@ class Graph:
     """Simple undirected graph.  Build via make_graph, not directly.
 
     `keys` is the one stored representation of the edge set: the sorted,
-    duplicate-free int64 keys u*n + v with u < v, read-only.  `csr` derives
-    the adjacency matrix from it on first use.  Equality and hash use n and
-    the keys, not the labels.
+    duplicate-free int64 keys u*n + v with u < v (see `edge_keys`),
+    read-only.  `endpoints` decodes them, and `csr` derives the adjacency
+    matrix from them on first use.  Equality and hash use n and the keys,
+    not the labels.
     """
 
     n: int
@@ -59,10 +85,22 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.keys.tobytes()))
 
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends (u, v), u < v, of every edge, in key order."""
+        return np.divmod(self.keys, self.n)
+
+    def has_edges(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each of keys is an edge key of this graph; sorted keys
+        are fastest."""
+        slot = np.searchsorted(self.keys, keys)
+        found = slot < len(self.keys)
+        found[found] = self.keys[slot[found]] == keys[found]
+        return found
+
     @cached_property
     def csr(self) -> csr_matrix:
         """Symmetric 0/1 adjacency matrix with sorted rows."""
-        us, vs = np.divmod(self.keys, self.n)
+        us, vs = self.endpoints()
         a = csr_matrix((np.ones(2 * len(us), dtype=np.int8),
                         (np.concatenate([us, vs]), np.concatenate([vs, us]))),
                        shape=(self.n, self.n))
@@ -86,7 +124,7 @@ class Graph:
         return len(self.keys)
 
     def sorted_edges(self) -> list[Edge]:
-        us, vs = np.divmod(self.keys, self.n)
+        us, vs = self.endpoints()
         return list(zip(us.tolist(), vs.tolist()))
 
 
@@ -109,10 +147,8 @@ def make_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray,
     if bad.any():
         _check_edges([pairs[int(np.argmax(bad))].tolist()], n)
     # ids are in 0..n-1 now, so they and the keys fit in int64
-    us, vs = us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False)
-    keys = np.minimum(us, vs)
-    keys *= n
-    keys += np.maximum(us, vs)
+    keys = edge_keys(us.astype(np.int64, copy=False),
+                     vs.astype(np.int64, copy=False), n)
     keys.sort()
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
@@ -129,13 +165,20 @@ def make_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray,
 def _edge_array(edges: Iterable[Sequence[int]] | np.ndarray, n: int
                 ) -> np.ndarray:
     """Edges as an (E, 2) integer array.  An id that fits no int64 is out of
-    range, so the list then raises for its first bad edge."""
+    range, so the list then raises for its first bad edge; ragged rows raise
+    for the first row that is no pair."""
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
         try:
             edges = np.array(edges, dtype=np.int64)
         except OverflowError:
             _check_edges(edges, n)
+            raise
+        except ValueError:
+            for i, row in enumerate(edges):
+                if np.ndim(row) != 1 or len(row) != 2:
+                    raise GraphError(f"edge #{i} {row!r} is not a (u, v) "
+                                     "pair") from None
             raise
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64)
@@ -255,7 +298,7 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     the n-sized CSR arrays are built.
     """
     if g.n >= 2 and g.n > 2 * g.edge_count:
-        touched = np.unique(np.concatenate(np.divmod(g.keys, g.n)))
+        touched = np.unique(np.concatenate(g.endpoints()))
         gaps = np.flatnonzero(touched != np.arange(len(touched)))
         v = int(gaps[0]) if gaps.size else len(touched)
         u = 1 if v == 0 else 0

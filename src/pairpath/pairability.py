@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, distance_matrix, edge_key, twin_classes
+from .graph import Graph, GraphError, distance_matrix, twin_classes
 from .routing import Pairing, Route, RoutePlan, make_pairing
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -70,7 +70,8 @@ class _CapHit(Exception):
 
 
 def _residual_dist(adj, src: int, dst: int, used: set) -> float:
-    """Hop distance from src to dst avoiding used edges; inf if cut off."""
+    """Hop distance from src to dst avoiding used edges; inf if cut off.
+    adj[v] lists (w, key of edge vw) by ascending w; used holds keys."""
     if src == dst:
         return 0
     dist = {src: 0}
@@ -78,8 +79,8 @@ def _residual_dist(adj, src: int, dst: int, used: set) -> float:
     while frontier:
         nxt = []
         for v in frontier:
-            for w in adj[v]:
-                if w in dist or edge_key(v, w) in used:
+            for w, e in adj[v]:
+                if w in dist or e in used:
                     continue
                 if w == dst:
                     return dist[v] + 1
@@ -96,8 +97,8 @@ def _residual_dist_all(adj, src: int, used: set, n: int) -> list[float]:
     while frontier:
         nxt = []
         for v in frontier:
-            for w in adj[v]:
-                if dist[w] == _INF and edge_key(v, w) not in used:
+            for w, e in adj[v]:
+                if dist[w] == _INF and e not in used:
                     dist[w] = dist[v] + 1
                     nxt.append(w)
         frontier = nxt
@@ -113,7 +114,12 @@ class _Search:
     """
 
     def __init__(self, g: Graph, pairs: Sequence[tuple[int, int]], budget: int):
-        self.adj = [g.neighbors(v) for v in range(g.n)]
+        # keys come in order, so every list is sorted by neighbour
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for u, v, e in zip(*(a.tolist() for a in g.endpoints()),
+                           g.keys.tolist()):
+            self.adj[u].append((v, e))
+            self.adj[v].append((u, e))
         self.n = g.n
         self.e_total = g.edge_count
         self.pairs = list(pairs)
@@ -154,15 +160,14 @@ class _Search:
             self.routed[pick] = None
             return False
         steps = []
-        for w in self.adj[cur]:
-            if w in visited or edge_key(cur, w) in self.used:
+        for w, e in self.adj[cur]:
+            if w in visited or e in self.used:
                 continue
             if length + 1 + to_target[w] > slack:
                 continue
-            steps.append((to_target[w], w))
+            steps.append((to_target[w], w, e))
         steps.sort()
-        for _, w in steps:
-            e = edge_key(cur, w)
+        for _, w, e in steps:
             self.used.add(e)
             path.append(w)
             visited.add(w)
@@ -182,10 +187,9 @@ def find_disjoint_paths(g: Graph, p: Pairing,
     Returns a verified-feasible plan, a proof of infeasibility (the search
     space is exhausted), or cap-hit once `budget` nodes were expanded.
     """
-    for x, y in p.pairs:
-        for v in (x, y):
-            if not (0 <= v < g.n):
-                raise GraphError(f"pairing vertex {v} out of range 0..{g.n - 1}")
+    bad = next((v for pair in p.pairs for v in pair if not 0 <= v < g.n), None)
+    if bad is not None:
+        raise GraphError(f"pairing vertex {bad} out of range 0..{g.n - 1}")
     search = _Search(g, p.pairs, budget)
     try:
         ok = search.solve()
@@ -369,7 +373,7 @@ def screen(g: Graph) -> ScreenReport:
     rep_ecc = dist.max(axis=1)
     d = int(rep_ecc.max())
     roots = [int(r) for r in np.flatnonzero(rep_ecc[cls] == d)]
-    eu, ev = np.divmod(g.keys, g.n)
+    eu, ev = g.endpoints()
 
     checked: list[int] = []
     for root in roots:

@@ -30,6 +30,7 @@ m+2: d <= m transport edges plus two closing edges.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .blowup import BlownCycle, free_common_neighbors
-from .graph import Edge, as_ids, edge_key
+from .graph import Edge, as_ids, edge_key, edge_keys, first_claims
 from .rng import random_permutation
 
 
@@ -78,13 +79,18 @@ class Pairing:
 
 def make_pairing(pairs: Iterable[Sequence[int]]) -> Pairing:
     """Validate and canonicalize: pair order follows the smaller endpoint,
-    orientation within each pair is kept."""
-    norm = []
-    for pair in pairs:
-        x, y = pair
-        norm.append((int(x), int(y)))
+    orientation within each pair is kept.  Ids must be integers (NumPy's
+    too); anything else raises PairingError naming it."""
+    norm = [(_vertex_id(x), _vertex_id(y)) for x, y in pairs]
     norm.sort(key=lambda pair: min(pair))
     return Pairing(pairs=tuple(norm))
+
+
+def _vertex_id(v: object) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise PairingError(f"vertex {v!r} is not an integer id") from None
 
 
 def random_perfect_pairing(n: int, seed: int) -> Pairing:
@@ -209,9 +215,10 @@ def canonical_labeling(b: BlownCycle, p: Pairing) -> np.ndarray:
     PairingError naming the first vertex, in pairing order, outside 0..n-1.
     """
     n, q, m, two_m = b.n, b.q, b.m, b.num_classes
-    ids = as_ids(chain.from_iterable(p.pairs), 2 * len(p.pairs))
-    if ids is None or ((ids < 0) | (ids >= n)).any():
-        bad = next(v for v in chain.from_iterable(p.pairs) if not 0 <= v < n)
+    values = list(chain.from_iterable(p.pairs))
+    ids = as_ids(values, n)
+    if (ids < 0).any():
+        bad = values[int(np.argmax(ids < 0))]
         raise PairingError(f"vertex {bad} out of range 0..{n - 1}")
     ids = ids.reshape(-1, 2)
     d = (ids[:, 1] // q - ids[:, 0] // q) % two_m
@@ -259,11 +266,6 @@ def assign_candidates(cand_lists: Sequence[Sequence[int]],
     return chosen
 
 
-def _edge_clash(e: Edge, first: int, second: int) -> RoutingError:
-    return RoutingError(f"edge {e} claimed by pairs {first} and {second}: "
-                        "construction bug")
-
-
 def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     """Complete every residual task (target, reached) through a common free
     neighbor z in the next class: ... reached, z, target.
@@ -300,14 +302,12 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     # claims: each walk's steps in pair order, then per task (reached, z)
     # and (z, target); step s of the walks goes walks[s] -> walks[s + 1]
     z = closing[tasks]
-    steps = np.ones(len(walks), dtype=bool)
-    steps[ends - 1] = False
-    steps = np.flatnonzero(steps)
+    steps = np.delete(np.arange(len(walks)), ends - 1)
     us = np.concatenate([walks[steps], np.stack([reached, z], 1).ravel()])
     vs = np.concatenate([walks[steps + 1], np.stack([z, targets], 1).ravel()])
     owners = np.concatenate([np.repeat(np.arange(len(d)), d),
                              np.repeat(tasks, 2)])
-    _check_disjoint(np.minimum(us, vs), np.maximum(us, vs), owners, n)
+    _check_disjoint(us, vs, owners, n)
 
     flat = walks.tolist()
     routes = []
@@ -318,19 +318,18 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     return RoutePlan.from_routes(routes)
 
 
-def _check_disjoint(lo: np.ndarray, hi: np.ndarray, owners: np.ndarray,
+def _check_disjoint(us: np.ndarray, vs: np.ndarray, owners: np.ndarray,
                     n: int) -> None:
-    """Raise the clash of the first claim (lo, hi) that an earlier claim
-    already made, naming both claims' owners."""
-    keys = lo * n + hi
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1]) + 1
-    if len(repeats):
-        second = int(order[repeats].min())
-        first = int(order[np.searchsorted(sorted_keys, keys[second])])
-        raise _edge_clash((int(lo[second]), int(hi[second])),
-                          int(owners[first]), int(owners[second]))
+    """Raise the clash of the first claim of edge {us[i], vs[i]} that an
+    earlier claim already made, naming both claims' owners."""
+    keys = edge_keys(us, vs, n)
+    order, first = first_claims(keys)
+    if not first.all():
+        second = int(order[~first].min())
+        claim = int(np.argmax(keys == keys[second]))
+        raise RoutingError(
+            f"edge {edge_key(int(us[second]), int(vs[second]))} claimed by "
+            f"pairs {owners[claim]} and {owners[second]}: construction bug")
 
 
 def route(b: BlownCycle, p: Pairing) -> RoutePlan:

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, as_ids
+from .graph import Graph, as_ids, edge_keys, first_claims
 from .routing import Pairing, Route, RoutePlan
 
 NOT_A_WALK = "not-a-walk"
@@ -79,30 +79,24 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     ends = np.cumsum(lens)
     values = list(chain.from_iterable(paths))
-    flat = as_ids(values, len(values))
-    exact = flat is not None
-    if not exact:  # some id fits no int64, so it is out of range
-        flat = as_ids((v if 0 <= v < n else -1 for v in values), len(values))
+    flat = as_ids(values, n)  # -1 for an id outside 0..n-1
     rid = np.repeat(np.arange(len(paths)), lens)
-    in_range = (flat >= 0) & (flat < n)
+    in_range = flat >= 0
     entries: list[tuple[int, int, int, Violation]] = []
 
-    # endpoints: compared as arrays, checked again in Python where flagged
-    pair_ids = as_ids(chain.from_iterable(p.pairs[:len(paths)]),
-                       2 * len(paths))
-    xs = as_ids([r.x for r in routes], len(paths))
-    ys = as_ids([r.y for r in routes], len(paths))
-    if exact and len(flat) and not any(
-            ids is None for ids in (pair_ids, xs, ys)):
-        first = flat[np.minimum(ends - lens, len(flat) - 1)]
-        last = flat[ends - 1]
-        a, b = pair_ids[0::2], pair_ids[1::2]
-        ends_ok = (lens > 0) & (first == xs) & (last == ys) & (
-            ((first == a) & (last == b)) | ((first == b) & (last == a)))
-        flagged = np.flatnonzero(~ends_ok).tolist()
-    else:
-        flagged = range(len(paths))
-    if len(flagged):
+    # endpoints: compared as arrays, checked again in Python where flagged;
+    # distinct bad ids all read -1, so only in-range ends can match, and
+    # the -1 appended keeps an empty path's (masked) reads in bounds
+    padded = np.append(flat, -1)
+    first, last = padded[ends - lens], padded[ends - 1]
+    a, b = as_ids(list(chain.from_iterable(p.pairs[:len(paths)])),
+                  n).reshape(-1, 2).T
+    ends_ok = (lens > 0) & (first >= 0) & (last >= 0) \
+        & (first == as_ids([r.x for r in routes], n)) \
+        & (last == as_ids([r.y for r in routes], n)) \
+        & (((first == a) & (last == b)) | ((first == b) & (last == a)))
+    flagged = np.flatnonzero(~ends_ok).tolist()
+    if flagged:
         endpoint_set = p.endpoints()
         for idx in flagged:
             bad = _endpoint_violation(idx, routes[idx], p.pairs[idx],
@@ -121,26 +115,19 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
         entries.append((int(rid[pos]), 1, pos, Violation(
             kind=NOT_A_WALK, pair_indexes=(int(rid[pos]),),
             vertex=values[pos])))
-    by_vertex, first_seen = _runs(np.where(in_range, rid * n + flat, -1))
-    repeated = np.zeros(len(flat), dtype=bool)
-    repeated[by_vertex[~first_seen]] = True
+    by_vertex, firsts = first_claims(np.where(in_range, rid * n + flat, -1))
     warnings = [PlanWarning(kind="vertex-repeated", pair_index=int(rid[pos]),
                             vertex=values[pos])
-                for pos in np.flatnonzero(repeated & in_range).tolist()]
+                for pos in np.sort(by_vertex[~firsts]).tolist()
+                if in_range[pos]]
 
-    # steps: one stable sort of the step keys; one searchsorted into g.keys
-    # gives membership, and the first of a run of equal keys owns the edge
-    is_last = np.zeros(len(flat), dtype=bool)
-    is_last[ends[lens > 0] - 1] = True
-    step_pos = np.flatnonzero(~is_last)  # step s walks flat[s] -> flat[s+1]
-    su, sv = flat[step_pos], flat[step_pos + 1]
-    lo, hi = np.minimum(su, sv), np.maximum(su, sv)
-    keys = np.where((lo >= 0) & (hi < n) & (lo != hi), lo * n + hi, -1)
-    by_key, first_claim = _runs(keys)
-    sorted_keys = keys[by_key]
-    slot = np.searchsorted(g.keys, sorted_keys)
-    member = slot < len(g.keys)
-    member[member] = g.keys[slot[member]] == sorted_keys[member]
+    # steps: step s walks flat[step_pos[s]] -> flat[step_pos[s] + 1]; one
+    # stable sort of the step keys, in which the first claim of a key owns
+    # the edge, and one lookup of the sorted keys in g.keys
+    step_pos = np.delete(np.arange(len(flat)), ends[lens > 0] - 1)
+    keys = edge_keys(flat[step_pos], flat[step_pos + 1], n)
+    by_key, first_claim = first_claims(keys)
+    member = g.has_edges(keys[by_key])
     owner = by_key[np.maximum.accumulate(
         np.where(first_claim, np.arange(len(by_key)), 0))]
     reused = member & ~first_claim
@@ -167,15 +154,6 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     return VerificationReport(ok=not violations,
                               violations=tuple(violations),
                               warnings=tuple(warnings))
-
-
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable sort order of keys, and for each key in that order whether
-    it starts a run of equal keys."""
-    order = np.argsort(keys, kind="stable")
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = keys[order[1:]] != keys[order[:-1]]
-    return order, starts
 
 
 def _endpoint_violation(idx: int, route: Route, pair: tuple[int, int],

@@ -87,6 +87,7 @@ def test_acceptance_3_hypercube_antipodal_infeasible(capsys):
         result, took = _timed(lambda: find_disjoint_paths(g, pairing))
         assert result.status == INFEASIBLE
         assert result.plan is None
+        assert result.nodes_expanded == 37125  # the exact search work
         assert took < 300.0
 
     _report(capsys, 3, "dim-4 cube antipodal pairing ruled out by "

@@ -423,6 +423,16 @@ def test_stats_graph_beyond_int64_keys_exits_two(capsys, tmp_path):
     assert err.startswith("error: vertex count 10000000000 exceeds")
 
 
+def test_edgelist_with_non_integer_count_exits_two(capsys, tmp_path):
+    target = tmp_path / "bad.edgelist"
+    target.write_text("# n abc\n0 1\n")
+    code, out, err = run(capsys, "stats", "--graph", str(target),
+                         "--format", "edgelist")
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-integer vertex count: '# n abc'\n"
+
+
 def test_malformed_graph_file_exits_two(capsys, tmp_path):
     target = tmp_path / "junk.json"
     target.write_text("{not json")

@@ -121,6 +121,9 @@ def test_loads_graph_rejects_malformed():
         loads_graph("# n 3\n0 1 2\n", "edgelist")
     with pytest.raises(FormatError):
         loads_graph("0 x\n", "edgelist")
+    with pytest.raises(FormatError,
+                       match=r"^non-integer vertex count: '# n abc'$"):
+        loads_graph("# n abc\n0 1\n", "edgelist")
     with pytest.raises(FormatError):
         dumps_graph(make_graph(1, []), "yaml")
 

@@ -57,6 +57,15 @@ def test_make_graph_names_the_first_bad_edge_in_input_order():
         make_graph(3, [(0, 1), (0, 2**64), (2, 2)])
 
 
+def test_make_graph_names_a_row_that_is_no_pair():
+    for edges, row in (([(0, 1), (1, 2, 0)], r"#1 \(1, 2, 0\)"),
+                       ([(0, 1), (1,)], r"#1 \(1,\)"),
+                       ([[0, 1], [2, 0], 1], "#2 1")):
+        with pytest.raises(GraphError,
+                           match=f"^edge {row} is not a \\(u, v\\) pair$"):
+            make_graph(3, edges)
+
+
 def test_make_graph_rejects_keys_beyond_int64():
     top = graph_module.MAX_VERTICES
     g = make_graph(top, [(top - 2, top - 1), (0, top - 1)])

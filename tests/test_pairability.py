@@ -10,9 +10,10 @@ from pairpath.graph import (FamilySpec, GraphError, diameter, edge_key,
 from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
                                   INCONCLUSIVE, INFEASIBLE, LAYERED_CUT,
                                   LAYER_GROWTH, NOT_PATH_PAIRABLE,
-                                  PATH_PAIRABLE, diameter_upper_bound,
-                                  enumerate_pairings, find_disjoint_paths,
-                                  is_path_pairable, pairing_count, screen)
+                                  PATH_PAIRABLE, SearchStats,
+                                  diameter_upper_bound, enumerate_pairings,
+                                  find_disjoint_paths, is_path_pairable,
+                                  pairing_count, screen)
 from pairpath.routing import make_pairing
 from pairpath.verify import verify_plan
 
@@ -57,6 +58,9 @@ def test_q3_is_path_pairable(q3):
     assert verdict.status == PATH_PAIRABLE
     assert verdict.witness is None
     assert verdict.stats.pairings_examined == 105
+    # the exact work pins the search order, which follows the neighbour
+    # order of the adjacency lists
+    assert verdict.stats.nodes_expanded == 1320
 
 
 def test_q3_antipodal_pairing_has_disjoint_paths(q3):
@@ -120,6 +124,7 @@ def test_worker_count_does_not_change_verdict(c4, petersen):
     lone = is_path_pairable(petersen, workers=1)
     multi = is_path_pairable(petersen, workers=2)
     assert lone.status == multi.status == PATH_PAIRABLE
+    assert lone.stats == multi.stats == SearchStats(945, 15692)
 
 
 def test_verdict_json_round_trips(c4):

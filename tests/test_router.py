@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,17 @@ def test_make_pairing_sorts_and_validates():
         make_pairing([(0, 1), (1, 2)])
     with pytest.raises(PairingError, match="duplicate"):
         make_pairing([(3, 3)])
+
+
+def test_make_pairing_takes_integer_ids_only():
+    p = make_pairing([(np.int64(5), np.int32(2)), (0, True)])
+    assert p.pairs == ((0, 1), (5, 2))
+    assert all(type(v) is int for pair in p.pairs for v in pair)
+    for pair, bad in (((1.5, 2), "1.5"), (("3", 4), "'3'"),
+                      ((0, np.float64(1)), r"np\.float64\(1\.0\)")):
+        with pytest.raises(PairingError,
+                           match=f"^vertex {bad} is not an integer id$"):
+            make_pairing([pair])
 
 
 def test_canonical_labeling_examples(blown2, blown3):

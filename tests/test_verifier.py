@@ -3,6 +3,7 @@ import pathlib
 from collections.abc import Mapping
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,9 +204,14 @@ def test_empty_pairing_empty_plan():
 # ------------------------------------------------- reference oracle
 
 
-MUTATIONS = ("out-of-range", "negative", "int64-extreme", "beyond-int64",
-             "reverse", "double-back", "empty", "extra", "drop",
-             "reuse-within", "reuse-across", "drop-pair")
+BAD_IDS = {"out-of-range": lambda n: st.integers(n, n + 3),
+           "negative": lambda n: st.integers(-3, -1),
+           "int64-extreme": lambda n: st.sampled_from([2**63 - 1, -2**63]),
+           "beyond-int64": lambda n: st.sampled_from(
+               [2**63, -2**63 - 1, 10**30])}
+MUTATIONS = tuple(BAD_IDS) + (
+    "bad-pair", "reverse", "double-back", "empty", "extra", "drop",
+    "reuse-within", "reuse-across", "drop-pair")
 
 
 @st.composite
@@ -230,13 +236,8 @@ def mutated_plans(draw):
             break
         i = draw(st.integers(0, len(routes) - 1))
         x, y, path = routes[i]
-        if kind in ("out-of-range", "negative", "int64-extreme",
-                    "beyond-int64"):
-            bad = draw({"out-of-range": st.integers(g.n, g.n + 3),
-                        "negative": st.integers(-3, -1),
-                        "int64-extreme": st.sampled_from([2**63 - 1, -2**63]),
-                        "beyond-int64": st.sampled_from(
-                            [2**63, -2**63 - 1, 10**30])}[kind])
+        if kind in BAD_IDS:
+            bad = draw(BAD_IDS[kind](g.n))
             slot = draw(st.integers(0, len(path) + 1))
             if slot == len(path):
                 routes[i][0] = bad
@@ -244,6 +245,15 @@ def mutated_plans(draw):
                 routes[i][1] = bad
             else:
                 path[slot] = bad
+        elif kind == "bad-pair" and i < len(pairs):
+            # a pair endpoint out of range, negative or beyond int64; ids
+            # must stay distinct across pairs
+            bad = draw(BAD_IDS[draw(st.sampled_from(
+                ["out-of-range", "negative", "beyond-int64"]))](g.n))
+            if all(bad not in pair for pair in pairs):
+                pair = list(pairs[i])
+                pair[draw(st.integers(0, 1))] = bad
+                pairs[i] = tuple(pair)
         elif kind == "reverse":
             routes[i] = ([y, x] if draw(st.booleans()) else [x, y]) \
                 + [path[::-1]]
@@ -274,3 +284,21 @@ def test_reports_match_the_reference_loop(case):
     g, pairing, plan = case
     assert verify_plan(g, pairing, plan).to_json() \
         == reference_verify_plan(g, pairing, plan).to_json()
+
+
+@pytest.mark.parametrize("end, y, paired", [(10**31, -7, 10**30),
+                                            (-7, 10**30, 10**31),
+                                            (4, -1, 2**63)])
+def test_distinct_bad_ids_at_path_end_route_y_and_pair_differ(end, y,
+                                                               paired):
+    # the three ids are all outside 0..3, and distinct, so route 0 ends at
+    # a vertex no pair mentions; the array check reads every such id as -1
+    # and must not take them for equal
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    pairing = make_pairing([(0, paired), (1, 2)])
+    plan = RoutePlan(routes=(Route(0, y, (0, 1, end)), Route(1, 2, (1, 2))),
+                     used_edges={})
+    report = verify_plan(g, pairing, plan)
+    assert report.to_json() == reference_verify_plan(g, pairing, plan).to_json()
+    assert (report.violations[0].kind, report.violations[0].vertex) \
+        == (ENDPOINT_NOT_IN_PAIRING, end)

@@ -9,6 +9,8 @@ pure functions; Graph values are safe to share across threads and processes.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -31,15 +33,29 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def as_ids(values: Sequence[int], n: int) -> np.ndarray:
-    """Integer vertex ids of any size as an int64 array, with -1 for every id
-    outside 0..n-1."""
+def as_ids(values: Sequence[object], n: int) -> np.ndarray:
+    """Vertex ids as an int64 array, with -1 for every value that is no id.
+    An id is an integer of any size in 0..n-1, and an integer is what
+    operator.index accepts, as in make_pairing: floats and strings are none.
+    """
     try:
+        # a sum of Python ints is a Python int; a float, a string or a NumPy
+        # integer makes it something else or raises, and goes id by id
+        if type(sum(values)) is not int:
+            raise TypeError
         ids = np.fromiter(values, dtype=np.int64, count=len(values))
-    except OverflowError:  # some id fits no int64, so it is out of range
-        ids = np.array([v if 0 <= v < n else -1 for v in values], np.int64)
+    except (TypeError, OverflowError):  # not all ints, or one beyond int64
+        ids = np.array([_id(v, n) for v in values], dtype=np.int64)
     ids[ids.view(np.uint64) >= n] = -1  # a negative id reads >= 2**63
     return ids
+
+
+def _id(v: object, n: int) -> int:
+    try:
+        v = operator.index(v)
+    except TypeError:
+        return -1
+    return v if 0 <= v < n else -1
 
 
 def edge_keys(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
@@ -107,14 +123,6 @@ class Graph:
         a.sort_indices()
         return a
 
-    def neighbors(self, v: int) -> list[int]:
-        ptr = self.csr.indptr
-        return self.csr.indices[ptr[v]:ptr[v + 1]].tolist()
-
-    def degree(self, v: int) -> int:
-        ptr = self.csr.indptr
-        return int(ptr[v + 1] - ptr[v])
-
     @property
     def max_degree(self) -> int:
         return int(np.diff(self.csr.indptr).max(initial=0))
@@ -130,22 +138,28 @@ class Graph:
 
 def make_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray,
                labels: Mapping[int, str] | None = None) -> Graph:
-    """Build a Graph from an edge list or an (E, 2) integer array; duplicates
+    """Build a Graph from an edge list or an (E, 2) array; duplicates
     collapse, order is irrelevant.
 
-    Rejects self-loops and ids outside 0..n-1, naming the first bad edge in
-    input order, and n above MAX_VERTICES.
+    Rejects ends that are no id (see `as_ids`) and self-loops, naming the
+    first bad edge in input order, and n above MAX_VERTICES.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
     if n > MAX_VERTICES:
         raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}, the "
                          "largest whose edge keys fit in int64")
-    pairs = _edge_array(edges, n)
+    rows = _edge_array(edges)
+    pairs = rows if rows.dtype.kind in "iu" \
+        else as_ids(rows.ravel().tolist(), n).reshape(-1, 2)
     us, vs = pairs[:, 0], pairs[:, 1]
     bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs)
     if bad.any():
-        _check_edges([pairs[int(np.argmax(bad))].tolist()], n)
+        u, v = rows[int(np.argmax(bad))].tolist()
+        if (as_ids([u, v], n) < 0).any():
+            raise GraphError(f"edge ({u!r},{v!r}) has id out of range "
+                             f"0..{n - 1}")
+        raise GraphError(f"self-loop at vertex {u} not allowed")
     # ids are in 0..n-1 now, so they and the keys fit in int64
     keys = edge_keys(us.astype(np.int64, copy=False),
                      vs.astype(np.int64, copy=False), n)
@@ -162,38 +176,22 @@ def make_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray,
     return Graph(n=n, keys=keys, labels=labels)
 
 
-def _edge_array(edges: Iterable[Sequence[int]] | np.ndarray, n: int
-                ) -> np.ndarray:
-    """Edges as an (E, 2) integer array.  An id that fits no int64 is out of
-    range, so the list then raises for its first bad edge; ragged rows raise
-    for the first row that is no pair."""
+def _edge_array(edges: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """Edges as an (E, 2) array.  A list becomes an object array, so that
+    no id is converted before `as_ids` reads it; a list whose rows are not
+    all pairs raises for the first row that is no pair."""
     if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-        try:
-            edges = np.array(edges, dtype=np.int64)
-        except OverflowError:
-            _check_edges(edges, n)
-            raise
-        except ValueError:
+        edges = np.array(list(edges), dtype=object)
+        if edges.ndim == 1 and edges.size:  # ragged rows
             for i, row in enumerate(edges):
                 if np.ndim(row) != 1 or len(row) != 2:
                     raise GraphError(f"edge #{i} {row!r} is not a (u, v) "
-                                     "pair") from None
-            raise
+                                     "pair")
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise GraphError(f"edges must be (u, v) pairs, got shape {edges.shape}")
     return edges
-
-
-def _check_edges(edges: Iterable[Sequence[int]], n: int) -> None:
-    """Raise for the first out-of-range or self-loop edge."""
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u},{v}) has id out of range 0..{n - 1}")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u} not allowed")
 
 
 @dataclass(frozen=True)
@@ -220,12 +218,13 @@ def generate(spec: FamilySpec) -> Graph:
     """Generate a named family with canonical vertex numbering.
 
     cycle k: vertices 0..k-1 around the cycle.
-    complete k: all pairs.
     complete-bipartite a b: part A = 0..a-1, part B = a..a+b-1.
-    hypercube dim: vertex id = binary coordinate vector.
     petersen: outer 5-cycle 0-4, inner pentagram 5-9, spokes i <-> i+5.
-    grid2 a b / grid3 a b c: row-major product of complete graphs; two
-    vertices are adjacent when they differ in exactly one coordinate.
+    complete k, hypercube dim, grid2 a b and grid3 a b c: the Cartesian
+    product of complete graphs K_d over dims (k,), (2,)*dim, (a, b) and
+    (a, b, c), with row-major ids, so a hypercube's vertex id is its binary
+    coordinate vector; two vertices are adjacent when their coordinates
+    differ in exactly one place.
 
     Raises GraphError for an unknown family, a parameter count other than
     the family's in FAMILIES, or a parameter below 1.
@@ -244,45 +243,24 @@ def generate(spec: FamilySpec) -> Graph:
         if k < 3:
             raise GraphError("cycle needs at least 3 vertices")
         return make_graph(k, [(i, (i + 1) % k) for i in range(k)])
-    if fam == "complete":
-        (k,) = p
-        return make_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
     if fam == "complete-bipartite":
         a, b = p
         return make_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    if fam == "hypercube":
-        (dim,) = p
-        n = 1 << dim
-        return make_graph(n, [(v, v ^ (1 << b)) for v in range(n)
-                              for b in range(dim) if v < v ^ (1 << b)])
     if fam == "petersen":
         outer = [(i, (i + 1) % 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, i + 5) for i in range(5)]
         return make_graph(10, outer + inner + spokes)
-    # grid2 / grid3: Cartesian product of complete graphs
-    dims = p
-    n = 1
-    for d in dims:
-        n *= d
-    strides = []
-    s = 1
-    for d in reversed(dims):
-        strides.append(s)
-        s *= d
-    strides.reverse()
-
-    def coords(v: int) -> tuple[int, ...]:
-        return tuple((v // strides[i]) % dims[i] for i in range(len(dims)))
-
+    # complete, hypercube, grid2 and grid3: products of complete graphs
+    dims = (2,) * p[0] if fam == "hypercube" else p
+    ids = np.arange(math.prod(dims)).reshape(dims)
     edges = []
-    for v in range(n):
-        c = coords(v)
-        for axis in range(len(dims)):
-            for t in range(c[axis] + 1, dims[axis]):
-                w = v + (t - c[axis]) * strides[axis]
-                edges.append((v, w))
-    return make_graph(n, edges)
+    for axis, d in enumerate(dims):
+        # each line along the axis is a K_d on its ids
+        lines = np.moveaxis(ids, axis, -1)
+        i, j = np.triu_indices(d, 1)
+        edges.append(np.stack([lines[..., i], lines[..., j]], -1).reshape(-1, 2))
+    return make_graph(ids.size, np.concatenate(edges))
 
 
 def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:

@@ -13,11 +13,12 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, distance_matrix, twin_classes
+from .graph import Graph, GraphError, as_ids, distance_matrix, twin_classes
 from .routing import Pairing, Route, RoutePlan, make_pairing
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -105,6 +106,16 @@ def _residual_dist_all(adj, src: int, used: set, n: int) -> list[float]:
     return dist
 
 
+def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
+    """adj[v] lists (w, key of edge vw) for every neighbour w of v; keys
+    come in order, so every list is sorted by neighbour."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for u, v, e in zip(*(a.tolist() for a in g.endpoints()), g.keys.tolist()):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    return adj
+
+
 class _Search:
     """Backtracking search for pairwise edge-disjoint joining paths.
 
@@ -113,20 +124,25 @@ class _Search:
     distances of unrouted pairs exceeds the edge supply.
     """
 
-    def __init__(self, g: Graph, pairs: Sequence[tuple[int, int]], budget: int):
-        # keys come in order, so every list is sorted by neighbour
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for u, v, e in zip(*(a.tolist() for a in g.endpoints()),
-                           g.keys.tolist()):
-            self.adj[u].append((v, e))
-            self.adj[v].append((u, e))
-        self.n = g.n
-        self.e_total = g.edge_count
-        self.pairs = list(pairs)
+    def __init__(self, adj: list[list[tuple[int, int]]],
+                 pairs: Sequence[tuple[int, int]], budget: int):
+        self.adj = adj
+        self.n = len(adj)
+        self.e_total = sum(map(len, adj)) // 2
+        self.pairs = pairs
         self.budget = budget
         self.used: set = set()
         self.routed: list[list[int] | None] = [None] * len(pairs)
         self.nodes = 0
+
+    def run(self) -> str:
+        """FEASIBLE, with a path per pair in `routed`; INFEASIBLE once the
+        search space is exhausted; or CAP_HIT once `budget` nodes were
+        expanded."""
+        try:
+            return FEASIBLE if self.solve() else INFEASIBLE
+        except _CapHit:
+            return CAP_HIT
 
     def solve(self) -> bool:
         open_pairs = [i for i, r in enumerate(self.routed) if r is None]
@@ -187,22 +203,19 @@ def find_disjoint_paths(g: Graph, p: Pairing,
     Returns a verified-feasible plan, a proof of infeasibility (the search
     space is exhausted), or cap-hit once `budget` nodes were expanded.
     """
-    bad = next((v for pair in p.pairs for v in pair if not 0 <= v < g.n), None)
-    if bad is not None:
-        raise GraphError(f"pairing vertex {bad} out of range 0..{g.n - 1}")
-    search = _Search(g, p.pairs, budget)
-    try:
-        ok = search.solve()
-    except _CapHit:
-        return SearchResult(status=CAP_HIT, plan=None,
-                            nodes_expanded=search.nodes)
-    if not ok:
-        return SearchResult(status=INFEASIBLE, plan=None,
-                            nodes_expanded=search.nodes)
-    plan = RoutePlan.from_routes(
-        Route(x=x, y=y, path=tuple(path))
-        for (x, y), path in zip(p.pairs, search.routed))
-    return SearchResult(status=FEASIBLE, plan=plan, nodes_expanded=search.nodes)
+    values = [v for pair in p.pairs for v in pair]
+    bad = as_ids(values, g.n) < 0
+    if bad.any():
+        raise GraphError(f"pairing vertex {values[int(np.argmax(bad))]} out "
+                         f"of range 0..{g.n - 1}")
+    search = _Search(_adjacency(g), p.pairs, budget)
+    status = search.run()
+    plan = None
+    if status == FEASIBLE:
+        plan = RoutePlan.from_routes(
+            Route(x=x, y=y, path=tuple(path))
+            for (x, y), path in zip(p.pairs, search.routed))
+    return SearchResult(status=status, plan=plan, nodes_expanded=search.nodes)
 
 
 def enumerate_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -233,22 +246,21 @@ def pairing_count(n: int) -> int:
     return math.prod(range(1, n, 2))
 
 
-def _decide_partition(g: Graph, first_pair: tuple[int, int],
-                      rest: tuple[int, ...], budget: int):
-    """Scan all pairings extending first_pair; stop at the first infeasible
-    pairing (witness) or the first cap-hit."""
-    examined = 0
-    nodes = 0
-    for tail in enumerate_pairings(rest):
-        pairs = (first_pair,) + tail
-        result = find_disjoint_paths(g, Pairing(pairs=pairs), budget)
+def _decide_partition(g: Graph, c: int, budget: int):
+    """Scan the pairings that pair 0 with c, in canonical order, on one
+    adjacency; stop at the first that is not FEASIBLE.  Returns that status
+    (FEASIBLE if none) and pairing, and the pairings and nodes spent."""
+    adj = _adjacency(g)
+    examined = nodes = 0
+    for tail in enumerate_pairings(v for v in range(1, g.n) if v != c):
+        pairs = ((0, c),) + tail
+        search = _Search(adj, pairs, budget)
+        status = search.run()
         examined += 1
-        nodes += result.nodes_expanded
-        if result.status == INFEASIBLE:
-            return "witness", pairs, examined, nodes
-        if result.status == CAP_HIT:
-            return CAP_HIT, None, examined, nodes
-    return "clean", None, examined, nodes
+        nodes += search.nodes
+        if status != FEASIBLE:
+            return status, pairs, examined, nodes
+    return FEASIBLE, None, examined, nodes
 
 
 def is_path_pairable(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
@@ -265,36 +277,29 @@ def is_path_pairable(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
         raise ValueError(
             f"n={g.n} exceeds the enumeration guard {ENUMERATION_GUARD} "
             f"({pairing_count(g.n)} pairings)")
-    if g.n == 0:
-        return Verdict(status=PATH_PAIRABLE, witness=None,
-                       stats=SearchStats(0, 0))
-    rest_all = tuple(range(1, g.n))
-    partitions = [((0, c), tuple(v for v in rest_all if v != c))
-                  for c in rest_all]
+    scan = partial(_decide_partition, g, budget=budget)
     if workers <= 1:
-        results = (_decide_partition(g, fp, rest, budget)
-                   for fp, rest in partitions)
-        return _combine(results)
+        return _combine(map(scan, range(1, g.n)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_decide_partition, g, fp, rest, budget)
-                   for fp, rest in partitions]
-        return _combine(f.result() for f in futures)
+        return _combine(pool.map(scan, range(1, g.n)))
+
+
+_VERDICTS = {FEASIBLE: PATH_PAIRABLE, INFEASIBLE: NOT_PATH_PAIRABLE,
+             CAP_HIT: INCONCLUSIVE}
 
 
 def _combine(results) -> Verdict:
-    examined = 0
-    nodes = 0
+    """The verdict of partition results in partition order: the first
+    that is not FEASIBLE decides it."""
+    status, pairs = FEASIBLE, None
+    examined = nodes = 0
     for status, pairs, part_examined, part_nodes in results:
         examined += part_examined
         nodes += part_nodes
-        if status == "witness":
-            return Verdict(status=NOT_PATH_PAIRABLE,
-                           witness=make_pairing(pairs),
-                           stats=SearchStats(examined, nodes))
-        if status == CAP_HIT:
-            return Verdict(status=INCONCLUSIVE, witness=None,
-                           stats=SearchStats(examined, nodes))
-    return Verdict(status=PATH_PAIRABLE, witness=None,
+        if status != FEASIBLE:
+            break
+    return Verdict(status=_VERDICTS[status],
+                   witness=make_pairing(pairs) if status == INFEASIBLE else None,
                    stats=SearchStats(examined, nodes))
 
 

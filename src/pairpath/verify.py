@@ -138,7 +138,10 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     for s, own in bad_steps:
         pos, idx = int(step_pos[s]), int(step_route[s])
         u, v = values[pos], values[pos + 1]
-        e = (u, v) if u < v else (v, u)
+        try:
+            e = (u, v) if u < v else (v, u)
+        except TypeError:  # ends that do not compare, such as a string id
+            e = (u, v)
         entries.append((idx, 2, pos, Violation(
             kind=NOT_A_WALK, pair_indexes=(idx,), edge=e) if own is None
             else Violation(kind=EDGE_REUSED, pair_indexes=(own, idx),

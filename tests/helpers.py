@@ -1,6 +1,7 @@
 """Shared builders and oracles for the test suite."""
 from __future__ import annotations
 
+import operator
 import pathlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,6 +59,17 @@ def dumbbell(internals: int) -> Graph:
     return make_graph(10 + internals, k5a + k5b + chain)
 
 
+def neighbors(g: Graph, v: int) -> list[int]:
+    """The neighbours of v, ascending, read from g.csr."""
+    ptr = g.csr.indptr
+    return g.csr.indices[ptr[v]:ptr[v + 1]].tolist()
+
+
+def degrees(g: Graph) -> list[int]:
+    """The degree of every vertex, read from g.csr."""
+    return np.diff(g.csr.indptr).tolist()
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
@@ -97,17 +109,22 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
                     vertex=path[0] if path else None))
         seen_vertices: set[int] = set()
         for v in path:
-            if not (0 <= v < n):
+            if not _is_id(v, n):
                 violations.append(Violation(
                     kind=NOT_A_WALK, pair_indexes=(idx,), vertex=v))
             elif v in seen_vertices:
                 warnings.append(PlanWarning(
                     kind="vertex-repeated", pair_index=idx, vertex=v))
-            seen_vertices.add(v)
+            else:
+                seen_vertices.add(v)
         for u, v in zip(path, path[1:]):
-            # out-of-range ids and self-loops are never in the edge set
-            e = (u, v) if u < v else (v, u)
-            if e not in edges:
+            try:
+                e = (u, v) if u < v else (v, u)
+            except TypeError:  # ends that do not compare, such as a string
+                e = (u, v)
+            # a step with an end that is no id, such as 1.0 though it
+            # equals 1, is never in the edge set, nor is a self-loop
+            if not (_is_id(u, n) and _is_id(v, n)) or e not in edges:
                 violations.append(Violation(
                     kind=NOT_A_WALK, pair_indexes=(idx,), edge=e))
                 continue
@@ -125,6 +142,16 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
     return VerificationReport(ok=not violations,
                               violations=tuple(violations),
                               warnings=tuple(warnings))
+
+
+def _is_id(v: object, n: int) -> bool:
+    """Whether v is a vertex id: an integer (what operator.index accepts, so
+    no float or string) in 0..n-1."""
+    try:
+        return 0 <= operator.index(v) < n
+    except TypeError:
+        return False
+
 
 def reference_route(b: BlownCycle, p: Pairing) -> RoutePlan:
     """Oracle: route as loops over pairs and walk steps.  Orients each pair,
@@ -223,7 +250,7 @@ def bfs_layers(g: Graph, root: int) -> LayerProfile:
         layers.append(tuple(sorted(frontier)))
         nxt = []
         for v in frontier:
-            for w in g.neighbors(v):
+            for w in neighbors(g, v):
                 if not seen[w]:
                     seen[w] = True
                     nxt.append(w)
@@ -414,7 +441,7 @@ def dense_distances(g: Graph) -> np.ndarray:
         while frontier:
             nxt = []
             for v in frontier:
-                for w in g.neighbors(v):
+                for w in neighbors(g, v):
                     if dist[root, w] < 0:
                         dist[root, w] = dist[root, v] + 1
                         nxt.append(w)

@@ -1,16 +1,17 @@
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairpath.graph as graph_module
-from helpers import (ORACLE_GRAPHS, bfs_layers, dense_diameter,
+from helpers import (ORACLE_GRAPHS, bfs_layers, degrees, dense_diameter,
                      dense_distances, dense_eccentricities, edge_cut_size,
-                     graphs_with_twins, path_graph, to_networkx)
+                     graphs_with_twins, neighbors, path_graph, to_networkx)
 from pairpath.blowup import build
-from pairpath.graph import (FamilySpec, GraphError, diameter, distance_matrix,
-                            eccentricities, generate, make_graph,
-                            twin_classes)
+from pairpath.graph import (FamilySpec, GraphError, as_ids, diameter,
+                            distance_matrix, eccentricities, generate,
+                            make_graph, twin_classes)
 
 
 def connected_graphs(max_n=10):
@@ -29,13 +30,13 @@ def connected_graphs(max_n=10):
 
 def test_make_graph_c4_degrees():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert [g.degree(v) for v in range(4)] == [2, 2, 2, 2]
+    assert degrees(g) == [2, 2, 2, 2]
 
 
 def test_make_graph_collapses_duplicates():
     g = make_graph(2, [(0, 1), (1, 0)])
     assert g.edge_count == 1
-    assert [g.neighbors(v) for v in range(2)] == [[1], [0]]
+    assert [neighbors(g, v) for v in range(2)] == [[1], [0]]
 
 
 def test_make_graph_rejects_out_of_range():
@@ -66,6 +67,25 @@ def test_make_graph_names_a_row_that_is_no_pair():
             make_graph(3, edges)
 
 
+def test_make_graph_refuses_non_integer_ids():
+    # an id is what operator.index accepts; nothing is truncated or parsed
+    for edges, named in (([(0, 1), (0.7, 1)], r"\(0\.7,1\)"),
+                         (np.array([[0.5, 1.9]]), r"\(0\.5,1\.9\)"),
+                         ([(0, 1), ("1", 2)], r"\('1',2\)"),
+                         ([(1.0, 2)], r"\(1\.0,2\)")):
+        with pytest.raises(GraphError,
+                           match=f"^edge {named} has id out of range 0..2$"):
+            make_graph(3, edges)
+    g = make_graph(3, [(np.int64(0), 1), (True, np.uint8(2))])
+    assert g.sorted_edges() == [(0, 1), (1, 2)]
+
+
+def test_as_ids_reads_every_non_id_as_minus_one():
+    values = [0, 2, 3, -1, 2**70, 1.0, 0.4, "1", None, np.int64(1)]
+    assert as_ids(values, 3).tolist() == [0, 2] + [-1] * 7 + [1]
+    assert as_ids([], 3).dtype == np.int64
+
+
 def test_make_graph_rejects_keys_beyond_int64():
     top = graph_module.MAX_VERTICES
     g = make_graph(top, [(top - 2, top - 1), (0, top - 1)])
@@ -82,7 +102,7 @@ def test_make_graph_rejects_keys_beyond_int64():
 def test_generate_hypercube3(q3):
     assert q3.n == 8
     assert q3.edge_count == 12
-    assert all(q3.degree(v) == 3 for v in range(8))
+    assert degrees(q3) == [3] * 8
 
 
 def test_generate_hypercube_matches_networkx():
@@ -93,10 +113,37 @@ def test_generate_hypercube_matches_networkx():
     assert set(g.sorted_edges()) == expected
 
 
+@pytest.mark.parametrize("family, params", [
+    *[("complete", (k,)) for k in range(1, 9)],
+    *[("hypercube", (d,)) for d in range(1, 6)],
+    ("grid2", (1, 1)), ("grid2", (1, 4)), ("grid2", (3, 4)), ("grid2", (5, 2)),
+    ("grid3", (1, 1, 1)), ("grid3", (2, 2, 3)), ("grid3", (3, 1, 4)),
+    ("grid3", (3, 3, 3))])
+def test_product_families_match_brute_force(family, params):
+    # each is a product of complete graphs with row-major ids: an edge is
+    # every pair of ids whose coordinates differ in exactly one place
+    dims = (2,) * params[0] if family == "hypercube" else params
+    n = 1
+    for d in dims:
+        n *= d
+
+    def coords(v):
+        out = []
+        for d in reversed(dims):
+            v, c = divmod(v, d)
+            out.append(c)
+        return out
+
+    expected = [(u, v) for u in range(n) for v in range(u + 1, n)
+                if sum(a != b for a, b in zip(coords(u), coords(v))) == 1]
+    g = generate(FamilySpec(family, params))
+    assert (g.n, g.sorted_edges()) == (n, expected)
+
+
 def test_generate_petersen_structure(petersen):
     assert petersen.n == 10
     assert petersen.edge_count == 15
-    assert all(petersen.degree(v) == 3 for v in range(10))
+    assert degrees(petersen) == [3] * 10
     # girth 5 by brute force: shortest cycle through each vertex
     girth = min(_shortest_cycle_through(petersen, v) for v in range(10))
     assert girth == 5
@@ -111,7 +158,7 @@ def _shortest_cycle_through(g, root):
     while frontier:
         nxt = []
         for v in frontier:
-            for w in g.neighbors(v):
+            for w in neighbors(g, v):
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     parent[w] = v
@@ -125,20 +172,20 @@ def _shortest_cycle_through(g, root):
 def test_generate_grid2_degrees():
     g = generate(FamilySpec("grid2", (3, 4)))
     assert g.n == 12
-    assert all(g.degree(v) == 5 for v in range(12))
+    assert degrees(g) == [5] * 12
 
 
 def test_generate_grid3_matches_product():
     g = generate(FamilySpec("grid3", (2, 2, 3)))
     assert g.n == 12
-    assert all(g.degree(v) == 1 + 1 + 2 for v in range(12))
+    assert degrees(g) == [1 + 1 + 2] * 12
 
 
 def test_generate_complete_bipartite():
     g = generate(FamilySpec("complete-bipartite", (2, 3)))
     assert g.edge_count == 6
     # part A (2 vertices) sees all of B and vice versa
-    assert [g.degree(v) for v in range(5)] == [3, 3, 2, 2, 2]
+    assert degrees(g) == [3, 3, 2, 2, 2]
 
 
 def test_generate_rejects_bad_parameters():
@@ -224,7 +271,7 @@ def test_edge_cut_rejects_trivial_sides(c4):
 @given(connected_graphs())
 @settings(max_examples=60, deadline=None)
 def test_handshake_identity(g):
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
+    assert sum(degrees(g)) == 2 * g.edge_count
 
 
 @given(connected_graphs())
@@ -312,10 +359,9 @@ def test_metrics_match_oracle_on_families(name):
     assert diameter(g) == dense_diameter(g)
     assert eccentricities(g) == dense_eccentricities(g)
     h = to_networkx(g)
-    assert [g.neighbors(v) for v in range(g.n)] == [sorted(h[v])
+    assert [neighbors(g, v) for v in range(g.n)] == [sorted(h[v])
                                                      for v in range(g.n)]
-    assert [g.degree(v) for v in range(g.n)] == [h.degree(v)
-                                                 for v in range(g.n)]
+    assert degrees(g) == [h.degree(v) for v in range(g.n)]
     assert g.max_degree == max(d for _, d in h.degree)
     assert g.sorted_edges() == sorted(tuple(sorted(e)) for e in h.edges)
     assert g.edge_count == h.number_of_edges()

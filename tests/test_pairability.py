@@ -14,7 +14,7 @@ from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
                                   diameter_upper_bound, enumerate_pairings,
                                   find_disjoint_paths, is_path_pairable,
                                   pairing_count, screen)
-from pairpath.routing import make_pairing
+from pairpath.routing import Pairing, make_pairing
 from pairpath.verify import verify_plan
 
 import pairpath.pairability as pairability_module
@@ -51,6 +51,31 @@ def test_find_disjoint_paths_rejects_out_of_range_vertex(c4):
     with pytest.raises(GraphError,
                        match=r"^pairing vertex 9 out of range 0\.\.3$"):
         find_disjoint_paths(c4, make_pairing([(0, 9)]))
+    # a Pairing built directly may hold a non-integer; it is no vertex
+    with pytest.raises(GraphError,
+                       match=r"^pairing vertex 0\.5 out of range 0\.\.3$"):
+        find_disjoint_paths(c4, Pairing(pairs=((1, 3), (0.5, 2))))
+
+
+def test_empty_graph_is_path_pairable():
+    # no vertex, so no pairing to refute and no partition to scan
+    for workers in (1, 2):
+        verdict = is_path_pairable(make_graph(0, []), workers=workers)
+        assert (verdict.status, verdict.witness, verdict.stats) \
+            == (PATH_PAIRABLE, None, SearchStats(0, 0))
+
+
+def test_scan_builds_one_adjacency_per_partition_and_no_plans(monkeypatch):
+    built = []
+    real = pairability_module._adjacency
+    monkeypatch.setattr(pairability_module, "_adjacency",
+                        lambda g: built.append(g) or real(g))
+    # the scan searches each pairing itself, without the one-pairing API
+    monkeypatch.setattr(pairability_module, "find_disjoint_paths", None)
+    monkeypatch.setattr(pairability_module, "RoutePlan", None)
+    verdict = is_path_pairable(generate(FamilySpec("grid2", (2, 3))))
+    assert verdict.stats.pairings_examined == 15
+    assert len(built) == 5  # one per first pair (0, c)
 
 
 def test_q3_is_path_pairable(q3):

@@ -208,10 +208,13 @@ BAD_IDS = {"out-of-range": lambda n: st.integers(n, n + 3),
            "negative": lambda n: st.integers(-3, -1),
            "int64-extreme": lambda n: st.sampled_from([2**63 - 1, -2**63]),
            "beyond-int64": lambda n: st.sampled_from(
-               [2**63, -2**63 - 1, 10**30])}
+               [2**63, -2**63 - 1, 10**30]),
+           # no integers, so no ids, even where they equal one
+           "float": lambda n: st.sampled_from([0.5, 1.0, n - 1.5, float(n)]),
+           "string": lambda n: st.sampled_from(["0", "1", str(n)])}
 MUTATIONS = tuple(BAD_IDS) + (
-    "bad-pair", "reverse", "double-back", "empty", "extra", "drop",
-    "reuse-within", "reuse-across", "drop-pair")
+    "bad-pair", "bad-ends", "reverse", "double-back", "empty", "extra",
+    "drop", "reuse-within", "reuse-across", "drop-pair")
 
 
 @st.composite
@@ -254,6 +257,17 @@ def mutated_plans(draw):
                 pair = list(pairs[i])
                 pair[draw(st.integers(0, 1))] = bad
                 pairs[i] = tuple(pair)
+        elif kind == "bad-ends" and i < len(pairs):
+            # the path end, y and the pair's other end become three distinct
+            # out-of-range ids, which the array check all reads as -1; the
+            # pair keeps its smaller end, and with it its place in the order
+            end, bad_y, paired = draw(st.lists(
+                BAD_IDS["out-of-range"](g.n), min_size=3, max_size=3,
+                unique=True))
+            keep = min(pairs[i])
+            if all(paired not in pair for pair in pairs):
+                routes[i] = [keep, bad_y, [keep] + path[1:-1] + [end]]
+                pairs[i] = (keep, paired)
         elif kind == "reverse":
             routes[i] = ([y, x] if draw(st.booleans()) else [x, y]) \
                 + [path[::-1]]
@@ -284,6 +298,28 @@ def test_reports_match_the_reference_loop(case):
     g, pairing, plan = case
     assert verify_plan(g, pairing, plan).to_json() \
         == reference_verify_plan(g, pairing, plan).to_json()
+
+
+def test_non_integer_ids_are_no_vertices():
+    # ids are integers, so 0.4, 1.2 and 2.0 are none, though 2.0 == 2 and
+    # truncating would give the walk 0, 1, 2
+    g = make_graph(3, [(0, 1), (1, 2)])
+    pairing = make_pairing([(0, 2)])
+    expected = {
+        (0.4, 1.2, 2.0): [(ENDPOINT_NOT_IN_PAIRING, 0.4, None),
+                          (NOT_A_WALK, 0.4, None), (NOT_A_WALK, 1.2, None),
+                          (NOT_A_WALK, 2.0, None),
+                          (NOT_A_WALK, None, (0.4, 1.2)),
+                          (NOT_A_WALK, None, (1.2, 2.0))],
+        (0, "1", 2): [(NOT_A_WALK, "1", None), (NOT_A_WALK, None, (0, "1")),
+                      (NOT_A_WALK, None, ("1", 2))]}
+    for path, found in expected.items():
+        plan = plan_of(path)
+        report = verify_plan(g, pairing, plan)
+        assert [(v.kind, v.vertex, v.edge) for v in report.violations] \
+            == found
+        assert report.to_json() \
+            == reference_verify_plan(g, pairing, plan).to_json()
 
 
 @pytest.mark.parametrize("end, y, paired", [(10**31, -7, 10**30),

@@ -7,9 +7,11 @@ into q perfect "shift" matchings: shift j pairs (i, a) with (i+1, (a+j) mod q).
 Shifts 1..m are reserved for the transport phase of the router; the remaining
 3m+3 shifts (0 and m+1..4m+2) stay free for the completion phase.
 
-Class size 4m+3 is the smallest for which m reserved perfect matchings, a free
-degree of 3m+3 per vertex, and at least 2m+3 common free neighbors for every
-same-class vertex pair coexist; see README for the arithmetic.
+Any two vertices of one class share at least q-2m free neighbours, and the
+router's greedy closes every task while q-2m > 2m, so any q >= 4m+1 would do.
+Class size 4m+3 is the paper's choice: it gives 2m+3 common free neighbours,
+3 more than the at most 2m that a task can find blocked (see the routing
+docstring and README).  build takes no q.
 """
 from __future__ import annotations
 

@@ -147,7 +147,7 @@ def _cmd_screen(args) -> int:
 def _cmd_stats(args) -> int:
     g, _ = _resolve_graph(args)
     d = diameter(g)
-    ratio = d / pairability.diameter_upper_bound(g.n) if g.n else 0.0
+    ratio = d / pairability.diameter_upper_bound(g.n)
     print(f"n {g.n}")
     print(f"edges {g.edge_count}")
     print(f"max_degree {g.max_degree}")

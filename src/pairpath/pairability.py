@@ -71,10 +71,9 @@ class _CapHit(Exception):
 
 
 def _residual_dist(adj, src: int, dst: int, used: set) -> float:
-    """Hop distance from src to dst avoiding used edges; inf if cut off.
-    adj[v] lists (w, key of edge vw) by ascending w; used holds keys."""
-    if src == dst:
-        return 0
+    """Hop distance from src to dst (distinct, as a pair's ends are)
+    avoiding used edges; inf if cut off.  adj[v] lists (w, key of edge vw)
+    by ascending w; used holds keys."""
     dist = {src: 0}
     frontier = [src]
     while frontier:

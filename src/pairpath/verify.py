@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .graph import Graph, as_ids, edge_keys, first_claims
-from .routing import Pairing, Route, RoutePlan
+from .routing import Pairing, RoutePlan
 
 NOT_A_WALK = "not-a-walk"
 WRONG_ENDPOINTS = "wrong-endpoints"
@@ -66,6 +66,12 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     endpoints of pair i, and no edge may be used twice anywhere.  All problems
     become report entries; nothing raises.
 
+    A route's ends are right when both are ids, equal its x and y, and form
+    its pair.  Otherwise its endpoint entry is endpoint-not-in-pairing
+    naming the first of path[0], path[-1] that is no pair's endpoint (an
+    end that is no id never is), else wrong-endpoints naming path[0], or
+    None for an empty path.
+
     Entries come per route, in route order: the endpoint problem, then the
     route's bad vertex ids in path order, then its bad steps in path order;
     routes for missing pairs come last.  A step reuses an edge when an
@@ -84,25 +90,29 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     in_range = flat >= 0
     entries: list[tuple[int, int, int, Violation]] = []
 
-    # endpoints: compared as arrays, checked again in Python where flagged;
-    # distinct bad ids all read -1, so only in-range ends can match, and
-    # the -1 appended keeps an empty path's (masked) reads in bounds
+    # endpoints: judged from the ids alone; every bad id reads -1, so only
+    # in-range ends can match, and the -1 appended keeps an empty path's
+    # (masked) reads in bounds
     padded = np.append(flat, -1)
     first, last = padded[ends - lens], padded[ends - 1]
-    a, b = as_ids(list(chain.from_iterable(p.pairs[:len(paths)])),
-                  n).reshape(-1, 2).T
+    pair_ids = as_ids(list(chain.from_iterable(p.pairs)), n)
+    a, b = pair_ids[:2 * len(paths)].reshape(-1, 2).T
     ends_ok = (lens > 0) & (first >= 0) & (last >= 0) \
         & (first == as_ids([r.x for r in routes], n)) \
         & (last == as_ids([r.y for r in routes], n)) \
         & (((first == a) & (last == b)) | ((first == b) & (last == a)))
-    flagged = np.flatnonzero(~ends_ok).tolist()
-    if flagged:
-        endpoint_set = p.endpoints()
-        for idx in flagged:
-            bad = _endpoint_violation(idx, routes[idx], p.pairs[idx],
-                                      endpoint_set)
-            if bad is not None:
-                entries.append((idx, 0, 0, bad))
+    flagged = np.flatnonzero(~ends_ok)
+    if flagged.size:  # a valid plan skips the lookup
+        # a stray end is one whose id (-1 for none) no pair mentions
+        stray = ~np.isin(np.stack([first[flagged], last[flagged]]),
+                         pair_ids[pair_ids >= 0]) & (lens[flagged] > 0)
+        for idx, at_first, at_last in zip(flagged.tolist(), *stray.tolist()):
+            path = paths[idx]  # a stray end makes the path nonempty
+            entries.append((idx, 0, 0, Violation(
+                kind=ENDPOINT_NOT_IN_PAIRING if at_first or at_last
+                else WRONG_ENDPOINTS, pair_indexes=(idx,),
+                vertex=(path[-1] if at_last and not at_first else path[0])
+                if path else None)))
     for idx in range(len(paths), len(plan.routes)):
         entries.append((idx, 0, 0, Violation(
             kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
@@ -158,20 +168,3 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
                               violations=tuple(violations),
                               warnings=tuple(warnings))
 
-
-def _endpoint_violation(idx: int, route: Route, pair: tuple[int, int],
-                        endpoint_set: frozenset[int]) -> Violation | None:
-    """The endpoint problem of route idx, if it has one: a path end that no
-    pair mentions, else ends that are not pair idx or not the route's own
-    x and y."""
-    path = route.path
-    ends = {path[0], path[-1]} if path else set()
-    if path and ends == set(pair) and path[0] == route.x \
-            and path[-1] == route.y:
-        return None
-    stray = next((v for v in ends if v not in endpoint_set), None)
-    if stray is not None:
-        return Violation(kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
-                         vertex=stray)
-    return Violation(kind=WRONG_ENDPOINTS, pair_indexes=(idx,),
-                     vertex=path[0] if path else None)

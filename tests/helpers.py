@@ -95,10 +95,14 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
                 kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
                 vertex=route.x))
             continue
-        ends = {path[0], path[-1]} if path else set()
-        if not path or ends != set(p.pairs[idx]) \
-                or path[0] != route.x or path[-1] != route.y:
-            stray = next((v for v in ends if v not in endpoint_set), None)
+        # ends count only as ids, tried in path order; an end equal to an
+        # id but no integer, such as 2.0, is no pair's endpoint
+        ends = [path[0], path[-1]] if path else []
+        if not (path and all(_is_id(v, n) for v in ends + [route.x, route.y])
+                and set(ends) == set(p.pairs[idx])
+                and path[0] == route.x and path[-1] == route.y):
+            stray = next((v for v in ends
+                          if not (_is_id(v, n) and v in endpoint_set)), None)
             if stray is not None:
                 violations.append(Violation(
                     kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),

@@ -150,6 +150,9 @@ def test_free_common_neighbors_rejects_bad_input(blown2):
         free_common_neighbors(blown2, 5, 5)
     with pytest.raises(BlowupError, match="different classes"):
         free_common_neighbors(blown2, blown2.vertex(0, 1), blown2.vertex(1, 1))
+    for u, v, bad in ((0, blown2.n, blown2.n), (-1, 1, -1)):
+        with pytest.raises(BlowupError, match=f"vertex {bad} out of range"):
+            free_common_neighbors(blown2, u, v)
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -421,6 +421,17 @@ def test_stats_graph_beyond_int64_keys_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: vertex count 10000000000 exceeds")
+    target.write_text('{"n": -1, "edges": []}')
+    assert run(capsys, "stats", "--graph", str(target)) \
+        == (2, "", "error: vertex count must be nonnegative, got -1\n")
+
+
+def test_stats_empty_graph_exits_two(capsys, tmp_path):
+    # diameter raises before the bound ratio is computed
+    target = tmp_path / "empty.json"
+    target.write_text('{"n": 0, "edges": []}')
+    assert run(capsys, "stats", "--graph", str(target)) \
+        == (2, "", "error: empty graph has no distances\n")
 
 
 def test_edgelist_with_non_integer_count_exits_two(capsys, tmp_path):

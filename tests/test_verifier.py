@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import tracemalloc
 from collections.abc import Mapping
 
 import networkx as nx
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairpath
 from helpers import ORACLE_GRAPHS, reference_verify_plan, to_networkx
 from pairpath.blowup import build
 from pairpath.formats import loads_plan
@@ -312,7 +317,10 @@ def test_non_integer_ids_are_no_vertices():
                           (NOT_A_WALK, None, (0.4, 1.2)),
                           (NOT_A_WALK, None, (1.2, 2.0))],
         (0, "1", 2): [(NOT_A_WALK, "1", None), (NOT_A_WALK, None, (0, "1")),
-                      (NOT_A_WALK, None, ("1", 2))]}
+                      (NOT_A_WALK, None, ("1", 2))],
+        # 2.0 equals the pair's end 2 but is no id, so no pair's endpoint
+        (0, 1, 2.0): [(ENDPOINT_NOT_IN_PAIRING, 2.0, None),
+                      (NOT_A_WALK, 2.0, None), (NOT_A_WALK, None, (1, 2.0))]}
     for path, found in expected.items():
         plan = plan_of(path)
         report = verify_plan(g, pairing, plan)
@@ -338,3 +346,43 @@ def test_distinct_bad_ids_at_path_end_route_y_and_pair_differ(end, y,
     assert report.to_json() == reference_verify_plan(g, pairing, plan).to_json()
     assert (report.violations[0].kind, report.violations[0].vertex) \
         == (ENDPOINT_NOT_IN_PAIRING, end)
+
+
+_STRAY_ENDS_REPORT = """
+from pairpath.graph import make_graph
+from pairpath.routing import Route, RoutePlan, make_pairing
+from pairpath.verify import verify_plan
+plan = RoutePlan(routes=(Route("a", "b", ("a", 1, "b")),), used_edges={})
+print(verify_plan(make_graph(3, [(0, 1), (1, 2)]), make_pairing([(0, 2)]),
+                  plan).to_json(), end="")
+"""
+
+
+def test_two_stray_ends_name_the_first_under_any_hash_seed():
+    # both ends are strays; the entry names path[0] in every process, where
+    # a set of the ends would follow the string hash seed
+    g = make_graph(3, [(0, 1), (1, 2)])
+    report = verify_plan(g, make_pairing([(0, 2)]), plan_of(("a", 1, "b")))
+    assert (report.violations[0].kind, report.violations[0].vertex) \
+        == (ENDPOINT_NOT_IN_PAIRING, "a")
+    src = str(pathlib.Path(pairpath.__file__).parents[1])
+    outs = {subprocess.run(
+        [sys.executable, "-c", _STRAY_ENDS_REPORT], capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}).stdout
+        for seed in ("1", "2")}
+    assert outs == {report.to_json()}
+
+
+def test_stray_end_on_a_huge_graph_allocates_nothing_of_size_n():
+    # n = 10**9: one bool or int per vertex would take at least 1 GB
+    g = make_graph(10**9, [(0, 1), (1, 2)])
+    tracemalloc.start()
+    try:
+        report = verify_plan(g, make_pairing([(0, 2)]), plan_of([0, 1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [(v.kind, v.vertex) for v in report.violations] \
+        == [(ENDPOINT_NOT_IN_PAIRING, 1)]

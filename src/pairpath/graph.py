@@ -13,11 +13,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 Edge = tuple[int, int]
 
@@ -116,6 +117,9 @@ class Graph:
     @cached_property
     def csr(self) -> csr_matrix:
         """Symmetric 0/1 adjacency matrix with sorted rows."""
+        # scipy is imported on first use, so commands that need no
+        # adjacency matrix or distances start without it
+        from scipy.sparse import csr_matrix
         us, vs = self.endpoints()
         a = csr_matrix((np.ones(2 * len(us), dtype=np.int8),
                         (np.concatenate([us, vs]), np.concatenate([vs, us]))),
@@ -297,6 +301,7 @@ def distance_matrix(g: Graph, sources: Sequence[int] | None = None
                     ) -> np.ndarray:
     """Hop distances from each vertex of `sources` (default: every vertex) as
     a (len(sources), n) int array.  Raises if disconnected."""
+    from scipy.sparse.csgraph import shortest_path
     if g.n == 0:
         raise GraphError("empty graph has no distances")
     dist = shortest_path(g.csr, method="D", unweighted=True,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Sequence
@@ -279,6 +278,7 @@ def is_path_pairable(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     scan = partial(_decide_partition, g, budget=budget)
     if workers <= 1:
         return _combine(map(scan, range(1, g.n)))
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return _combine(pool.map(scan, range(1, g.n)))
 

@@ -85,7 +85,8 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
     violations: list[Violation] = []
     warnings: list[PlanWarning] = []
     n, edges = g.n, set(g.sorted_edges())
-    endpoint_set = p.endpoints()
+    # a pair value that is no id, such as 2.0, is no endpoint
+    endpoint_set = {v for v in p.endpoints() if _is_id(v, n)}
     owner: dict[tuple[int, int], int] = {}
 
     for idx, route in enumerate(plan.routes):
@@ -98,8 +99,10 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
         # ends count only as ids, tried in path order; an end equal to an
         # id but no integer, such as 2.0, is no pair's endpoint
         ends = [path[0], path[-1]] if path else []
-        if not (path and all(_is_id(v, n) for v in ends + [route.x, route.y])
-                and set(ends) == set(p.pairs[idx])
+        pair = list(p.pairs[idx])
+        if not (path and all(_is_id(v, n)
+                             for v in ends + [route.x, route.y] + pair)
+                and set(ends) == set(pair)
                 and path[0] == route.x and path[-1] == route.y):
             stray = next((v for v in ends
                           if not (_is_id(v, n) and v in endpoint_set)), None)

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pairpath
 import pairpath.blowup as blowup_module
 import pairpath.routing as routing_module
 from pairpath.cli import main
@@ -450,3 +455,35 @@ def test_malformed_graph_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "screen", "--graph", str(target))
     assert code == 2
     assert "error:" in err
+
+
+# ---------------------------------------------------------------- imports
+
+
+_IMPORTS_PER_COMMAND = """
+import contextlib, io, sys
+from pairpath.cli import main
+tmp = sys.argv[1]
+graph, plan = f"{tmp}/b3.json", f"{tmp}/p3.json"
+runs = [["generate", "--family", "blown-cycle", "--m", "3", "-o", graph],
+        ["route", "--graph", graph, "--random", "5", "-o", plan],
+        ["verify", "--plan", plan, "--graph", graph],
+        ["decide", "--family", "cycle", "--k", "4"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+    heavy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                   or m == "concurrent.futures.process")
+    codes.append(main(["stats", "--family", "blown-cycle", "--m", "2"]))
+print(codes, heavy, "scipy" in sys.modules)
+"""
+
+
+def test_only_stats_and_screen_import_scipy(tmp_path):
+    # scipy takes most of a command's start-up, and only Graph.csr and
+    # distance_matrix use it; a pool is started only for decide --workers
+    src = str(pathlib.Path(pairpath.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_PER_COMMAND, str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[0, 0, 0, 1, 0] [] True\n"

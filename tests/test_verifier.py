@@ -386,3 +386,16 @@ def test_stray_end_on_a_huge_graph_allocates_nothing_of_size_n():
     assert peak < 2**20
     assert [(v.kind, v.vertex) for v in report.violations] \
         == [(ENDPOINT_NOT_IN_PAIRING, 1)]
+
+
+def test_pair_value_that_is_no_id_is_no_endpoint():
+    # a Pairing built directly keeps 2.0, which equals the path's end 2 but
+    # is no id, so the pair has one endpoint and the end 2 is a stray
+    g = make_graph(3, [(0, 1), (1, 2)])
+    pairing = Pairing(((0, 2.0),))
+    plan = plan_of((0, 1, 2))
+    report = verify_plan(g, pairing, plan)
+    assert [(v.kind, v.vertex) for v in report.violations] \
+        == [(ENDPOINT_NOT_IN_PAIRING, 2)]
+    assert report.to_json() \
+        == reference_verify_plan(g, pairing, plan).to_json()

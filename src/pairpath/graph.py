@@ -13,12 +13,9 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 Edge = tuple[int, int]
 
@@ -69,6 +66,27 @@ def edge_keys(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
+class Adjacency(NamedTuple):
+    """Compressed sparse rows of a symmetric adjacency: the neighbours of
+    vertex v are indices[indptr[v]:indptr[v + 1]], ascending; both arrays
+    int64 and read-only."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+class Quotient(NamedTuple):
+    """The false-twin quotient H of a graph (see `twin_classes`): class k
+    holds sizes[k] vertices, the smallest of them reps[k], and cls[v] is
+    the class of v.  Two classes are adjacent in H when their members are,
+    and `adj` holds H's adjacency."""
+
+    reps: list[int]
+    cls: np.ndarray
+    sizes: np.ndarray
+    adj: Adjacency
+
+
 def first_claims(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stable sort order of keys, and for each key in that order whether
     it is the first claim of its value: the first of a run of equal keys."""
@@ -85,9 +103,9 @@ class Graph:
 
     `keys` is the one stored representation of the edge set: the sorted,
     duplicate-free int64 keys u*n + v with u < v (see `edge_keys`),
-    read-only.  `endpoints` decodes them, and `csr` derives the adjacency
-    matrix from them on first use.  Equality and hash use n and the keys,
-    not the labels.
+    read-only.  `endpoints` decodes them; `csr` derives the adjacency lists
+    and `quotient` the false-twin quotient from them, each on first use.
+    Equality and hash use n and the keys, not the labels.
     """
 
     n: int
@@ -115,17 +133,24 @@ class Graph:
         return found
 
     @cached_property
-    def csr(self) -> csr_matrix:
-        """Symmetric 0/1 adjacency matrix with sorted rows."""
-        # scipy is imported on first use, so commands that need no
-        # adjacency matrix or distances start without it
-        from scipy.sparse import csr_matrix
+    def csr(self) -> Adjacency:
+        """Adjacency lists in compressed sparse rows, derived from `keys`."""
         us, vs = self.endpoints()
-        a = csr_matrix((np.ones(2 * len(us), dtype=np.int8),
-                        (np.concatenate([us, vs]), np.concatenate([vs, us]))),
-                       shape=(self.n, self.n))
-        a.sort_indices()
-        return a
+        # the entry for w in row v has the key v*n + w, so both orientations
+        # of every edge, sorted by key, are the rows one after another
+        entries = np.concatenate([self.keys, vs * self.n + us])
+        entries.sort()
+        indices = entries % self.n
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(us, minlength=self.n)
+                  + np.bincount(vs, minlength=self.n), out=indptr[1:])
+        indptr.flags.writeable = indices.flags.writeable = False
+        return Adjacency(indptr, indices)
+
+    @cached_property
+    def quotient(self) -> Quotient:
+        """The false-twin quotient, built on first use (see `twin_classes`)."""
+        return _quotient(self)
 
     @property
     def max_degree(self) -> int:
@@ -274,18 +299,17 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     is ascending, and cls[v] is the class of v.  Swapping two false twins is
     an automorphism, so twins share eccentricity, BFS layer sizes and
     layered-cut counts; their distance rows differ only by that swap.
+    `Graph.quotient` keeps the classes, so a command finds them once.
 
     Every caller goes on to distances, so a graph with n >= 2 and n > 2E,
     which must leave some vertex isolated, raises GraphError here, before
     the n-sized CSR arrays are built.
     """
     if g.n >= 2 and g.n > 2 * g.edge_count:
-        touched = np.unique(np.concatenate(g.endpoints()))
-        gaps = np.flatnonzero(touched != np.arange(len(touched)))
-        v = int(gaps[0]) if gaps.size else len(touched)
+        v = _touched(g)[2]
         u = 1 if v == 0 else 0
         raise GraphError(f"graph is disconnected: vertex {v} unreachable from {u}")
-    ptr, indices = g.csr.indptr, g.csr.indices
+    ptr, indices = g.csr
     index: dict[bytes, int] = {}
     reps: list[int] = []
     cls = np.empty(g.n, dtype=np.intp)
@@ -297,27 +321,144 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     return reps, cls
 
 
+def _quotient(g: Graph) -> Quotient:
+    """The twin classes and their adjacency, read off the representatives'
+    neighbour lists: a representative is adjacent to every member of each
+    class next to its own, and to nothing else."""
+    reps, cls = twin_classes(g)
+    k = len(reps)
+    ptr, indices = g.csr
+    first = ptr[reps]
+    deg = ptr[1:][reps] - first
+    # the neighbours of every representative, one list after another
+    at = np.arange(deg.sum()) + np.repeat(first - np.cumsum(deg) + deg, deg)
+    pairs = np.unique(np.repeat(np.arange(k), deg) * k + cls[indices[at]])
+    rows, neighbours = np.divmod(pairs, k)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    sizes = np.bincount(cls, minlength=k)
+    for kept in (cls, sizes, indptr, neighbours):
+        kept.flags.writeable = False
+    return Quotient(reps, cls, sizes, Adjacency(indptr, neighbours))
+
+
+# bit j of a uint64 word stands for the j-th source of a chunk
+_BITS = np.arange(64, dtype=np.uint64)
+
+
+def _bfs(adj: Adjacency, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from each of the distinct `sources` as a
+    (len(sources), V) int64 array, -1 where unreachable.
+
+    A bit-parallel multi-source BFS (Then et al., "The More the Merrier",
+    PVLDB 2014): one uint64 word per vertex carries up to 64 sources, and a
+    level is one gather of the frontier words along every adjacency entry
+    and one bitwise-or reduction per row.  Chunks of 64 sources run one
+    after another, so memory stays O(V + E) beside the result.
+    """
+    ptr, indices = adj
+    dist = np.full((len(sources), len(ptr) - 1), -1, dtype=np.int64)
+    rows = np.flatnonzero(np.diff(ptr))  # reduceat needs nonempty rows
+    for lo in range(0, len(sources), 64):
+        chunk = sources[lo:lo + 64]
+        block = dist[lo:lo + 64]
+        block[np.arange(len(chunk)), chunk] = 0
+        frontier = np.zeros(len(ptr) - 1, dtype=np.uint64)
+        frontier[chunk] = np.uint64(1) << _BITS[:len(chunk)]
+        seen = frontier.copy()
+        level = 0
+        while rows.size:
+            level += 1
+            reached = np.zeros_like(frontier)
+            reached[rows] = np.bitwise_or.reduceat(frontier[indices],
+                                                   ptr[rows])
+            frontier = reached & ~seen
+            hit = np.flatnonzero(frontier)
+            if not hit.size:
+                break
+            seen[hit] |= frontier[hit]
+            j, i = np.nonzero((frontier[hit] >> _BITS[:, None]) & 1)
+            block[j, hit[i]] = level
+    return dist
+
+
 def distance_matrix(g: Graph, sources: Sequence[int] | None = None
                     ) -> np.ndarray:
     """Hop distances from each vertex of `sources` (default: every vertex) as
-    a (len(sources), n) int array.  Raises if disconnected."""
-    from scipy.sparse.csgraph import shortest_path
+    a (len(sources), n) int64 array.  Raises GraphError for an empty or a
+    disconnected graph, and for a source that is no id (see `as_ids`).
+
+    The BFS runs on the false-twin quotient H (`Graph.quotient`) and its
+    rows expand to all n vertices.  This is exact:
+    - False twins are never adjacent: v in N(u) = N(v) would be a loop.  If
+      one vertex of class A is adjacent to one of class B, every vertex of
+      A is adjacent to it, as they share its neighbourhood, and then to all
+      of its twins in B.  So two classes are joined completely or not at
+      all, and H's adjacency is well defined.
+    - A path of G maps class by class to a walk of H of the same length,
+      and a path of H lifts to G through any members of its classes.  So
+      a vertex in a class other than the source's is at that class's
+      distance in H.
+    - A twin of the source is not adjacent to it, and a common neighbour
+      joins them: it is at distance 2, or unreachable when its class has no
+      neighbour, as isolated vertices have none.  The source is at 0.
+    """
     if g.n == 0:
         raise GraphError("empty graph has no distances")
-    dist = shortest_path(g.csr, method="D", unweighted=True,
-                         indices=sources)
-    if np.isinf(dist).any():
-        i, v = map(int, np.argwhere(np.isinf(dist))[0])
-        u = i if sources is None else int(sources[i])
-        raise GraphError(f"graph is disconnected: vertex {v} unreachable from {u}")
-    return dist.astype(np.int64)
+    if sources is None:
+        ids = np.arange(g.n)
+    else:
+        ids = as_ids(sources, g.n)
+        if (ids < 0).any():
+            bad = sources[int(np.argmax(ids < 0))]
+            raise GraphError(f"source {bad!r} out of range 0..{g.n - 1}")
+    if not ids.size:
+        return np.zeros((0, g.n), dtype=np.int64)
+    if g.n >= 2 and g.n > 2 * g.edge_count:  # some vertex is isolated
+        s = int(ids[0])
+        raise GraphError(f"graph is disconnected: vertex "
+                         f"{_first_unreachable(g, s)} unreachable from {s}")
+    quotient = g.quotient
+    classes, row = np.unique(quotient.cls[ids], return_inverse=True)
+    dist = _bfs(quotient.adj, classes)
+    twins = np.where(np.diff(quotient.adj.indptr)[classes] > 0, 2, -1)
+    dist[np.arange(len(classes)), classes] = twins
+    dist = dist[row[:, None], quotient.cls]
+    dist[np.arange(len(ids)), ids] = 0
+    if (dist < 0).any():
+        i, v = map(int, np.argwhere(dist < 0)[0])
+        raise GraphError(f"graph is disconnected: vertex {v} unreachable "
+                         f"from {int(ids[i])}")
+    return dist
+
+
+def _touched(g: Graph) -> tuple[np.ndarray, np.ndarray, int]:
+    """The vertices on some edge, ascending; the index among them of each
+    end in `endpoints` order; and the smallest vertex on no edge."""
+    touched, ends = np.unique(np.concatenate(g.endpoints()),
+                              return_inverse=True)
+    gaps = np.flatnonzero(touched != np.arange(len(touched)))
+    return touched, ends, int(gaps[0]) if gaps.size else len(touched)
+
+
+def _first_unreachable(g: Graph, s: int) -> int:
+    """The smallest vertex that s cannot reach, in a graph with an isolated
+    vertex; found on the touched vertices alone, so nothing n-sized is
+    built."""
+    touched, ends, isolated = _touched(g)
+    at = int(np.searchsorted(touched, s))
+    if at == len(touched) or touched[at] != s:
+        return 1 if s == 0 else 0
+    sub = make_graph(len(touched), ends.reshape(2, -1).T)
+    apart = touched[_bfs(sub.csr, np.array([at]))[0] < 0]
+    return min(isolated, int(apart[0])) if apart.size else isolated
 
 
 def eccentricities(g: Graph) -> tuple[int, ...]:
     """Per-vertex eccentricity from one BFS per false-twin class."""
-    reps, cls = twin_classes(g)
-    ecc = distance_matrix(g, reps).max(axis=1)
-    return tuple(int(e) for e in ecc[cls])
+    quotient = g.quotient
+    ecc = distance_matrix(g, quotient.reps).max(axis=1)
+    return tuple(int(e) for e in ecc[quotient.cls])
 
 
 def diameter(g: Graph) -> int:

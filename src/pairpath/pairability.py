@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, as_ids, distance_matrix, twin_classes
+from .graph import Graph, GraphError, as_ids, distance_matrix
 from .routing import Pairing, Route, RoutePlan, make_pairing
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -369,15 +369,26 @@ def screen(g: Graph) -> ScreenReport:
     an automorphism, so they pass or fail together; the smallest twin comes
     first in the scan, so only class representatives need checking and the
     first violating root is always one.
+
+    Layer sizes and layered-cut counts come from the twin quotient H
+    (`Graph.quotient`), weighted by class sizes.  Two adjacent classes are
+    joined completely (see `distance_matrix`), so an edge of H between
+    classes of sizes s and s' stands for s * s' edges of G, and no edge of G
+    joins two twins.  Every member of a class other than the root's lies at
+    the class's distance, so those s * s' edges all cross between the same
+    two layers or none does.  The root's own class splits: the root is at
+    0, and its twins, at 2, are a class of their own with the same
+    neighbour classes.  Summing the weights of H's edges per layer pair
+    then counts each edge of G once, in O(|E(H)|) per root.
     """
     if g.n % 2:
         raise GraphError(f"screening needs an even vertex count, got {g.n}")
-    reps, cls = twin_classes(g)
+    quotient = g.quotient
+    reps, cls = quotient.reps, quotient.cls
     dist = distance_matrix(g, reps)  # raises on disconnected input
     rep_ecc = dist.max(axis=1)
     d = int(rep_ecc.max())
     roots = [int(r) for r in np.flatnonzero(rep_ecc[cls] == d)]
-    eu, ev = g.endpoints()
 
     checked: list[int] = []
     for root in roots:
@@ -385,7 +396,8 @@ def screen(g: Graph) -> ScreenReport:
         k = cls[root]
         if reps[k] != root:
             continue  # a twin of an earlier root that passed
-        found = _screen_root(g.n, d, dist[k], eu, ev, root)
+        layers, cuts = _layer_counts(quotient, d, dist[k], k)
+        found = _violations(g.n, d, layers, cuts, root)
         if found:
             return ScreenReport(verdict=NOT_PATH_PAIRABLE, diameter=d,
                                 roots_checked=tuple(checked),
@@ -394,20 +406,43 @@ def screen(g: Graph) -> ScreenReport:
                         roots_checked=tuple(checked), violations=())
 
 
-def _screen_root(n, d, dist_row, eu, ev, root) -> list[ScreenViolation]:
-    sizes = np.bincount(dist_row, minlength=d + 1)
-    prefix = np.cumsum(sizes)
+def _layer_counts(quotient, d, dist_row, k) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices per BFS layer t <= d, and edges between layers t and t+1 per
+    t < d, from the representative of class k, whose distance row is
+    dist_row."""
+    ptr, indices = quotient.adj
+    size = len(quotient.reps)
+    # class k now holds the root alone; class `size` holds its twins
+    at = np.append(dist_row[quotient.reps], 2)
+    weight = np.append(quotient.sizes, quotient.sizes[k] - 1)
+    weight[k] = 1
+    # each edge of H once, then the twins' edges, which are the root's
+    a = np.repeat(np.arange(size), np.diff(ptr))
+    once = a < indices
+    near = indices[ptr[k]:ptr[k + 1]]
+    a = np.concatenate([a[once], np.full(len(near), size)])
+    b = np.concatenate([indices[once], near])
+    da, db = at[a], at[b]
+    crossing = da != db
+    # float64 weights sum exactly: no count exceeds n or E, both < 2**53
+    cuts = np.bincount(np.minimum(da, db)[crossing],
+                       weights=(weight[a] * weight[b])[crossing], minlength=d)
+    layers = np.bincount(at, weights=weight, minlength=d + 1)
+    return layers.astype(np.int64), cuts.astype(np.int64)
+
+
+def _violations(n, d, layers, cuts, root) -> list[ScreenViolation]:
+    """The conditions broken at a root of eccentricity d whose BFS layer t
+    holds layers[t] vertices and is joined to layer t+1 by cuts[t] edges."""
+    prefix = np.cumsum(layers)
     found = []
     for k in range((d - 1) // 2 + 1):
         ball = int(prefix[2 * k + 1])
-        if 2 * ball <= n and int(sizes[2 * k] + sizes[2 * k + 1]) < k:
+        if 2 * ball <= n and int(layers[2 * k] + layers[2 * k + 1]) < k:
             found.append(ScreenViolation(
                 condition=LAYER_GROWTH, root=root, index=k,
-                value=int(sizes[2 * k] + sizes[2 * k + 1]), required=k,
+                value=int(layers[2 * k] + layers[2 * k + 1]), required=k,
                 ball=ball))
-    du, dv = dist_row[eu], dist_row[ev]
-    crossing = du != dv
-    cuts = np.bincount(np.minimum(du, dv)[crossing], minlength=d)
     for t in range(d):
         required = min(int(prefix[t]), n - int(prefix[t]))
         if int(cuts[t]) < required:

@@ -15,7 +15,7 @@ from pairpath.blowup import (BlownCycle, BlowupError, build,
                              free_common_neighbors)
 from pairpath.graph import FamilySpec, Graph, GraphError, generate, make_graph
 from pairpath.pairability import (CANNOT_RULE_OUT, NOT_PATH_PAIRABLE,
-                                  ScreenReport, _screen_root)
+                                  ScreenReport, _violations)
 from pairpath.rng import SplitMix64
 from pairpath.routing import (Pairing, PairingError, Route, RoutePlan,
                               RoutingError, assign_candidates,
@@ -428,6 +428,23 @@ def graphs_with_twins(draw, max_n=8, max_twins=6, even=False):
                                   for u, ns in enumerate(nbrs) for v in ns])
 
 
+def twin_blowup(classes: int, seed: int) -> Graph:
+    """A connected graph of even order with `classes` false-twin classes,
+    when its base is twin-free: the cycle on `classes` vertices plus seeded
+    chords, each base vertex blown up into 1 to 3 twins, ids shuffled."""
+    rng = np.random.default_rng(seed)
+    base = {(i, (i + 1) % classes) for i in range(classes)}
+    base |= {(int(u), int(v)) for u, v in rng.integers(classes,
+                                                       size=(classes // 4, 2))
+             if u != v}
+    sizes = rng.integers(1, 4, size=classes)
+    sizes[0] += sizes.sum() % 2
+    ids = rng.permutation(int(sizes.sum()))
+    members = np.split(ids, np.cumsum(sizes)[:-1])
+    return make_graph(len(ids), [(a, b) for u, v in base
+                                 for a in members[u] for b in members[v]])
+
+
 # every generate family and small blown cycles, all of even order
 ORACLE_GRAPHS = {
     **{spec.family: generate(spec) for spec in (
@@ -468,7 +485,8 @@ def dense_diameter(g: Graph) -> int:
 
 def dense_screen(g: Graph) -> ScreenReport:
     """Oracle: the screen evaluated on every diametral root's own distance
-    row, without grouping twins."""
+    row, without grouping twins: layer sizes count vertices and cuts count
+    the edges of G one by one."""
     dist = dense_distances(g)
     ecc = dist.max(axis=1)
     d = int(ecc.max())
@@ -476,8 +494,10 @@ def dense_screen(g: Graph) -> ScreenReport:
     checked = []
     for root in map(int, np.flatnonzero(ecc == d)):
         checked.append(root)
-        found = _screen_root(g.n, d, dist[root], edges[:, 0], edges[:, 1],
-                             root)
+        du, dv = dist[root][edges[:, 0]], dist[root][edges[:, 1]]
+        cuts = np.bincount(np.minimum(du, dv)[du != dv], minlength=d)
+        layers = np.bincount(dist[root], minlength=d + 1)
+        found = _violations(g.n, d, layers, cuts, root)
         if found:
             return ScreenReport(verdict=NOT_PATH_PAIRABLE, diameter=d,
                                 roots_checked=tuple(checked),

@@ -468,22 +468,22 @@ graph, plan = f"{tmp}/b3.json", f"{tmp}/p3.json"
 runs = [["generate", "--family", "blown-cycle", "--m", "3", "-o", graph],
         ["route", "--graph", graph, "--random", "5", "-o", plan],
         ["verify", "--plan", plan, "--graph", graph],
-        ["decide", "--family", "cycle", "--k", "4"]]
+        ["decide", "--family", "cycle", "--k", "4"],
+        ["stats", "--family", "blown-cycle", "--m", "2"],
+        ["screen", "--family", "blown-cycle", "--m", "2"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
-    heavy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                   or m == "concurrent.futures.process")
-    codes.append(main(["stats", "--family", "blown-cycle", "--m", "2"]))
-print(codes, heavy, "scipy" in sys.modules)
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                    or m == "concurrent.futures.process"))
 """
 
 
-def test_only_stats_and_screen_import_scipy(tmp_path):
-    # scipy takes most of a command's start-up, and only Graph.csr and
-    # distance_matrix use it; a pool is started only for decide --workers
+def test_no_command_imports_scipy(tmp_path):
+    # numpy is the one runtime dependency; a pool is started only for
+    # decide --workers
     src = str(pathlib.Path(pairpath.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", _IMPORTS_PER_COMMAND, str(tmp_path)],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out == "[0, 0, 0, 1, 0] [] True\n"
+    assert out == "[0, 0, 0, 1, 0, 0] []\n"

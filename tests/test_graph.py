@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 import pairpath.graph as graph_module
 from helpers import (ORACLE_GRAPHS, bfs_layers, degrees, dense_diameter,
                      dense_distances, dense_eccentricities, edge_cut_size,
-                     graphs_with_twins, neighbors, path_graph, to_networkx)
+                     graphs_with_twins, neighbors, path_graph, to_networkx,
+                     twin_blowup)
 from pairpath.blowup import build
 from pairpath.graph import (FamilySpec, GraphError, as_ids, diameter,
                             distance_matrix, eccentricities, generate,
@@ -365,8 +369,11 @@ def test_metrics_match_oracle_on_families(name):
     assert g.max_degree == max(d for _, d in h.degree)
     assert g.sorted_edges() == sorted(tuple(sorted(e)) for e in h.edges)
     assert g.edge_count == h.number_of_edges()
-    assert (g.csr != nx.to_scipy_sparse_array(h, nodelist=range(g.n),
-                                              format="csr")).nnz == 0
+    indptr, indices = g.csr
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.tolist() == [0, *itertools.accumulate(
+        len(h[v]) for v in range(g.n))]
+    assert indices.tolist() == [w for v in range(g.n) for w in sorted(h[v])]
     reps, cls = twin_classes(g)
     first: dict[frozenset, int] = {}
     for v in range(g.n):
@@ -380,7 +387,7 @@ def test_equality_and_hash_ignore_the_built_csr():
     a = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     b = make_graph(4, [(2, 3), (1, 0), (1, 2)])
     hash_a = hash(a)
-    assert a.csr.nnz == 6
+    assert len(a.csr.indices) == 6
     assert "csr" in vars(a) and "csr" not in vars(b)
     assert a == b and hash(a) == hash(b) == hash_a
     # edge lists that are shuffled or repeat edges give equal graphs
@@ -415,3 +422,66 @@ def test_disconnected_twins_name_witness():
             metric(g)
     with pytest.raises(GraphError, match="vertex 0 unreachable from 4"):
         distance_matrix(g, [4])
+
+
+def test_isolated_twins_are_unreachable():
+    # 0 and 1 are isolated, so they are false twins with no neighbour
+    g = make_graph(6, [(2, 3), (3, 4), (4, 5)])
+    with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
+        distance_matrix(g, [0])
+    with pytest.raises(GraphError, match="vertex 0 unreachable from 1$"):
+        distance_matrix(g, [1])
+    with pytest.raises(GraphError, match="vertex 0 unreachable from 3$"):
+        distance_matrix(g, [3, 0])
+    for metric in (diameter, eccentricities):
+        with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
+            metric(g)
+
+
+def test_isolated_vertex_witness_names_the_source():
+    # n > 2E: the witness is the first vertex the first source misses,
+    # found without building anything n-sized
+    g = make_graph(7, [(0, 1), (2, 3)])
+    for source, missed in ((0, 2), (1, 2), (2, 0), (3, 0), (5, 0)):
+        with pytest.raises(GraphError, match=f"vertex {missed} unreachable "
+                                             f"from {source}$"):
+            distance_matrix(g, [source, 6])
+    assert distance_matrix(g, []).shape == (0, 7)
+    huge = make_graph(10**9, [(0, 1)])
+    with pytest.raises(GraphError, match="vertex 2 unreachable from 1$"):
+        distance_matrix(huge, [1])
+    with pytest.raises(GraphError, match="vertex 0 unreachable from 7$"):
+        distance_matrix(huge, [7])
+    assert "csr" not in vars(huge)
+
+
+@pytest.mark.parametrize("classes", [63, 64, 65, 129])
+def test_distance_matrix_across_chunk_boundaries(classes):
+    # the BFS takes 64 source classes per chunk
+    g = twin_blowup(classes, seed=classes)
+    reps, cls = twin_classes(g)
+    assert len(reps) == classes
+    dense = dense_distances(g)
+    assert (distance_matrix(g) == dense).all()
+    assert (distance_matrix(g, reps) == dense[reps]).all()
+    twins = [v for v in range(g.n) if reps[cls[v]] != v]
+    sources = twins[:5] + [reps[-1], twins[0], reps[-1]] + [*range(g.n)][::-3]
+    assert (distance_matrix(g, sources) == dense[sources]).all()
+    assert eccentricities(g) == dense_eccentricities(g)
+
+
+def test_distance_matrix_of_one_and_of_no_vertex():
+    assert distance_matrix(make_graph(1, [])).tolist() == [[0]]
+    assert eccentricities(make_graph(1, [])) == (0,)
+    with pytest.raises(GraphError, match="^empty graph has no distances$"):
+        distance_matrix(make_graph(0, []))
+
+
+def test_distance_matrix_rejects_sources_that_are_no_ids(petersen):
+    for sources, bad in (([-1], -1), ([1.0], 1.0), ([10], 10),
+                         ([0, "3", -1], "3"), ([2, -1, 10], -1)):
+        with pytest.raises(GraphError, match=re.escape(
+                f"source {bad!r} out of range 0..9")):
+            distance_matrix(petersen, sources)
+    empty = distance_matrix(petersen, [])
+    assert empty.shape == (0, 10) and empty.dtype == np.int64

@@ -19,7 +19,7 @@ from pairpath.verify import verify_plan
 
 import pairpath.pairability as pairability_module
 from helpers import (ORACLE_GRAPHS, dense_screen, dumbbell, graphs_with_twins,
-                     path_graph)
+                     path_graph, twin_blowup)
 
 
 # ---------------------------------------------------------------- search
@@ -345,3 +345,14 @@ def test_screen_rejects_isolated_vertex_before_csr():
 def test_screen_rejects_disconnected_twins():
     with pytest.raises(GraphError, match="vertex 3 unreachable from 0"):
         screen(make_graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)]))
+
+
+@pytest.mark.parametrize("classes", [63, 64, 65, 129])
+def test_screen_counts_match_oracle_across_chunks(classes):
+    g = twin_blowup(classes, seed=classes)
+    assert screen(g).to_json() == dense_screen(g).to_json()
+
+
+def test_screen_rejects_isolated_twins():
+    with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
+        screen(make_graph(6, [(2, 3), (3, 4), (4, 5)]))

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, make_graph
+from .graph import MAX_VERTICES, Graph, make_graph
 
 
 class BlowupError(ValueError):
@@ -70,10 +70,15 @@ def build(m: int) -> BlownCycle:
     """The blown cycle for half cycle length m; builds no edges.
 
     m must be at least 2: with only two classes the cycle's two boundaries
-    coincide, which would demand parallel edges.
+    coincide, which would demand parallel edges.  Its n = 2m(4m+3) vertices
+    must not exceed graph.MAX_VERTICES, the most a Graph can hold.
     """
     if m < 2:
         raise BlowupError(f"half cycle length must be >= 2, got {m}")
+    n = 2 * m * (4 * m + 3)
+    if n > MAX_VERTICES:
+        raise BlowupError(f"half cycle length {m} gives {n} vertices, more "
+                          f"than the {MAX_VERTICES} a graph can hold")
     return BlownCycle(m=m)
 
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit status convention: 0 success/pass, 1 verified-negative (invalid plan,
-not-path-pairable, internal routing failure), 2 usage or parse errors,
-3 cap-hit/inconclusive.
+not-path-pairable, internal routing failure), 2 usage or parse errors, or
+an input too large for memory, 3 cap-hit/inconclusive.
 """
 from __future__ import annotations
 
@@ -119,7 +119,7 @@ def _cmd_verify(args) -> int:
     if args.pairing is not None:
         pairing = formats.loads_pairing(_read(args.pairing))
     else:
-        pairing = routing.make_pairing((r.x, r.y) for r in plan.routes)
+        pairing = routing.make_pairing(plan.pairs())
     report = verify.verify_plan(g, pairing, plan)
     sys.stdout.write(report.to_json())
     return 0 if report.ok else 1
@@ -218,6 +218,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -190,31 +190,78 @@ def loads_pairing(text: str) -> Pairing:
 
 
 def dumps_plan(plan: RoutePlan, extras: dict[str, Any] | None = None) -> str:
-    doc: dict[str, Any] = {
-        "routes": [{"x": r.x, "y": r.y, "path": list(r.path)}
-                   for r in plan.routes],
-        "edges_used": plan.edges_used,
-    }
-    if extras:
-        doc.update(extras)
-    return json.dumps(doc, indent=2) + "\n"
+    """Plan JSON in the json.dumps(indent=2) layout, written from the
+    plan's arrays.  Raises ValueError for a plan holding a value that is
+    no vertex id (see RoutePlan), which the arrays cannot hold."""
+    if any(values.min(initial=0) < 0
+           for values in (plan.x, plan.y, plan.paths)):
+        raise ValueError("plan JSON holds vertex ids only; this plan holds "
+                         "another value")
+    flat = list(map(str, plan.paths.tolist()))
+    ends = plan.ends.tolist()
+    routes = []
+    for x, y, lo, hi in zip(plan.x.tolist(), plan.y.tolist(), [0] + ends,
+                            ends):
+        path = ",\n        ".join(flat[lo:hi])
+        routes.append(f'    {{\n      "x": {x},\n      "y": {y},\n      '
+                      f'"path": ' + (f"[\n        {path}\n      ]" if path
+                                     else "[]") + "\n    }")
+    fields = {"routes": "[\n" + ",\n".join(routes) + "\n  ]" if routes
+              else "[]", "edges_used": str(plan.edges_used)}
+    for key, value in (extras or {}).items():
+        fields[key] = json.dumps(value, indent=2).replace("\n", "\n  ")
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text}"
+                               for key, text in fields.items()) + "\n}\n"
 
 
 def loads_plan(text: str) -> tuple[RoutePlan, dict[str, Any]]:
-    """Parse a plan; the owner map is rebuilt from the paths (first claim
-    wins), so verification never trusts the stored edge count."""
+    """Parse a plan.  Routes whose values are all ids, as in every file
+    `route` writes, become an array plan, checked and converted as whole
+    lists; any other file is checked route by route and keeps its values
+    as given (see RoutePlan).  The stored edge count is not read, so
+    verification never trusts it."""
     doc = _json_loads(text)
     if not isinstance(doc, dict) or "routes" not in doc:
         raise FormatError('plan JSON needs key "routes"')
-    routes = []
-    for idx, item in enumerate(_as_list(doc, "routes")):
-        if not isinstance(item, dict) or not {"x", "y", "path"} <= set(item):
-            raise FormatError(f'route #{idx} needs keys "x", "y", "path"')
-        path = item["path"]
-        if not isinstance(path, list) or not all(map(is_json_int, path)):
-            raise FormatError(f"route #{idx} path must be a list of ids")
-        if not (is_json_int(item["x"]) and is_json_int(item["y"])):
-            raise FormatError(f'route #{idx} "x" and "y" must be ids')
-        routes.append(Route(x=item["x"], y=item["y"], path=tuple(path)))
+    items = _as_list(doc, "routes")
+    plan = _array_plan(items)
+    if plan is None:
+        plan = RoutePlan.from_routes(_as_route(idx, item)
+                                     for idx, item in enumerate(items))
     extras = {k: v for k, v in doc.items() if k not in ("routes", "edges_used")}
-    return RoutePlan.from_routes(routes), extras
+    return plan, extras
+
+
+def _array_plan(items: list[Any]) -> RoutePlan | None:
+    """The array plan of well-formed routes whose x, y and path entries are
+    all ids (nonnegative JSON integers within int64), else None."""
+    try:
+        xs = [item["x"] for item in items]
+        ys = [item["y"] for item in items]
+        paths = [item["path"] for item in items]
+    except (KeyError, TypeError):  # a route that is no dict, or lacks a key
+        return None
+    if not all(type(path) is list for path in paths):
+        return None
+    flat = list(chain.from_iterable(paths))
+    if not set(map(type, chain(xs, ys, flat))) <= {int}:
+        return None
+    try:
+        arrays = [np.array(values, dtype=np.int64) for values in (xs, ys, flat)]
+    except OverflowError:
+        return None
+    if any(values.min(initial=0) < 0 for values in arrays):
+        return None
+    lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    return RoutePlan.from_arrays(*arrays, np.cumsum(lens))
+
+
+def _as_route(idx: int, item: Any) -> Route:
+    if not isinstance(item, dict) or not {"x", "y", "path"} <= set(item):
+        raise FormatError(f'route #{idx} needs keys "x", "y", "path"')
+    path = item["path"]
+    if not isinstance(path, list) or not all(map(is_json_int, path)):
+        raise FormatError(f"route #{idx} path must be a list of ids")
+    if not (is_json_int(item["x"]) and is_json_int(item["y"])):
+        raise FormatError(f'route #{idx} "x" and "y" must be ids')
+    return Route(x=item["x"], y=item["y"], path=tuple(path))

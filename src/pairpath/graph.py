@@ -35,15 +35,19 @@ def as_ids(values: Sequence[object], n: int) -> np.ndarray:
     """Vertex ids as an int64 array, with -1 for every value that is no id.
     An id is an integer of any size in 0..n-1, and an integer is what
     operator.index accepts, as in make_pairing: floats and strings are none.
+    A NumPy integer array is converted as a whole.
     """
-    try:
-        # a sum of Python ints is a Python int; a float, a string or a NumPy
-        # integer makes it something else or raises, and goes id by id
-        if type(sum(values)) is not int:
-            raise TypeError
-        ids = np.fromiter(values, dtype=np.int64, count=len(values))
-    except (TypeError, OverflowError):  # not all ints, or one beyond int64
-        ids = np.array([_id(v, n) for v in values], dtype=np.int64)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        ids = values.astype(np.int64)  # a uint64 beyond int64 reads < 0
+    else:
+        try:
+            # a sum of Python ints is a Python int; a float, a string or a
+            # NumPy value makes it something else or raises, and goes id by id
+            if type(sum(values)) is not int:
+                raise TypeError
+            ids = np.fromiter(values, dtype=np.int64, count=len(values))
+        except (TypeError, OverflowError):  # not all ints, or beyond int64
+            ids = np.array([_id(v, n) for v in values], dtype=np.int64)
     ids[ids.view(np.uint64) >= n] = -1  # a negative id reads >= 2**63
     return ids
 

@@ -39,7 +39,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .blowup import BlownCycle, free_common_neighbors
-from .graph import Edge, as_ids, edge_key, edge_keys, first_claims
+from .graph import (MAX_VERTICES, Edge, as_ids, edge_key, edge_keys,
+                    first_claims)
 from .rng import random_permutation
 
 
@@ -111,27 +112,130 @@ class Route:
         return len(self.path) - 1
 
 
-@dataclass(frozen=True)
-class RoutePlan:
-    """Per-pair walks plus the consumed edges, each tagged with its owner."""
+# as_ids below this bound reads every non-negative int64 as an id
+_INT64_IDS = 2**63
 
-    routes: tuple[Route, ...]
-    used_edges: Mapping[Edge, int]
+
+class RoutePlan:
+    """One route per pair, held as read-only int64 arrays.
+
+    Route i goes from x[i] to y[i] along paths[ends[i] - k:ends[i]], where
+    k is its path's length in vertices: the paths lie back to back, as
+    `PhaseOneResult.walks` holds the walks.  The router and
+    `formats.loads_plan` build plans from arrays of ids (`from_arrays`), and
+    their `routes` are Route objects built on first read.
+
+    A plan made from Route objects (`from_routes`, or the constructor)
+    keeps them, and derives the arrays from them on first use with
+    `as_ids`: a value that is no non-negative int64, such as -1, a float, a
+    string or an id beyond int64, reads -1 there.  `pairs` and `path_value`
+    give the values as given, so that a report can name them.
+
+    `used_edges` maps each edge the routes use to the first route that uses
+    it.  It is built when read, from `routes`, and nothing in this package
+    reads it.
+    """
+
+    def __init__(self, routes: Iterable[Route] = (),
+                 used_edges: Mapping[Edge, int] | None = None) -> None:
+        # routes and used_edges are cached properties: values stored here
+        # take their place
+        self.routes = tuple(routes)
+        self._given = True
+        if used_edges is not None:
+            self.used_edges = used_edges
 
     @classmethod
     def from_routes(cls, routes: Iterable[Route]) -> RoutePlan:
-        """Plan whose owner map is derived from the paths on first access;
-        the first route to use an edge owns it."""
-        routes = tuple(routes)
-        return cls(routes=routes, used_edges=_OwnerMap(routes))
+        """Plan of the given routes; the owner map is derived on first read,
+        and the first route to use an edge owns it."""
+        return cls(routes)
 
-    @property
+    @classmethod
+    def from_arrays(cls, x: np.ndarray, y: np.ndarray, paths: np.ndarray,
+                    ends: np.ndarray) -> RoutePlan:
+        """Plan over int64 arrays laid out as the class docstring says,
+        holding non-negative ids only; marks them read-only."""
+        plan = cls.__new__(cls)
+        plan._given = False
+        for name, values in (("x", x), ("y", y), ("paths", paths),
+                             ("ends", ends)):
+            setattr(plan, name, _frozen(values))  # in place of the property
+        return plan
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return _frozen(as_ids([r.x for r in self.routes], _INT64_IDS))
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return _frozen(as_ids([r.y for r in self.routes], _INT64_IDS))
+
+    @cached_property
+    def paths(self) -> np.ndarray:
+        return _frozen(as_ids(self._given_paths, _INT64_IDS))
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        return _frozen(np.cumsum([len(r.path) for r in self.routes],
+                                 dtype=np.int64))
+
+    @cached_property
+    def _given_paths(self) -> list[object]:
+        return list(chain.from_iterable(r.path for r in self.routes))
+
+    @cached_property
+    def routes(self) -> tuple[Route, ...]:
+        """The routes as Route objects, built from the arrays."""
+        flat = self.paths.tolist()
+        ends = self.ends.tolist()
+        return tuple(Route(x, y, tuple(flat[lo:hi])) for x, y, lo, hi in zip(
+            self.x.tolist(), self.y.tolist(), [0] + ends, ends))
+
+    def pairs(self) -> list[tuple[object, object]]:
+        """Each route's (x, y), as given."""
+        if self._given:
+            return [(r.x, r.y) for r in self.routes]
+        return list(zip(self.x.tolist(), self.y.tolist()))
+
+    def path_value(self, pos: int) -> object:
+        """Entry pos of `paths`, as given."""
+        return self._given_paths[pos] if self._given else int(self.paths[pos])
+
+    @cached_property
+    def used_edges(self) -> Mapping[Edge, int]:
+        return _OwnerMap(self.routes)
+
+    @cached_property
     def edges_used(self) -> int:
-        return len(self.used_edges)
+        """The number of distinct edges {u, v} the routes step along, read
+        from the arrays; a step whose ends are equal, or not both ids of a
+        graph (below graph.MAX_VERTICES), is no edge."""
+        ids = as_ids(self.paths, MAX_VERTICES)
+        lens = np.diff(self.ends, prepend=0)
+        steps = np.delete(np.arange(len(ids)), self.ends[lens > 0] - 1)
+        keys = edge_keys(ids[steps], ids[steps + 1], MAX_VERTICES)
+        # count runs after a sort: plain np.unique hashes int64 keys in
+        # recent NumPy, which is many times slower
+        keys = np.sort(keys[keys >= 0])
+        return int(np.count_nonzero(np.diff(keys))) + 1 if keys.size else 0
 
     @property
     def max_route_length(self) -> int:
-        return max((len(r) for r in self.routes), default=0)
+        lens = np.diff(self.ends, prepend=0)
+        return int(lens.max()) - 1 if lens.size else 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoutePlan):
+            return NotImplemented
+        return self.routes == other.routes
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 class _OwnerMap(Mapping[Edge, int]):
@@ -287,12 +391,12 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     targets, reached = y[tasks], walks[ends[tasks] - 1]
     task_ends = list(zip(reached.tolist(), targets.tolist()))
     classes = targets // q
-    closing = np.full(len(d), -1, dtype=np.int64)  # z per pair, -1 if none
+    z = np.empty(len(tasks), dtype=np.int64)  # the closing vertex per task
     starts = np.flatnonzero(np.diff(classes, prepend=-1)).tolist()
     for lo, hi in zip(starts, starts[1:] + [len(tasks)]):
         group = task_ends[lo:hi]
         try:
-            closing[tasks[lo:hi]] = assign_candidates(
+            z[lo:hi] = assign_candidates(
                 [free_common_neighbors(b, r, t) for r, t in group], group)
         except ValueError:
             raise RoutingError(
@@ -301,7 +405,6 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
 
     # claims: each walk's steps in pair order, then per task (reached, z)
     # and (z, target); step s of the walks goes walks[s] -> walks[s + 1]
-    z = closing[tasks]
     steps = np.delete(np.arange(len(walks)), ends - 1)
     us = np.concatenate([walks[steps], np.stack([reached, z], 1).ravel()])
     vs = np.concatenate([walks[steps + 1], np.stack([z, targets], 1).ravel()])
@@ -309,13 +412,16 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
                              np.repeat(tasks, 2)])
     _check_disjoint(us, vs, owners, n)
 
-    flat = walks.tolist()
-    routes = []
-    for xi, yi, di, end, zi in zip(result.x.tolist(), y.tolist(), d.tolist(),
-                                   ends.tolist(), closing.tolist()):
-        walk = tuple(flat[end - di - 1:end])
-        routes.append(Route(xi, yi, walk if zi < 0 else walk + (zi, yi)))
-    return RoutePlan.from_routes(routes)
+    # each route is its walk, followed by z and the target when closed
+    lens = d + 1
+    lens[tasks] += 2
+    route_ends = np.cumsum(lens)
+    paths = np.empty(int(lens.sum()), dtype=np.int64)
+    shift = route_ends - lens - (ends - d - 1)  # route start less walk start
+    paths[np.arange(len(walks)) + np.repeat(shift, d + 1)] = walks
+    paths[route_ends[tasks] - 2] = z
+    paths[route_ends[tasks] - 1] = targets
+    return RoutePlan.from_arrays(result.x, y, paths, route_ends)
 
 
 def _check_disjoint(us: np.ndarray, vs: np.ndarray, owners: np.ndarray,

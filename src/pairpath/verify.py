@@ -76,17 +76,17 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     route's bad vertex ids in path order, then its bad steps in path order;
     routes for missing pairs come last.  A step reuses an edge when an
     earlier step, in route order, took it; that step's route owns the edge.
-    The checks run on arrays of all routes' ids at once, and entries are
-    built only for what they flag.
+    The checks read only the plan's arrays (see RoutePlan), all routes' ids
+    at once, and entries are built only for what they flag, each naming
+    the plan's values as given.
     """
     n = g.n
-    routes = plan.routes[:len(p.pairs)]  # a route with no pair is not walked
-    paths = [r.path for r in routes]
-    lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-    ends = np.cumsum(lens)
-    values = list(chain.from_iterable(paths))
-    flat = as_ids(values, n)  # -1 for an id outside 0..n-1
-    rid = np.repeat(np.arange(len(paths)), lens)
+    # a route with no pair is not walked
+    walked = min(len(plan.ends), len(p.pairs))
+    ends = plan.ends[:walked]
+    lens = np.diff(ends, prepend=0)
+    flat = as_ids(plan.paths[:lens.sum()], n)  # -1 for an id outside 0..n-1
+    rid = np.repeat(np.arange(walked), lens)
     in_range = flat >= 0
     entries: list[tuple[int, int, int, Violation]] = []
 
@@ -96,10 +96,10 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     padded = np.append(flat, -1)
     first, last = padded[ends - lens], padded[ends - 1]
     pair_ids = as_ids(list(chain.from_iterable(p.pairs)), n)
-    a, b = pair_ids[:2 * len(paths)].reshape(-1, 2).T
+    a, b = pair_ids[:2 * walked].reshape(-1, 2).T
     ends_ok = (lens > 0) & (first >= 0) & (last >= 0) \
-        & (first == as_ids([r.x for r in routes], n)) \
-        & (last == as_ids([r.y for r in routes], n)) \
+        & (first == as_ids(plan.x[:walked], n)) \
+        & (last == as_ids(plan.y[:walked], n)) \
         & (((first == a) & (last == b)) | ((first == b) & (last == a)))
     flagged = np.flatnonzero(~ends_ok)
     if flagged.size:  # a valid plan skips the lookup
@@ -107,16 +107,20 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
         stray = ~np.isin(np.stack([first[flagged], last[flagged]]),
                          pair_ids[pair_ids >= 0]) & (lens[flagged] > 0)
         for idx, at_first, at_last in zip(flagged.tolist(), *stray.tolist()):
-            path = paths[idx]  # a stray end makes the path nonempty
+            # the entry names the stray end, else path[0]; an empty path
+            # has neither, and no stray end
+            at = ends[idx] - 1 if at_last and not at_first \
+                else ends[idx] - lens[idx]
             entries.append((idx, 0, 0, Violation(
                 kind=ENDPOINT_NOT_IN_PAIRING if at_first or at_last
                 else WRONG_ENDPOINTS, pair_indexes=(idx,),
-                vertex=(path[-1] if at_last and not at_first else path[0])
-                if path else None)))
-    for idx in range(len(paths), len(plan.routes)):
-        entries.append((idx, 0, 0, Violation(
-            kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
-            vertex=plan.routes[idx].x)))
+                vertex=plan.path_value(int(at)) if lens[idx] else None)))
+    if len(plan.ends) > walked:
+        pairs = plan.pairs()
+        for idx in range(walked, len(plan.ends)):
+            entries.append((idx, 0, 0, Violation(
+                kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
+                vertex=pairs[idx][0])))
 
     # vertex ids: out of range, or repeated within a route (a warning),
     # found as runs of equal keys route*n + id (below routes*n, which fits
@@ -124,10 +128,10 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     for pos in np.flatnonzero(~in_range).tolist():
         entries.append((int(rid[pos]), 1, pos, Violation(
             kind=NOT_A_WALK, pair_indexes=(int(rid[pos]),),
-            vertex=values[pos])))
+            vertex=plan.path_value(pos))))
     by_vertex, firsts = first_claims(np.where(in_range, rid * n + flat, -1))
     warnings = [PlanWarning(kind="vertex-repeated", pair_index=int(rid[pos]),
-                            vertex=values[pos])
+                            vertex=plan.path_value(pos))
                 for pos in np.sort(by_vertex[~firsts]).tolist()
                 if in_range[pos]]
 
@@ -147,7 +151,7 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
                      step_route[owner[reused]].tolist())
     for s, own in bad_steps:
         pos, idx = int(step_pos[s]), int(step_route[s])
-        u, v = values[pos], values[pos + 1]
+        u, v = plan.path_value(pos), plan.path_value(pos + 1)
         try:
             e = (u, v) if u < v else (v, u)
         except TypeError:  # ends that do not compare, such as a string id
@@ -159,7 +163,7 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
 
     entries.sort(key=lambda entry: entry[:3])
     violations = [entry[3] for entry in entries]
-    for idx in range(len(plan.routes), len(p.pairs)):
+    for idx in range(len(plan.ends), len(p.pairs)):
         violations.append(Violation(
             kind=WRONG_ENDPOINTS, pair_indexes=(idx,),
             vertex=p.pairs[idx][0]))

@@ -7,7 +7,7 @@ import pairpath.blowup as blowup_module
 from helpers import (class_members, degrees, matching_step, neighbors,
                      to_networkx)
 from pairpath.blowup import BlownCycle, BlowupError, build, free_common_neighbors
-from pairpath.graph import diameter, edge_key
+from pairpath.graph import MAX_VERTICES, diameter, edge_key
 from pairpath.routing import random_perfect_pairing, route
 
 
@@ -181,3 +181,14 @@ def test_free_common_matches_residual_graph_oracle(m):
         for u, v in itertools.permutations(class_members(b, cls), 2):
             expected = sorted(set(h[u]) & set(h[v]) & nxt)
             assert free_common_neighbors(b, u, v) == expected
+
+
+def test_build_refuses_more_vertices_than_a_graph_holds():
+    # m = 19483 is the largest whose n = 2m(4m+3) fits; build is lazy, so
+    # this allocates nothing of size n
+    assert build(19_483).n == 3_036_815_210 <= MAX_VERTICES
+    assert 2 * 19_484 * (4 * 19_484 + 3) > MAX_VERTICES
+    for m in (19_484, 10**5, 10**9):
+        with pytest.raises(BlowupError, match=f"^half cycle length {m} "
+                           "gives .* more than the 3037000500 a graph"):
+            build(m)

@@ -189,13 +189,37 @@ def test_route_false_annotation_builds_no_graph(capsys, tmp_path,
     monkeypatch.setattr(blowup_module, "make_graph",
                         lambda *args: calls.append(args))
     target = tmp_path / "claim.json"
+    # an m within blowup.build's size limit, so the claim is compared
     target.write_text(dumps_graph(path_graph(2), "json",
-                                  {"blown_cycle": {"m": 10**6}}))
+                                  {"blown_cycle": {"m": 50}}))
     code, _, err = run(capsys, "route", "--graph", str(target),
                        "--random", "0")
     assert code == 2
     assert "does not match the construction" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["route", "--m", "100000", "--random", "1"],
+                                  ["verify", "--plan", "PLAN"]])
+def test_m_beyond_the_vertex_limit_exits_2(capsys, tmp_path, argv):
+    # n = 2m(4m+3) above graph.MAX_VERTICES is refused before anything of
+    # that size is allocated
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"routes": [{"x": 0, "y": 1, "path": [0, 1]}],
+                                "m": 100000}))
+    code, out, err = run(capsys, *[str(plan) if a == "PLAN" else a
+                                   for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: half cycle length 100000 gives "
+                          "80000600000 vertices")
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(*_):
+        raise MemoryError
+    monkeypatch.setattr(routing_module, "route", exhausted)
+    assert run(capsys, "route", "--m", "2", "--random", "1") \
+        == (2, "", "error: out of memory\n")
 
 
 # ---------------------------------------------------------------- verify

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_route
+from pairpath.blowup import build
 from pairpath.formats import (FormatError, dumps_graph, dumps_pairing,
                               dumps_plan, loads_graph, loads_pairing,
                               loads_plan)
@@ -202,13 +204,72 @@ def test_loads_plan_and_verify_build_no_owner_map(blown2, monkeypatch):
     monkeypatch.setattr(routing_module, "edge_key", counting_edge_key)
     plan, _ = loads_plan(text)
     assert verify_plan(blown2.graph, pairing, plan).ok
-    assert calls == []
-    # the map is built once, on first access, with the stored count
+    # the edge count is read off the arrays, not the owner map
     assert plan.edges_used == json.loads(text)["edges_used"]
+    assert calls == []
+    # the map is built once, on first read, and holds that many edges
+    assert plan.used_edges == dict(plan.used_edges)
     built = len(calls)
     assert built > 0
-    assert plan.used_edges == dict(plan.used_edges)
+    assert len(plan.used_edges) == plan.edges_used
     assert len(calls) == built
+
+
+class _Forbidden:
+    """Stands in for a class that the code under test must not use."""
+
+    def __init__(self, *_):
+        raise AssertionError("built a Route or an owner map")
+
+
+def test_route_verify_and_formats_build_no_route_objects(monkeypatch):
+    b = build(4)
+    pairing = random_perfect_pairing(b.n, 2)
+    monkeypatch.setattr(routing_module, "Route", _Forbidden)
+    monkeypatch.setattr(routing_module, "_OwnerMap", _Forbidden)
+    plan = route(b, pairing)
+    assert verify_plan(b.graph, pairing, plan).ok
+    text = dumps_plan(plan)
+    loaded, _ = loads_plan(text)
+    assert verify_plan(b.graph, make_pairing(loaded.pairs()), loaded).ok
+    # a router plan is edge-disjoint: one edge per step
+    assert loaded.edges_used == plan.edges_used \
+        == len(plan.paths) - len(plan.ends)
+    monkeypatch.undo()
+    assert plan.routes == reference_route(b, pairing).routes
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_dumps_plan_writes_the_reference_document(m):
+    b = build(m)
+    for seed in (0, 1, 2):
+        pairing = random_perfect_pairing(b.n, seed)
+        expected = reference_route(b, pairing)
+        doc = {"routes": [{"x": r.x, "y": r.y, "path": list(r.path)}
+                          for r in expected.routes],
+               "edges_used": len(expected.used_edges), "m": m, "seed": seed}
+        assert dumps_plan(route(b, pairing), {"m": m, "seed": seed}) \
+            == json.dumps(doc, indent=2) + "\n"
+
+
+def test_edges_used_counts_the_owner_map(blown3):
+    for seed in range(4):
+        plan = route(blown3, random_perfect_pairing(blown3.n, seed))
+        loaded, _ = loads_plan(dumps_plan(plan))
+        for made in (plan, loaded):
+            assert made.edges_used == len(made.used_edges)
+
+
+def test_loads_plan_keeps_values_that_are_no_ids_as_given():
+    for bad in (-5, 2**63, 10**30):
+        plan, _ = loads_plan(json.dumps({"routes": [
+            {"x": 0, "y": 1, "path": [0, 1]},
+            {"x": bad, "y": 2, "path": [bad, 2]}]}))
+        assert plan.pairs() == [(0, 1), (bad, 2)]
+        assert [plan.path_value(pos) for pos in range(4)] == [0, 1, bad, 2]
+        assert plan.paths.tolist() == [0, 1, -1, 2]
+        with pytest.raises(ValueError, match="holds vertex ids only"):
+            dumps_plan(plan)
 
 
 def test_plan_rejects_malformed():

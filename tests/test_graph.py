@@ -90,6 +90,26 @@ def test_as_ids_reads_every_non_id_as_minus_one():
     assert as_ids([], 3).dtype == np.int64
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+def test_as_ids_reads_integer_arrays_as_their_lists(dtype):
+    n = 100
+    values = [0, 5, n - 1, n, n + 1, -1, -100, 2**63, 2**63 + 7, 2**64 - 1,
+              2**63 - 1]
+    info = np.iinfo(dtype)
+    kept = [v for v in values if info.min <= v <= info.max]
+    array = np.array(kept, dtype=dtype)
+    assert as_ids(array, n).tolist() == as_ids(kept, n).tolist()
+    assert array.tolist() == kept  # the input is left as it was
+
+
+def test_as_ids_reads_non_integer_arrays_element_by_element():
+    # bool, float and object arrays hold no ids, except integer objects
+    assert as_ids(np.array([True, False]), 3).tolist() == [-1, -1]
+    assert as_ids(np.array([1.0, 2.5]), 3).tolist() == [-1, -1]
+    assert as_ids(np.array([1, 2.0, "2", 2**70], dtype=object),
+                  3).tolist() == [1, -1, -1, -1]
+
+
 def test_make_graph_rejects_keys_beyond_int64():
     top = graph_module.MAX_VERTICES
     g = make_graph(top, [(top - 2, top - 1), (0, top - 1)])

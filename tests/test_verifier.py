@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 import pairpath
 from helpers import ORACLE_GRAPHS, reference_verify_plan, to_networkx
 from pairpath.blowup import build
-from pairpath.formats import loads_plan
+import pairpath.routing as routing_module
+from pairpath.formats import dumps_plan, loads_plan
 from pairpath.graph import make_graph
+from pairpath.rng import SplitMix64
 from pairpath.routing import Pairing, Route, RoutePlan, make_pairing, \
     random_perfect_pairing, route
 from pairpath.verify import (EDGE_REUSED, ENDPOINT_NOT_IN_PAIRING, NOT_A_WALK,
@@ -305,6 +307,59 @@ def test_reports_match_the_reference_loop(case):
         == reference_verify_plan(g, pairing, plan).to_json()
 
 
+DAMAGES = ("drop-step", "reuse-edge", "stray-end", "out-of-range", "extra")
+
+
+def damaged_plan_file(b, seed):
+    """(pairing, plan JSON): a routed plan of b, with about one pair in
+    eight left out of the pairing and the plan, then damaged at a few
+    seeded places.  Every value stays a nonnegative integer, so loads_plan
+    reads the file as arrays."""
+    rng = SplitMix64(seed)
+    doc = json.loads(dumps_plan(route(b, random_perfect_pairing(b.n, seed))))
+    kept, unpaired = [], []
+    for r in doc["routes"]:
+        if rng.randrange(8):
+            kept.append(r)
+        else:
+            unpaired += [r["x"], r["y"]]
+    pairing = make_pairing((r["x"], r["y"]) for r in kept)
+    for _ in range(1 + rng.randrange(4)):
+        kind = DAMAGES[rng.randrange(len(DAMAGES))]
+        path = kept[rng.randrange(len(kept))]["path"]
+        if kind == "drop-step" and len(path) > 2:
+            del path[1 + rng.randrange(len(path) - 2)]
+        elif kind == "reuse-edge":
+            j = rng.randrange(len(path) - 1)
+            path[j + 2:j + 2] = path[j:j + 2]
+        elif kind == "stray-end" and unpaired:
+            path[-1] = unpaired[rng.randrange(len(unpaired))]
+        elif kind == "out-of-range":
+            path[rng.randrange(len(path))] = b.n + rng.randrange(3)
+        elif kind == "extra":
+            kept.append(json.loads(json.dumps(kept[0])))
+    doc["routes"] = kept
+    return pairing, json.dumps(doc)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_array_and_route_plans_give_the_same_report(m, monkeypatch):
+    b = build(m)
+    rejected = 0
+    for seed in range(12):
+        pairing, text = damaged_plan_file(b, seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(routing_module, "Route", None)  # arrays only
+            loaded, _ = loads_plan(text)
+            report = verify_plan(b.graph, pairing, loaded).to_json()
+        given = RoutePlan.from_routes(loaded.routes)
+        assert verify_plan(b.graph, pairing, given).to_json() == report
+        assert reference_verify_plan(b.graph, pairing, given).to_json() \
+            == report
+        rejected += not json.loads(report)["ok"]
+    assert rejected >= 10
+
+
 def test_non_integer_ids_are_no_vertices():
     # ids are integers, so 0.4, 1.2 and 2.0 are none, though 2.0 == 2 and
     # truncating would give the walk 0, 1, 2
@@ -350,6 +405,7 @@ def test_distinct_bad_ids_at_path_end_route_y_and_pair_differ(end, y,
 
 _STRAY_ENDS_REPORT = """
 from pairpath.graph import make_graph
+from pairpath.rng import SplitMix64
 from pairpath.routing import Route, RoutePlan, make_pairing
 from pairpath.verify import verify_plan
 plan = RoutePlan(routes=(Route("a", "b", ("a", 1, "b")),), used_edges={})

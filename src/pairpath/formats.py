@@ -77,13 +77,7 @@ def dumps_graph(g: Graph, fmt: str = "json",
         return "{\n" + ",\n".join(fields) + "\n}\n"
     if fmt == "dot":
         lines = ["graph G {"]
-        for v in range(g.n):
-            label = (g.labels or {}).get(v)
-            if label is None:
-                lines.append(f"  {v};")
-            else:
-                esc = label.replace("\\", "\\\\").replace('"', '\\"')
-                lines.append(f'  {v} [label="{esc}"];')
+        lines.extend(f"  {v};" for v in range(g.n))
         for u, v in g.sorted_edges():
             lines.append(f"  {u} -- {v};")
         lines.append("}")
@@ -95,7 +89,7 @@ def dumps_graph(g: Graph, fmt: str = "json",
     raise FormatError(f"unknown graph format {fmt!r}; expected {GRAPH_FORMATS}")
 
 
-_DOT_NODE = re.compile(r'^(\d+)\s*(?:\[label="((?:[^"\\]|\\.)*)"\]\s*)?;$')
+_DOT_NODE = re.compile(r"^(\d+)\s*;$")
 _DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+)\s*;$")
 
 
@@ -123,7 +117,7 @@ def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
         body = text.strip()
         if not body.startswith("graph") or not body.endswith("}"):
             raise FormatError("not a DOT graph")
-        nodes: dict[int, str | None] = {}
+        nodes: set[int] = set()
         edges = []
         for raw in body.split("\n")[1:-1]:
             line = raw.strip()
@@ -131,10 +125,7 @@ def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
                 continue
             mn = _DOT_NODE.match(line)
             if mn:
-                label = mn.group(2)
-                if label is not None:
-                    label = label.replace('\\"', '"').replace("\\\\", "\\")
-                nodes[int(mn.group(1))] = label
+                nodes.add(int(mn.group(1)))
                 continue
             me = _DOT_EDGE.match(line)
             if me:
@@ -144,8 +135,7 @@ def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
         n = len(nodes)
         if sorted(nodes) != list(range(n)):
             raise FormatError("DOT vertices must be exactly 0..n-1")
-        labels = {v: lab for v, lab in nodes.items() if lab is not None}
-        return make_graph(n, edges, labels=labels or None), {}
+        return make_graph(n, edges), {}
     if fmt == "edgelist":
         n = None
         edges = []

@@ -4,8 +4,9 @@ Vertices are integer ids 0..n-1.  An edge {u, v} with u < v is stored as the
 int64 key u*n + v, and a graph keeps its edges as one sorted, duplicate-free
 array of keys.  This module owns both formats: other modules convert ids with
 `as_ids`, encode edges with `edge_keys`, decode and look up keys through
-`Graph`, and order repeated claims with `first_claims`.  All metrics are
-pure functions; Graph values are safe to share across threads and processes.
+`Graph`, dedupe keys with `distinct` and order repeated claims with
+`first_claims`.  All metrics are pure functions; Graph values are safe to
+share across threads and processes.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +92,16 @@ class Quotient(NamedTuple):
     adj: Adjacency
 
 
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, ascending, found by a sort.
+    Plain np.unique hashes int64 in recent NumPy, which is many times
+    slower, and loads numpy.ma on its first call."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def first_claims(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stable sort order of keys, and for each key in that order whether
     it is the first claim of its value: the first of a run of equal keys."""
@@ -103,18 +114,17 @@ def first_claims(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph.  Build via make_graph, not directly.
+    """Simple undirected graph: the vertex count n and the edge keys.
+    Build via make_graph, not directly.
 
     `keys` is the one stored representation of the edge set: the sorted,
     duplicate-free int64 keys u*n + v with u < v (see `edge_keys`),
     read-only.  `endpoints` decodes them; `csr` derives the adjacency lists
     and `quotient` the false-twin quotient from them, each on first use.
-    Equality and hash use n and the keys, not the labels.
     """
 
     n: int
     keys: np.ndarray
-    labels: Mapping[int, str] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -169,8 +179,7 @@ class Graph:
         return list(zip(us.tolist(), vs.tolist()))
 
 
-def make_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray,
-               labels: Mapping[int, str] | None = None) -> Graph:
+def make_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> Graph:
     """Build a Graph from an edge list or an (E, 2) array; duplicates
     collapse, order is irrelevant.
 
@@ -194,19 +203,10 @@ def make_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray,
                              f"0..{n - 1}")
         raise GraphError(f"self-loop at vertex {u} not allowed")
     # ids are in 0..n-1 now, so they and the keys fit in int64
-    keys = edge_keys(us.astype(np.int64, copy=False),
-                     vs.astype(np.int64, copy=False), n)
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]  # one key per edge
+    keys = distinct(edge_keys(us.astype(np.int64, copy=False),
+                              vs.astype(np.int64, copy=False), n))
     keys.flags.writeable = False
-    if labels is not None:
-        bad_labels = [v for v in labels if not (0 <= v < n)]
-        if bad_labels:
-            raise GraphError(f"label for unknown vertex {bad_labels[0]}")
-        labels = dict(labels)
-    return Graph(n=n, keys=keys, labels=labels)
+    return Graph(n=n, keys=keys)
 
 
 def _edge_array(edges: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -306,13 +306,10 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     `Graph.quotient` keeps the classes, so a command finds them once.
 
     Every caller goes on to distances, so a graph with n >= 2 and n > 2E,
-    which must leave some vertex isolated, raises GraphError here, before
-    the n-sized CSR arrays are built.
+    which must leave some vertex isolated, raises GraphError here (see
+    `_check_spread`), before the n-sized CSR arrays are built.
     """
-    if g.n >= 2 and g.n > 2 * g.edge_count:
-        v = _touched(g)[2]
-        u = 1 if v == 0 else 0
-        raise GraphError(f"graph is disconnected: vertex {v} unreachable from {u}")
+    _check_spread(g, 0)
     ptr, indices = g.csr
     index: dict[bytes, int] = {}
     reps: list[int] = []
@@ -336,7 +333,7 @@ def _quotient(g: Graph) -> Quotient:
     deg = ptr[1:][reps] - first
     # the neighbours of every representative, one list after another
     at = np.arange(deg.sum()) + np.repeat(first - np.cumsum(deg) + deg, deg)
-    pairs = np.unique(np.repeat(np.arange(k), deg) * k + cls[indices[at]])
+    pairs = distinct(np.repeat(np.arange(k), deg) * k + cls[indices[at]])
     rows, neighbours = np.divmod(pairs, k)
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
@@ -418,10 +415,7 @@ def distance_matrix(g: Graph, sources: Sequence[int] | None = None
             raise GraphError(f"source {bad!r} out of range 0..{g.n - 1}")
     if not ids.size:
         return np.zeros((0, g.n), dtype=np.int64)
-    if g.n >= 2 and g.n > 2 * g.edge_count:  # some vertex is isolated
-        s = int(ids[0])
-        raise GraphError(f"graph is disconnected: vertex "
-                         f"{_first_unreachable(g, s)} unreachable from {s}")
+    _check_spread(g, int(ids[0]))
     quotient = g.quotient
     classes, row = np.unique(quotient.cls[ids], return_inverse=True)
     dist = _bfs(quotient.adj, classes)
@@ -436,23 +430,26 @@ def distance_matrix(g: Graph, sources: Sequence[int] | None = None
     return dist
 
 
-def _touched(g: Graph) -> tuple[np.ndarray, np.ndarray, int]:
-    """The vertices on some edge, ascending; the index among them of each
-    end in `endpoints` order; and the smallest vertex on no edge."""
-    touched, ends = np.unique(np.concatenate(g.endpoints()),
-                              return_inverse=True)
-    gaps = np.flatnonzero(touched != np.arange(len(touched)))
-    return touched, ends, int(gaps[0]) if gaps.size else len(touched)
+def _check_spread(g: Graph, s: int) -> None:
+    """Raise GraphError when n >= 2 and n > 2E, so that some vertex must be
+    isolated, naming the first vertex that s cannot reach: the witness the
+    BFS in `distance_matrix` names on any other disconnected graph."""
+    if g.n >= 2 and g.n > 2 * g.edge_count:
+        raise GraphError(f"graph is disconnected: vertex "
+                         f"{_first_unreachable(g, s)} unreachable from {s}")
 
 
 def _first_unreachable(g: Graph, s: int) -> int:
     """The smallest vertex that s cannot reach, in a graph with an isolated
     vertex; found on the touched vertices alone, so nothing n-sized is
     built."""
-    touched, ends, isolated = _touched(g)
+    touched, ends = np.unique(np.concatenate(g.endpoints()),
+                              return_inverse=True)
     at = int(np.searchsorted(touched, s))
-    if at == len(touched) or touched[at] != s:
+    if at == len(touched) or touched[at] != s:  # s is isolated
         return 1 if s == 0 else 0
+    gaps = np.flatnonzero(touched != np.arange(len(touched)))
+    isolated = int(gaps[0]) if gaps.size else len(touched)
     sub = make_graph(len(touched), ends.reshape(2, -1).T)
     apart = touched[_bfs(sub.csr, np.array([at]))[0] < 0]
     return min(isolated, int(apart[0])) if apart.size else isolated

@@ -39,8 +39,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .blowup import BlownCycle, free_common_neighbors
-from .graph import (MAX_VERTICES, Edge, as_ids, edge_key, edge_keys,
-                    first_claims)
+from .graph import (MAX_VERTICES, Edge, as_ids, distinct, edge_key,
+                    edge_keys, first_claims)
 from .rng import random_permutation
 
 
@@ -215,10 +215,7 @@ class RoutePlan:
         lens = np.diff(self.ends, prepend=0)
         steps = np.delete(np.arange(len(ids)), self.ends[lens > 0] - 1)
         keys = edge_keys(ids[steps], ids[steps + 1], MAX_VERTICES)
-        # count runs after a sort: plain np.unique hashes int64 keys in
-        # recent NumPy, which is many times slower
-        keys = np.sort(keys[keys >= 0])
-        return int(np.count_nonzero(np.diff(keys))) + 1 if keys.size else 0
+        return len(distinct(keys[keys >= 0]))
 
     @property
     def max_route_length(self) -> int:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_route
 from pairpath.blowup import build
+from pairpath.cli import main
 from pairpath.formats import (FormatError, dumps_graph, dumps_pairing,
                               dumps_plan, loads_graph, loads_pairing,
                               loads_plan)
@@ -72,12 +73,22 @@ def test_json_writes_one_edge_row_per_line(blown2):
         '{\n  "n": 1,\n  "edges": []\n}\n')
 
 
-def test_dot_labels_round_trip():
-    g = make_graph(3, [(0, 1), (1, 2)], labels={0: 'say "hi"', 2: "a\\b"})
+def test_dot_holds_vertex_and_edge_statements_only(tmp_path, capsys):
+    g = make_graph(5, [(3, 1), (0, 1)])  # 2 and 4 are isolated
     text = dumps_graph(g, "dot")
+    assert text == ("graph G {\n  0;\n  1;\n  2;\n  3;\n  4;\n"
+                    "  0 -- 1;\n  1 -- 3;\n}\n")
     loaded, _ = loads_graph(text, "dot")
     assert loaded == g
-    assert loaded.labels == g.labels
+    assert dumps_graph(loaded, "dot") == text
+    labelled = text.replace("  2;", '  2 [label="x"];')
+    with pytest.raises(FormatError, match=r"^unparseable DOT line: "
+                                          r"'2 \[label=\"x\"\];'$"):
+        loads_graph(labelled, "dot")
+    path = tmp_path / "f.dot"
+    path.write_text(labelled)
+    assert main(["stats", "--graph", str(path), "--format", "dot"]) == 2
+    assert "unparseable DOT line" in capsys.readouterr().err
 
 
 def test_edgelist_header_keeps_isolated_vertices():

@@ -16,6 +16,7 @@ from pairpath.blowup import build
 from pairpath.graph import (FamilySpec, GraphError, as_ids, diameter,
                             distance_matrix, eccentricities, generate,
                             make_graph, twin_classes)
+from pairpath.pairability import screen
 
 
 def connected_graphs(max_n=10):
@@ -430,8 +431,20 @@ def test_isolated_vertex_fails_before_csr():
                            match="disconnected: vertex 2 unreachable from 0$"):
             metric(g)
     assert "csr" not in vars(g)
-    with pytest.raises(GraphError, match="vertex 0 unreachable from 1$"):
+    with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
         diameter(make_graph(4, [(1, 2)]))
+
+
+def test_isolated_vertex_witness_is_one_rule():
+    # n > 2E: each metric names the first vertex that 0 misses
+    g = make_graph(5, [(0, 1), (2, 3)])
+    for metric in (diameter, eccentricities,
+                   lambda g: distance_matrix(g, [0])):
+        with pytest.raises(GraphError, match="vertex 2 unreachable from 0$"):
+            metric(g)
+    # screen needs an even n: the same graph with a sixth, isolated vertex
+    with pytest.raises(GraphError, match="vertex 2 unreachable from 0$"):
+        screen(make_graph(6, [(0, 1), (2, 3)]))
 
 
 def test_disconnected_twins_name_witness():

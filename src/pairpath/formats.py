@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from .graph import Graph, GraphError, make_graph
-from .routing import Pairing, Route, RoutePlan, make_pairing
+from .routing import Pairing, RoutePlan, make_pairing
 
 
 class FormatError(ValueError):
@@ -181,8 +181,8 @@ def loads_pairing(text: str) -> Pairing:
 
 def dumps_plan(plan: RoutePlan, extras: dict[str, Any] | None = None) -> str:
     """Plan JSON in the json.dumps(indent=2) layout, written from the
-    plan's arrays.  Raises ValueError for a plan holding a value that is
-    no vertex id (see RoutePlan), which the arrays cannot hold."""
+    plan's arrays.  The arrays may hold negative values (see RoutePlan);
+    a plan file holds vertex ids only, so such a plan raises ValueError."""
     if any(values.min(initial=0) < 0
            for values in (plan.x, plan.y, plan.paths)):
         raise ValueError("plan JSON holds vertex ids only; this plan holds "
@@ -205,53 +205,46 @@ def dumps_plan(plan: RoutePlan, extras: dict[str, Any] | None = None) -> str:
 
 
 def loads_plan(text: str) -> tuple[RoutePlan, dict[str, Any]]:
-    """Parse a plan.  Routes whose values are all ids, as in every file
-    `route` writes, become an array plan, checked and converted as whole
-    lists; any other file is checked route by route and keeps its values
-    as given (see RoutePlan).  The stored edge count is not read, so
-    verification never trusts it."""
+    """Parse a plan into arrays (`RoutePlan.from_arrays`), checked and
+    converted as whole lists.  Every x, y and path value must be a JSON
+    integer within int64, though not a vertex id: verify_plan names -5 as
+    no vertex.  Anything else raises FormatError naming the first bad
+    route.  The stored edge count is not read, so verification never
+    trusts it."""
     doc = _json_loads(text)
     if not isinstance(doc, dict) or "routes" not in doc:
         raise FormatError('plan JSON needs key "routes"')
     items = _as_list(doc, "routes")
-    plan = _array_plan(items)
-    if plan is None:
-        plan = RoutePlan.from_routes(_as_route(idx, item)
-                                     for idx, item in enumerate(items))
-    extras = {k: v for k, v in doc.items() if k not in ("routes", "edges_used")}
-    return plan, extras
-
-
-def _array_plan(items: list[Any]) -> RoutePlan | None:
-    """The array plan of well-formed routes whose x, y and path entries are
-    all ids (nonnegative JSON integers within int64), else None."""
     try:
         xs = [item["x"] for item in items]
         ys = [item["y"] for item in items]
         paths = [item["path"] for item in items]
-    except (KeyError, TypeError):  # a route that is no dict, or lacks a key
-        return None
-    if not all(type(path) is list for path in paths):
-        return None
-    flat = list(chain.from_iterable(paths))
-    if not set(map(type, chain(xs, ys, flat))) <= {int}:
-        return None
-    try:
+        flat = list(chain.from_iterable(paths))
+        if not (all(type(path) is list for path in paths)
+                and set(map(type, chain(xs, ys, flat))) <= {int}):
+            raise TypeError
         arrays = [np.array(values, dtype=np.int64) for values in (xs, ys, flat)]
-    except OverflowError:
-        return None
-    if any(values.min(initial=0) < 0 for values in arrays):
-        return None
+    except (KeyError, TypeError, OverflowError):
+        raise _route_error(items) from None
     lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-    return RoutePlan.from_arrays(*arrays, np.cumsum(lens))
+    extras = {k: v for k, v in doc.items() if k not in ("routes", "edges_used")}
+    return RoutePlan.from_arrays(*arrays, np.cumsum(lens)), extras
 
 
-def _as_route(idx: int, item: Any) -> Route:
-    if not isinstance(item, dict) or not {"x", "y", "path"} <= set(item):
-        raise FormatError(f'route #{idx} needs keys "x", "y", "path"')
-    path = item["path"]
-    if not isinstance(path, list) or not all(map(is_json_int, path)):
-        raise FormatError(f"route #{idx} path must be a list of ids")
-    if not (is_json_int(item["x"]) and is_json_int(item["y"])):
-        raise FormatError(f'route #{idx} "x" and "y" must be ids')
-    return Route(x=item["x"], y=item["y"], path=tuple(path))
+def _route_error(items: list[Any]) -> FormatError:
+    """The error naming the first route that is no object with keys x, y
+    and path, all JSON integers within int64; loads_plan asks only when
+    its whole-list check finds such a route."""
+    for idx, item in enumerate(items):
+        if not isinstance(item, dict) or not {"x", "y", "path"} <= set(item):
+            return FormatError(f'route #{idx} needs keys "x", "y", "path"')
+        path = item["path"]
+        if not isinstance(path, list) or not all(map(_is_int64, path)):
+            return FormatError(f"route #{idx} path must be a list of ids")
+        if not (_is_int64(item["x"]) and _is_int64(item["y"])):
+            return FormatError(f'route #{idx} "x" and "y" must be ids')
+    raise AssertionError("every route is well formed")
+
+
+def _is_int64(value: Any) -> bool:
+    return is_json_int(value) and -2**63 <= value < 2**63

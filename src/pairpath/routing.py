@@ -59,17 +59,21 @@ class RoutingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Pairing:
-    """Disjoint vertex pairs, sorted by smaller endpoint; may be partial."""
+    """Disjoint vertex pairs, sorted by smaller endpoint; may be partial.
+
+    Ids must be integers (what operator.index accepts, NumPy's too), held
+    as Python ints; anything else raises PairingError naming it."""
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        pairs = tuple((_vertex_id(x), _vertex_id(y)) for x, y in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
         seen: set[int] = set()
-        for pair in self.pairs:
-            for v in pair:
-                if v in seen:
-                    raise PairingError(f"duplicate endpoint {v} across pairs")
-                seen.add(v)
+        for v in chain.from_iterable(pairs):
+            if v in seen:
+                raise PairingError(f"duplicate endpoint {v} across pairs")
+            seen.add(v)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -79,12 +83,14 @@ class Pairing:
 
 
 def make_pairing(pairs: Iterable[Sequence[int]]) -> Pairing:
-    """Validate and canonicalize: pair order follows the smaller endpoint,
-    orientation within each pair is kept.  Ids must be integers (NumPy's
-    too); anything else raises PairingError naming it."""
-    norm = [(_vertex_id(x), _vertex_id(y)) for x, y in pairs]
-    norm.sort(key=lambda pair: min(pair))
-    return Pairing(pairs=tuple(norm))
+    """Canonicalize: pair order follows the smaller endpoint, orientation
+    within each pair is kept.  Pairing checks the ids."""
+    pairs = tuple(pairs)
+    try:
+        pairs = tuple(sorted(pairs, key=min))
+    except TypeError:  # values that do not compare: check them first
+        return make_pairing(Pairing(pairs).pairs)
+    return Pairing(pairs)
 
 
 def _vertex_id(v: object) -> int:
@@ -112,24 +118,20 @@ class Route:
         return len(self.path) - 1
 
 
-# as_ids below this bound reads every non-negative int64 as an id
-_INT64_IDS = 2**63
-
-
 class RoutePlan:
     """One route per pair, held as read-only int64 arrays.
 
     Route i goes from x[i] to y[i] along paths[ends[i] - k:ends[i]], where
     k is its path's length in vertices: the paths lie back to back, as
     `PhaseOneResult.walks` holds the walks.  The router and
-    `formats.loads_plan` build plans from arrays of ids (`from_arrays`), and
-    their `routes` are Route objects built on first read.
+    `formats.loads_plan` build plans from arrays (`from_arrays`); the
+    constructor and `from_routes` convert Route objects once, and `routes`
+    builds them back from the arrays on first read.
 
-    A plan made from Route objects (`from_routes`, or the constructor)
-    keeps them, and derives the arrays from them on first use with
-    `as_ids`: a value that is no non-negative int64, such as -1, a float, a
-    string or an id beyond int64, reads -1 there.  `pairs` and `path_value`
-    give the values as given, so that a report can name them.
+    The arrays hold every integer within int64, not only vertex ids, so a
+    report can name a value such as -5 that is no vertex.  A route value
+    that is no integer (a float or a string) or lies beyond int64 raises
+    PairingError naming the route and the value.
 
     `used_edges` maps each edge the routes use to the first route that uses
     it.  It is built when read, from `routes`, and nothing in this package
@@ -138,10 +140,14 @@ class RoutePlan:
 
     def __init__(self, routes: Iterable[Route] = (),
                  used_edges: Mapping[Edge, int] | None = None) -> None:
-        # routes and used_edges are cached properties: values stored here
-        # take their place
-        self.routes = tuple(routes)
-        self._given = True
+        routes = tuple(routes)
+        x, y, paths = [], [], []
+        for idx, r in enumerate(routes):
+            x.append(_route_id(idx, r.x))
+            y.append(_route_id(idx, r.y))
+            paths.extend(_route_id(idx, v) for v in r.path)
+        self._hold(x, y, paths, np.cumsum([len(r.path) for r in routes]))
+        # used_edges is a cached property: a value stored here takes its place
         if used_edges is not None:
             self.used_edges = used_edges
 
@@ -154,35 +160,15 @@ class RoutePlan:
     @classmethod
     def from_arrays(cls, x: np.ndarray, y: np.ndarray, paths: np.ndarray,
                     ends: np.ndarray) -> RoutePlan:
-        """Plan over int64 arrays laid out as the class docstring says,
-        holding non-negative ids only; marks them read-only."""
+        """Plan over int64 arrays laid out as the class docstring says; the
+        values need not be vertex ids.  Marks the arrays read-only."""
         plan = cls.__new__(cls)
-        plan._given = False
-        for name, values in (("x", x), ("y", y), ("paths", paths),
-                             ("ends", ends)):
-            setattr(plan, name, _frozen(values))  # in place of the property
+        plan._hold(x, y, paths, ends)
         return plan
 
-    @cached_property
-    def x(self) -> np.ndarray:
-        return _frozen(as_ids([r.x for r in self.routes], _INT64_IDS))
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return _frozen(as_ids([r.y for r in self.routes], _INT64_IDS))
-
-    @cached_property
-    def paths(self) -> np.ndarray:
-        return _frozen(as_ids(self._given_paths, _INT64_IDS))
-
-    @cached_property
-    def ends(self) -> np.ndarray:
-        return _frozen(np.cumsum([len(r.path) for r in self.routes],
-                                 dtype=np.int64))
-
-    @cached_property
-    def _given_paths(self) -> list[object]:
-        return list(chain.from_iterable(r.path for r in self.routes))
+    def _hold(self, *arrays: Sequence[int]) -> None:
+        self.x, self.y, self.paths, self.ends = (
+            _frozen(np.asarray(values, dtype=np.int64)) for values in arrays)
 
     @cached_property
     def routes(self) -> tuple[Route, ...]:
@@ -192,15 +178,9 @@ class RoutePlan:
         return tuple(Route(x, y, tuple(flat[lo:hi])) for x, y, lo, hi in zip(
             self.x.tolist(), self.y.tolist(), [0] + ends, ends))
 
-    def pairs(self) -> list[tuple[object, object]]:
-        """Each route's (x, y), as given."""
-        if self._given:
-            return [(r.x, r.y) for r in self.routes]
+    def pairs(self) -> list[tuple[int, int]]:
+        """Each route's (x, y)."""
         return list(zip(self.x.tolist(), self.y.tolist()))
-
-    def path_value(self, pos: int) -> object:
-        """Entry pos of `paths`, as given."""
-        return self._given_paths[pos] if self._given else int(self.paths[pos])
 
     @cached_property
     def used_edges(self) -> Mapping[Edge, int]:
@@ -233,6 +213,18 @@ class RoutePlan:
 def _frozen(values: np.ndarray) -> np.ndarray:
     values.flags.writeable = False
     return values
+
+
+def _route_id(idx: int, v: object) -> int:
+    """A route value as an int within int64, else PairingError naming the
+    route and the value."""
+    try:
+        v = _vertex_id(v)
+    except PairingError as exc:
+        raise PairingError(f"route #{idx}: {exc}") from None
+    if not -2**63 <= v < 2**63:
+        raise PairingError(f"route #{idx}: vertex {v} lies beyond int64")
+    return v
 
 
 class _OwnerMap(Mapping[Edge, int]):

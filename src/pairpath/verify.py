@@ -78,7 +78,7 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     earlier step, in route order, took it; that step's route owns the edge.
     The checks read only the plan's arrays (see RoutePlan), all routes' ids
     at once, and entries are built only for what they flag, each naming
-    the plan's values as given.
+    the value the plan holds, such as -5, which no graph has as a vertex.
     """
     n = g.n
     # a route with no pair is not walked
@@ -114,13 +114,11 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
             entries.append((idx, 0, 0, Violation(
                 kind=ENDPOINT_NOT_IN_PAIRING if at_first or at_last
                 else WRONG_ENDPOINTS, pair_indexes=(idx,),
-                vertex=plan.path_value(int(at)) if lens[idx] else None)))
-    if len(plan.ends) > walked:
-        pairs = plan.pairs()
-        for idx in range(walked, len(plan.ends)):
-            entries.append((idx, 0, 0, Violation(
-                kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
-                vertex=pairs[idx][0])))
+                vertex=int(plan.paths[at]) if lens[idx] else None)))
+    for idx in range(walked, len(plan.ends)):
+        entries.append((idx, 0, 0, Violation(
+            kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
+            vertex=int(plan.x[idx]))))
 
     # vertex ids: out of range, or repeated within a route (a warning),
     # found as runs of equal keys route*n + id (below routes*n, which fits
@@ -128,10 +126,10 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     for pos in np.flatnonzero(~in_range).tolist():
         entries.append((int(rid[pos]), 1, pos, Violation(
             kind=NOT_A_WALK, pair_indexes=(int(rid[pos]),),
-            vertex=plan.path_value(pos))))
+            vertex=int(plan.paths[pos]))))
     by_vertex, firsts = first_claims(np.where(in_range, rid * n + flat, -1))
     warnings = [PlanWarning(kind="vertex-repeated", pair_index=int(rid[pos]),
-                            vertex=plan.path_value(pos))
+                            vertex=int(plan.paths[pos]))
                 for pos in np.sort(by_vertex[~firsts]).tolist()
                 if in_range[pos]]
 
@@ -151,11 +149,7 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
                      step_route[owner[reused]].tolist())
     for s, own in bad_steps:
         pos, idx = int(step_pos[s]), int(step_route[s])
-        u, v = plan.path_value(pos), plan.path_value(pos + 1)
-        try:
-            e = (u, v) if u < v else (v, u)
-        except TypeError:  # ends that do not compare, such as a string id
-            e = (u, v)
+        e = tuple(sorted(plan.paths[pos:pos + 2].tolist()))
         entries.append((idx, 2, pos, Violation(
             kind=NOT_A_WALK, pair_indexes=(idx,), edge=e) if own is None
             else Violation(kind=EDGE_REUSED, pair_indexes=(own, idx),

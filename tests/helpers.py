@@ -85,7 +85,7 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
     violations: list[Violation] = []
     warnings: list[PlanWarning] = []
     n, edges = g.n, set(g.sorted_edges())
-    # a pair value that is no id, such as 2.0, is no endpoint
+    # a pair value that is no id, such as -1, is no endpoint
     endpoint_set = {v for v in p.endpoints() if _is_id(v, n)}
     owner: dict[tuple[int, int], int] = {}
 
@@ -96,8 +96,7 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
                 kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
                 vertex=route.x))
             continue
-        # ends count only as ids, tried in path order; an end equal to an
-        # id but no integer, such as 2.0, is no pair's endpoint
+        # ends count only as ids, tried in path order
         ends = [path[0], path[-1]] if path else []
         pair = list(p.pairs[idx])
         if not (path and all(_is_id(v, n)
@@ -125,12 +124,9 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
             else:
                 seen_vertices.add(v)
         for u, v in zip(path, path[1:]):
-            try:
-                e = (u, v) if u < v else (v, u)
-            except TypeError:  # ends that do not compare, such as a string
-                e = (u, v)
-            # a step with an end that is no id, such as 1.0 though it
-            # equals 1, is never in the edge set, nor is a self-loop
+            e = (u, v) if u < v else (v, u)
+            # a step with an end that is no id, such as -1, is never in the
+            # edge set, nor is a self-loop
             if not (_is_id(u, n) and _is_id(v, n)) or e not in edges:
                 violations.append(Violation(
                     kind=NOT_A_WALK, pair_indexes=(idx,), edge=e))

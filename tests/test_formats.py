@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from pairpath.formats import (FormatError, dumps_graph, dumps_pairing,
                               loads_plan)
 from pairpath.graph import make_graph
 import pairpath.routing as routing_module
-from pairpath.routing import (Route, RoutePlan, make_pairing,
+from pairpath.routing import (PairingError, Route, RoutePlan, make_pairing,
                               random_perfect_pairing, route)
 from pairpath.verify import verify_plan
 
@@ -272,15 +273,73 @@ def test_edges_used_counts_the_owner_map(blown3):
 
 
 def test_loads_plan_keeps_values_that_are_no_ids_as_given():
-    for bad in (-5, 2**63, 10**30):
-        plan, _ = loads_plan(json.dumps({"routes": [
-            {"x": 0, "y": 1, "path": [0, 1]},
-            {"x": bad, "y": 2, "path": [bad, 2]}]}))
-        assert plan.pairs() == [(0, 1), (bad, 2)]
-        assert [plan.path_value(pos) for pos in range(4)] == [0, 1, bad, 2]
-        assert plan.paths.tolist() == [0, 1, -1, 2]
-        with pytest.raises(ValueError, match="holds vertex ids only"):
-            dumps_plan(plan)
+    plan, _ = loads_plan(json.dumps({"routes": [
+        {"x": 0, "y": 1, "path": [0, 1]},
+        {"x": -5, "y": 2, "path": [-5, 2]}]}))
+    assert plan.pairs() == [(0, 1), (-5, 2)]
+    assert plan.paths.tolist() == [0, 1, -5, 2]
+    with pytest.raises(ValueError, match="holds vertex ids only"):
+        dumps_plan(plan)
+    # no int64 array holds these
+    for bad in (2**63, 10**30):
+        with pytest.raises(FormatError, match="^route #1 "):
+            loads_plan(json.dumps({"routes": [
+                {"x": 0, "y": 1, "path": [0, 1]},
+                {"x": bad, "y": 2, "path": [bad, 2]}]}))
+
+
+def _plan_by_constructor(routes):
+    return RoutePlan(routes=[Route(**r) for r in routes])
+
+
+def _plan_by_from_routes(routes):
+    return RoutePlan.from_routes(Route(**r) for r in routes)
+
+
+def _plan_by_loads_plan(routes):
+    return loads_plan(json.dumps({"routes": routes}))[0]
+
+
+@pytest.mark.parametrize("slot", ["x", "y", "path"])
+@pytest.mark.parametrize("bad", [1.0, "1", 2**63],
+                         ids=["float", "string", "beyond-int64"])
+@pytest.mark.parametrize("build_plan, error, named", [
+    (_plan_by_constructor, PairingError, "route #1: vertex {!r} "),
+    (_plan_by_from_routes, PairingError, "route #1: vertex {!r} "),
+    (_plan_by_loads_plan, FormatError, "route #1 ")],
+    ids=["constructor", "from_routes", "loads_plan"])
+def test_plans_hold_int64_integers_only(build_plan, error, named, bad, slot):
+    routes = [{"x": 0, "y": 1, "path": [0, 1]},
+              {"x": 2, "y": 1, "path": [2, 1]}]
+    if slot == "path":
+        routes[1]["path"][1] = bad
+    else:
+        routes[1][slot] = bad
+    with pytest.raises(error) as info:
+        build_plan(routes)
+    assert str(info.value).startswith(named.format(bad))
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.floats()
+                | st.text(max_size=2) | st.integers()
+                | st.sampled_from([-1, 2**63 - 1, 2**63, -2**63 - 1]))
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.sampled_from(["x", "y", "path"]),
+                                       inner, max_size=3), max_leaves=12)
+_ROUTES = st.lists(_JSON | st.fixed_dictionaries(
+    {"x": _JSON, "y": _JSON, "path": st.lists(_JSON, max_size=3) | _JSON}),
+    max_size=3)
+
+
+@given(_JSON | st.fixed_dictionaries({"routes": _ROUTES | _JSON}))
+@settings(max_examples=300, deadline=None)
+def test_loads_plan_raises_format_error_only(doc):
+    # cli.main turns ValueError and OSError into exit 2, and nothing else
+    try:
+        plan, _ = loads_plan(json.dumps(doc))
+    except FormatError:
+        return
+    assert plan.paths.dtype == np.int64
 
 
 def test_plan_rejects_malformed():

@@ -14,7 +14,7 @@ from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
                                   diameter_upper_bound, enumerate_pairings,
                                   find_disjoint_paths, is_path_pairable,
                                   pairing_count, screen)
-from pairpath.routing import Pairing, make_pairing
+from pairpath.routing import Pairing, PairingError, make_pairing
 from pairpath.verify import verify_plan
 
 import pairpath.pairability as pairability_module
@@ -51,10 +51,13 @@ def test_find_disjoint_paths_rejects_out_of_range_vertex(c4):
     with pytest.raises(GraphError,
                        match=r"^pairing vertex 9 out of range 0\.\.3$"):
         find_disjoint_paths(c4, make_pairing([(0, 9)]))
-    # a Pairing built directly may hold a non-integer; it is no vertex
     with pytest.raises(GraphError,
-                       match=r"^pairing vertex 0\.5 out of range 0\.\.3$"):
-        find_disjoint_paths(c4, Pairing(pairs=((1, 3), (0.5, 2))))
+                       match=r"^pairing vertex -1 out of range 0\.\.3$"):
+        find_disjoint_paths(c4, Pairing(pairs=((1, 3), (-1, 2))))
+    # a Pairing holds integers only, so 0.5 never reaches the search
+    with pytest.raises(PairingError,
+                       match=r"^vertex 0\.5 is not an integer id$"):
+        Pairing(pairs=((1, 3), (0.5, 2)))
 
 
 def test_empty_graph_is_path_pairable():

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 from collections.abc import Mapping
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairpath
 from helpers import ORACLE_GRAPHS, reference_verify_plan, to_networkx
 from pairpath.blowup import build
 import pairpath.routing as routing_module
@@ -373,8 +377,34 @@ def test_distinct_bad_ids_at_path_end_route_y_and_pair_differ(end, y,
         == (ENDPOINT_NOT_IN_PAIRING, end)
 
 
-def test_two_stray_ends_name_the_first():
-    # both ends are strays, and -5 is no vertex; the entry names path[0]
+def test_non_integer_ids_are_no_vertices():
+    # ids are integers, so 0.4, "1" and 2.0 are none, though 2.0 == 2 and
+    # truncating would give the walk 0, 1, 2; a plan refuses them, naming
+    # the route and the first such value, so verify_plan never sees one
+    for path, bad in (((0.4, 1.2, 2.0), "0.4"), ((0, "1", 2), "'1'"),
+                      ((0, 1, 2.0), "2.0")):
+        with pytest.raises(PairingError,
+                           match=rf"^route #0: vertex {bad} is not an "
+                                 r"integer id$"):
+            plan_of(path)
+        doc = {"routes": [{"x": path[0], "y": path[-1], "path": list(path)}]}
+        with pytest.raises(ValueError, match=r"route #0"):
+            loads_plan(json.dumps(doc))
+
+
+_STRAY_ENDS_REPORT = """
+from pairpath.graph import make_graph
+from pairpath.routing import Route, RoutePlan, make_pairing
+from pairpath.verify import verify_plan
+plan = RoutePlan(routes=(Route(3, 4, (3, 1, 4)),), used_edges={})
+print(verify_plan(make_graph(5, [(0, 1), (1, 2), (2, 3)]),
+                  make_pairing([(0, 2)]), plan).to_json(), end="")
+"""
+
+
+def test_two_stray_ends_name_the_first_under_any_hash_seed():
+    # both ends are strays, and -5 is no vertex; the entry names path[0],
+    # the same in every process whatever its hash seed
     g = make_graph(5, [(0, 1), (1, 2), (2, 3)])
     pairing = make_pairing([(0, 2)])
     for path in ((3, 1, 4), (4, 1, 3), (-5, 1, 3), (3, 1, -5)):
@@ -384,6 +414,13 @@ def test_two_stray_ends_name_the_first():
             == (ENDPOINT_NOT_IN_PAIRING, path[0])
         assert report.to_json() \
             == reference_verify_plan(g, pairing, plan).to_json()
+    src = str(pathlib.Path(pairpath.__file__).parents[1])
+    outs = {subprocess.run(
+        [sys.executable, "-c", _STRAY_ENDS_REPORT], capture_output=True,
+        text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}).stdout
+        for seed in ("1", "2")}
+    assert outs == {verify_plan(g, pairing, plan_of((3, 1, 4))).to_json()}
 
 
 def test_stray_end_on_a_huge_graph_allocates_nothing_of_size_n():

@@ -18,18 +18,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-Edge = tuple[int, int]
-
 # the largest n for which every key u*n + v (u < v < n) fits in int64
 MAX_VERTICES = 3_037_000_500
 
 
 class GraphError(ValueError):
     """Invalid graph construction or metric precondition."""
-
-
-def edge_key(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 def as_ids(values: Sequence[object], n: int) -> np.ndarray:
@@ -174,7 +168,7 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.keys)
 
-    def sorted_edges(self) -> list[Edge]:
+    def sorted_edges(self) -> list[tuple[int, int]]:
         us, vs = self.endpoints()
         return list(zip(us.tolist(), vs.tolist()))
 

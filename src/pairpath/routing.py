@@ -34,13 +34,12 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .blowup import BlownCycle, free_common_neighbors
-from .graph import (MAX_VERTICES, Edge, as_ids, distinct, edge_key,
-                    edge_keys, first_claims)
+from .graph import MAX_VERTICES, as_ids, distinct, edge_keys, first_claims
 from .rng import random_permutation
 
 
@@ -59,7 +58,8 @@ class RoutingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Pairing:
-    """Disjoint vertex pairs, sorted by smaller endpoint; may be partial.
+    """Disjoint vertex pairs, in the order given; may be partial.
+    `make_pairing` sorts them by smaller endpoint.
 
     Ids must be integers (what operator.index accepts, NumPy's too), held
     as Python ints; anything else raises PairingError naming it."""
@@ -133,13 +133,14 @@ class RoutePlan:
     that is no integer (a float or a string) or lies beyond int64 raises
     PairingError naming the route and the value.
 
-    `used_edges` maps each edge the routes use to the first route that uses
-    it.  It is built when read, from `routes`, and nothing in this package
-    reads it.
+    `used_edges` maps each edge (u, v), u < v, that the routes use to the
+    first route that uses it.  It is a dict built when read, from `routes`,
+    and nothing in this package reads it.
     """
 
     def __init__(self, routes: Iterable[Route] = (),
-                 used_edges: Mapping[Edge, int] | None = None) -> None:
+                 used_edges: Mapping[tuple[int, int], int] | None = None
+                 ) -> None:
         routes = tuple(routes)
         x, y, paths = [], [], []
         for idx, r in enumerate(routes):
@@ -183,8 +184,12 @@ class RoutePlan:
         return list(zip(self.x.tolist(), self.y.tolist()))
 
     @cached_property
-    def used_edges(self) -> Mapping[Edge, int]:
-        return _OwnerMap(self.routes)
+    def used_edges(self) -> dict[tuple[int, int], int]:
+        used: dict[tuple[int, int], int] = {}
+        for idx, r in enumerate(self.routes):
+            for u, v in zip(r.path, r.path[1:]):
+                used.setdefault((u, v) if u < v else (v, u), idx)
+        return used
 
     @cached_property
     def edges_used(self) -> int:
@@ -225,35 +230,6 @@ def _route_id(idx: int, v: object) -> int:
     if not -2**63 <= v < 2**63:
         raise PairingError(f"route #{idx}: vertex {v} lies beyond int64")
     return v
-
-
-class _OwnerMap(Mapping[Edge, int]):
-    """Each edge the routes use, mapped to the first route that uses it.
-    The dict is built on first access; it compares equal to a plain dict
-    with the same items."""
-
-    def __init__(self, routes: tuple[Route, ...]) -> None:
-        self._routes = routes
-
-    @cached_property
-    def _owners(self) -> dict[Edge, int]:
-        used: dict[Edge, int] = {}
-        for idx, r in enumerate(self._routes):
-            for u, v in zip(r.path, r.path[1:]):
-                used.setdefault(edge_key(u, v), idx)
-        return used
-
-    def __getitem__(self, e: Edge) -> int:
-        return self._owners[e]
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self._owners)
-
-    def __len__(self) -> int:
-        return len(self._owners)
-
-    def __repr__(self) -> str:
-        return repr(self._owners)
 
 
 @dataclass(frozen=True)
@@ -423,7 +399,7 @@ def _check_disjoint(us: np.ndarray, vs: np.ndarray, owners: np.ndarray,
         second = int(order[~first].min())
         claim = int(np.argmax(keys == keys[second]))
         raise RoutingError(
-            f"edge {edge_key(int(us[second]), int(vs[second]))} claimed by "
+            f"edge {divmod(int(keys[second]), n)} claimed by "
             f"pairs {owners[claim]} and {owners[second]}: construction bug")
 
 

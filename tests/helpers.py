@@ -500,3 +500,24 @@ def dense_screen(g: Graph) -> ScreenReport:
                                 violations=tuple(found))
     return ScreenReport(verdict=CANNOT_RULE_OUT, diameter=d,
                         roots_checked=tuple(checked), violations=())
+
+
+def splitmix64_outputs(seed: int):
+    """Oracle: the splitmix64 stream, one output at a time on Python ints."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def reference_permutation(n: int, seed: int) -> list[int]:
+    """Oracle: random_permutation as a Fisher-Yates loop, high index down,
+    drawing one output of splitmix64_outputs(seed) per swap."""
+    xs, stream = list(range(n)), splitmix64_outputs(seed)
+    for i in range(n - 1, 0, -1):
+        j = next(stream) % (i + 1)
+        xs[i], xs[j] = xs[j], xs[i]
+    return xs

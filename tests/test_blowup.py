@@ -7,7 +7,7 @@ import pairpath.blowup as blowup_module
 from helpers import (class_members, degrees, matching_step, neighbors,
                      to_networkx)
 from pairpath.blowup import BlownCycle, BlowupError, build, free_common_neighbors
-from pairpath.graph import MAX_VERTICES, diameter, edge_key
+from pairpath.graph import MAX_VERTICES, diameter
 from pairpath.routing import random_perfect_pairing, route
 
 
@@ -108,7 +108,7 @@ def test_matching_step_edges_exist(blown2):
     for shift in (1, 2):
         for v in class_members(blown2, 0):
             w = matching_step(blown2, 0, shift, v)
-            assert edge_key(v, w) in edges
+            assert (min(v, w), max(v, w)) in edges
 
 
 def test_shift_matchings_are_perfect_and_disjoint(blown3):
@@ -140,7 +140,7 @@ def test_free_common_neighbors_avoid_reserved_shifts(blown2):
     edges = set(blown2.graph.sorted_edges())
     for z in free_common_neighbors(blown2, u, v):
         for w in (u, v):
-            assert edge_key(w, z) in edges
+            assert (min(w, z), max(w, z)) in edges
             shift = (blown2.index_of(z) - blown2.index_of(w)) % blown2.q
             assert shift not in range(1, blown2.m + 1)
 

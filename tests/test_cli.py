@@ -12,6 +12,7 @@ import pairpath.blowup as blowup_module
 import pairpath.routing as routing_module
 from pairpath.cli import main
 from pairpath.formats import dumps_graph, dumps_pairing, loads_graph
+from pairpath.graph import FamilySpec, generate
 from pairpath.routing import make_pairing
 
 from helpers import (HALL_DEFICIENT_M4, HALL_DEFICIENT_M4_PLAN,
@@ -279,6 +280,52 @@ def test_verify_without_graph_or_annotation_fails(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--plan", str(plan_file))
     assert code == 2
     assert "--graph" in err
+
+
+def test_verify_checks_each_route_against_its_own_pair(capsys, tmp_path):
+    # without --pairing, route i is judged against (x, y) of route i, in
+    # route order; a pairing file's pairs are sorted as route writes them
+    graph_file = tmp_path / "c4.json"
+    graph_file.write_text(dumps_graph(generate(FamilySpec("cycle", (4,))),
+                                      "json"))
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"routes": [
+        {"x": 2, "y": 3, "path": [2, 3]}, {"x": 0, "y": 1, "path": [0, 1]}]}))
+    code, out, _ = run(capsys, "verify", "--plan", str(plan_file),
+                       "--graph", str(graph_file))
+    assert (code, json.loads(out)["ok"]) == (0, True)
+    pairing_file = tmp_path / "p.json"
+    pairing_file.write_text(dumps_pairing(make_pairing([(2, 3), (0, 1)])))
+    code, out, _ = run(capsys, "verify", "--plan", str(plan_file),
+                       "--graph", str(graph_file),
+                       "--pairing", str(pairing_file))
+    assert code == 1
+    assert [v["kind"] for v in json.loads(out)["violations"]] \
+        == ["wrong-endpoints", "wrong-endpoints"]
+
+
+@pytest.mark.parametrize("extra", [None, {"x": 5, "y": 5, "path": [5]}],
+                         ids=["route-0-again", "x-is-y"])
+def test_verify_route_repeating_an_end_has_no_pair(capsys, tmp_path, extra):
+    # the pairing stops before the first route that repeats an earlier end
+    # (or whose x is its y); that route and later ones are reported, and
+    # verify exits 1, not 2
+    code, plan_text, _ = run(capsys, "route", "--m", "2", "--random", "7")
+    doc = json.loads(plan_text)
+    routes = doc["routes"]
+    if extra is None:
+        routes.append(routes[0])
+        cut = len(routes) - 1
+    else:
+        routes.insert(0, extra)
+        cut = 0
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--plan", str(plan_file))
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        {"kind": "endpoint-not-in-pairing", "pairs": [idx], "edge": None,
+         "vertex": routes[idx]["x"]} for idx in range(cut, len(routes))]
 
 
 # ---------------------------------------------------------------- decide

@@ -205,40 +205,35 @@ def test_owner_map_first_claim_owns_a_reused_edge():
     assert plan.edges_used == len(owners)
 
 
-def test_loads_plan_and_verify_build_no_owner_map(blown2, monkeypatch):
+def test_loads_plan_and_verify_build_no_owner_map(blown2):
     pairing = random_perfect_pairing(blown2.n, 3)
-    text = dumps_plan(route(blown2, pairing))
-    real, calls = routing_module.edge_key, []
-
-    def counting_edge_key(u, v):
-        calls.append((u, v))
-        return real(u, v)
-    monkeypatch.setattr(routing_module, "edge_key", counting_edge_key)
+    routed = route(blown2, pairing)
+    text = dumps_plan(routed)
     plan, _ = loads_plan(text)
     assert verify_plan(blown2.graph, pairing, plan).ok
     # the edge count is read off the arrays, not the owner map
     assert plan.edges_used == json.loads(text)["edges_used"]
-    assert calls == []
-    # the map is built once, on first read, and holds that many edges
-    assert plan.used_edges == dict(plan.used_edges)
-    built = len(calls)
-    assert built > 0
+    for made in (routed, plan):
+        assert "used_edges" not in vars(made)
+    # the map is a dict built once, on first read, and holds that many edges
+    owners = plan.used_edges
+    assert type(owners) is dict
+    assert "used_edges" in vars(plan)
+    assert plan.used_edges is owners
     assert len(plan.used_edges) == plan.edges_used
-    assert len(calls) == built
 
 
 class _Forbidden:
     """Stands in for a class that the code under test must not use."""
 
     def __init__(self, *_):
-        raise AssertionError("built a Route or an owner map")
+        raise AssertionError("built a Route")
 
 
 def test_route_verify_and_formats_build_no_route_objects(monkeypatch):
     b = build(4)
     pairing = random_perfect_pairing(b.n, 2)
     monkeypatch.setattr(routing_module, "Route", _Forbidden)
-    monkeypatch.setattr(routing_module, "_OwnerMap", _Forbidden)
     plan = route(b, pairing)
     assert verify_plan(b.graph, pairing, plan).ok
     text = dumps_plan(plan)
@@ -247,6 +242,9 @@ def test_route_verify_and_formats_build_no_route_objects(monkeypatch):
     # a router plan is edge-disjoint: one edge per step
     assert loaded.edges_used == plan.edges_used \
         == len(plan.paths) - len(plan.ends)
+    # no owner map was built on the way
+    for made in (plan, loaded):
+        assert "used_edges" not in vars(made)
     monkeypatch.undo()
     assert plan.routes == reference_route(b, pairing).routes
 

@@ -1,7 +1,12 @@
+from itertools import islice
+
 import pytest
 
+from helpers import reference_permutation, splitmix64_outputs
 from pairpath.rng import SplitMix64, random_permutation
 from pairpath.routing import random_perfect_pairing
+
+SEEDS = (0, 1, 12345, 2**64 - 1)
 
 
 def test_reference_sequence_seed_zero():
@@ -29,6 +34,28 @@ def test_seed_wraps_at_64_bits():
     a = SplitMix64(1 << 64)
     b = SplitMix64(0)
     assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_matches_the_one_at_a_time_mix(seed):
+    gen = SplitMix64(seed)
+    assert [gen.next_u64() for _ in range(200)] \
+        == list(islice(splitmix64_outputs(seed), 200))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 44, 2144])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_permutation_matches_the_swap_loop(n, seed):
+    assert random_permutation(n, seed) == reference_permutation(n, seed)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 44])
+def test_shuffle_draws_n_minus_one_outputs(n):
+    # a shuffle of n items draws n-1 outputs, none for 0 or 1 items
+    gen = SplitMix64(7)
+    gen.shuffle(list(range(n)))
+    assert gen.next_u64() \
+        == next(islice(splitmix64_outputs(7), max(n - 1, 0), None))
 
 
 def test_randrange_rejects_nonpositive():

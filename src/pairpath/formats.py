@@ -1,7 +1,8 @@
 """Wire formats: graph JSON / DOT / edge-list, pairing JSON, route-plan JSON.
 
 All three graph formats are import/export symmetric and byte-stable: edges are
-written sorted with u < v, so identical graphs serialize identically.
+written sorted with u < v, so identical graphs serialize identically.  JSON
+files hold one edge, pair or route per line (see `_dumps_rows`).
 """
 from __future__ import annotations
 
@@ -28,6 +29,20 @@ def _json_loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+
+
+def _dumps_rows(doc: dict[str, Any], rows_key: str) -> str:
+    """`doc` in the json.dumps(indent=2) layout, except that doc[rows_key]
+    is a list of rows already written as compact JSON text, such as
+    "[0, 7]", and goes out one row per line."""
+    fields = []
+    for key, value in doc.items():
+        if key == rows_key and value:
+            text = "[\n    " + ",\n    ".join(value) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _as_list(doc: dict[str, Any], key: str) -> list[Any]:
@@ -67,19 +82,13 @@ def _as_edges(rows: list[Any]) -> np.ndarray | list[tuple[int, int]]:
 def dumps_graph(g: Graph, fmt: str = "json",
                 annotations: dict[str, Any] | None = None) -> str:
     if fmt == "json":
-        # the json.dumps(indent=2) layout, except one [u, v] row per edge
-        rows = ",\n".join(f"    [{u}, {v}]" for u, v in g.sorted_edges())
-        fields = [f'  "n": {json.dumps(g.n)}',
-                  f'  "edges": [\n{rows}\n  ]' if rows else '  "edges": []']
-        for key, value in (annotations or {}).items():
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-            fields.append(f"  {json.dumps(key)}: {text}")
-        return "{\n" + ",\n".join(fields) + "\n}\n"
+        edges = [f"[{u}, {v}]" for u, v in g.sorted_edges()]
+        return _dumps_rows({"n": g.n, "edges": edges, **(annotations or {})},
+                           "edges")
     if fmt == "dot":
         lines = ["graph G {"]
         lines.extend(f"  {v};" for v in range(g.n))
-        for u, v in g.sorted_edges():
-            lines.append(f"  {u} -- {v};")
+        lines.extend(f"  {u} -- {v};" for u, v in g.sorted_edges())
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "edgelist":
@@ -166,7 +175,8 @@ def _ints(words: list[str], what: str, line: str) -> tuple[int, ...]:
 
 
 def dumps_pairing(p: Pairing) -> str:
-    return json.dumps({"pairs": [list(pair) for pair in p.pairs]}, indent=2) + "\n"
+    return _dumps_rows({"pairs": [f"[{x}, {y}]" for x, y in p.pairs]},
+                       "pairs")
 
 
 def loads_pairing(text: str) -> Pairing:
@@ -180,28 +190,17 @@ def loads_pairing(text: str) -> Pairing:
 
 
 def dumps_plan(plan: RoutePlan, extras: dict[str, Any] | None = None) -> str:
-    """Plan JSON in the json.dumps(indent=2) layout, written from the
-    plan's arrays.  The arrays may hold negative values (see RoutePlan);
-    a plan file holds vertex ids only, so such a plan raises ValueError."""
-    if any(values.min(initial=0) < 0
-           for values in (plan.x, plan.y, plan.paths)):
+    """Plan JSON, one route per line, from the plan's arrays.  Plan files
+    hold vertex ids only: a negative value (see RoutePlan) raises ValueError."""
+    if min(v.min(initial=0) for v in (plan.x, plan.y, plan.paths)) < 0:
         raise ValueError("plan JSON holds vertex ids only; this plan holds "
                          "another value")
-    flat = list(map(str, plan.paths.tolist()))
-    ends = plan.ends.tolist()
-    routes = []
-    for x, y, lo, hi in zip(plan.x.tolist(), plan.y.tolist(), [0] + ends,
-                            ends):
-        path = ",\n        ".join(flat[lo:hi])
-        routes.append(f'    {{\n      "x": {x},\n      "y": {y},\n      '
-                      f'"path": ' + (f"[\n        {path}\n      ]" if path
-                                     else "[]") + "\n    }")
-    fields = {"routes": "[\n" + ",\n".join(routes) + "\n  ]" if routes
-              else "[]", "edges_used": str(plan.edges_used)}
-    for key, value in (extras or {}).items():
-        fields[key] = json.dumps(value, indent=2).replace("\n", "\n  ")
-    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text}"
-                               for key, text in fields.items()) + "\n}\n"
+    flat, ends = plan.paths.tolist(), plan.ends.tolist()
+    # a list of ints prints as its compact JSON text
+    routes = [f'{{"x": {x}, "y": {y}, "path": {flat[lo:hi]}}}' for x, y, lo, hi
+              in zip(plan.x.tolist(), plan.y.tolist(), [0] + ends, ends)]
+    return _dumps_rows({"routes": routes, "edges_used": plan.edges_used,
+                        **(extras or {})}, "routes")
 
 
 def loads_plan(text: str) -> tuple[RoutePlan, dict[str, Any]]:

@@ -265,9 +265,11 @@ def is_path_pairable(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
                      workers: int = 1) -> Verdict:
     """Decide path-pairability by full enumeration (n <= 12).
 
-    The scan is split into partitions fixing the first pair (0, c); with
-    workers > 1 partitions run in parallel, but the verdict and witness are
-    those of the lowest canonical pairing index regardless of worker count.
+    The scan is split into the n - 1 partitions fixing the first pair
+    (0, c); with workers > 1 they run in a pool of at most n - 1 processes,
+    but the verdict and witness are those of the lowest canonical pairing
+    index regardless of worker count.  workers or budget below 1 raise
+    ValueError.
     """
     if g.n % 2:
         raise ValueError(f"path-pairability needs an even vertex count, got {g.n}")
@@ -275,12 +277,18 @@ def is_path_pairable(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
         raise ValueError(
             f"n={g.n} exceeds the enumeration guard {ENUMERATION_GUARD} "
             f"({pairing_count(g.n)} pairings)")
+    if workers < 1 or budget < 1:
+        raise ValueError(f"workers and budget must be at least 1, got "
+                         f"workers={workers}, budget={budget}")
     scan = partial(_decide_partition, g, budget=budget)
+    workers = min(workers, g.n - 1)  # one per partition
     if workers <= 1:
         return _combine(map(scan, range(1, g.n)))
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _combine(pool.map(scan, range(1, g.n)))
+        verdict = _combine(pool.map(scan, range(1, g.n)))
+        pool.shutdown(cancel_futures=True)  # drop partitions not yet sent
+    return verdict
 
 
 _VERDICTS = {FEASIBLE: PATH_PAIRABLE, INFEASIBLE: NOT_PATH_PAIRABLE,

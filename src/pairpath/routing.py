@@ -210,7 +210,9 @@ class RoutePlan:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoutePlan):
             return NotImplemented
-        return self.routes == other.routes
+        # equal ends give each path the same length in both plans
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("x", "y", "paths", "ends"))
 
     __hash__ = None  # type: ignore[assignment]
 

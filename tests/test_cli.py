@@ -366,6 +366,14 @@ def test_decide_workers_flag(capsys):
     assert json.loads(out)["witness"] == [[0, 3], [1, 2]]
 
 
+@pytest.mark.parametrize("flag", ["--workers", "--budget"])
+def test_decide_workers_or_budget_zero_is_usage_error(capsys, flag):
+    code, out, err = run(capsys, "decide", "--family", "petersen", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
 # ---------------------------------------------------------------- screen
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_route
+from helpers import HALL_DEFICIENT_M4_PLAN, reference_route
 from pairpath.blowup import build
 from pairpath.cli import main
 from pairpath.formats import (FormatError, dumps_graph, dumps_pairing,
@@ -153,6 +154,10 @@ def test_pairing_round_trip():
     assert loads_pairing(text) == p
     # list order follows the smaller endpoint, orientation survives
     assert json.loads(text)["pairs"] == [[0, 7], [3, 1], [5, 2]]
+    # one [x, y] row per line
+    assert text == ('{\n  "pairs": [\n    [0, 7],\n    [3, 1],\n    [5, 2]\n'
+                    '  ]\n}\n')
+    assert dumps_pairing(make_pairing([])) == '{\n  "pairs": []\n}\n'
 
 
 def test_pairing_rejects_duplicates_and_bad_shape():
@@ -183,6 +188,17 @@ def test_plan_owner_map_first_claim_wins():
         {"x": 3, "y": 0, "path": [3, 1, 0]}]}))
     assert plan.used_edges == {(0, 1): 0, (1, 2): 0, (1, 3): 1}
     assert plan == RoutePlan.from_routes(plan.routes)
+
+
+def test_plans_with_the_same_ids_split_apart_differently_are_unequal():
+    one = _plan_by_loads_plan([{"x": 0, "y": 2, "path": [0, 1, 2]},
+                               {"x": 3, "y": 4, "path": [3, 4]}])
+    other = _plan_by_loads_plan([{"x": 0, "y": 2, "path": [0, 1]},
+                                 {"x": 3, "y": 4, "path": [2, 3, 4]}])
+    assert one.paths.tolist() == other.paths.tolist()
+    assert one != other
+    assert one == _plan_by_constructor([{"x": 0, "y": 2, "path": [0, 1, 2]},
+                                        {"x": 3, "y": 4, "path": [3, 4]}])
 
 
 def test_owner_map_first_claim_owns_a_reused_edge():
@@ -258,8 +274,30 @@ def test_dumps_plan_writes_the_reference_document(m):
         doc = {"routes": [{"x": r.x, "y": r.y, "path": list(r.path)}
                           for r in expected.routes],
                "edges_used": len(expected.used_edges), "m": m, "seed": seed}
-        assert dumps_plan(route(b, pairing), {"m": m, "seed": seed}) \
-            == json.dumps(doc, indent=2) + "\n"
+        text = dumps_plan(route(b, pairing), {"m": m, "seed": seed})
+        assert json.loads(text) == doc
+        # one route per line, in the compact json.dumps form
+        rows = [line for line in text.split("\n")
+                if line.startswith('    {"x": ')]
+        assert rows == [f"    {json.dumps(r)}," for r in doc["routes"][:-1]] \
+            + [f"    {json.dumps(doc['routes'][-1])}"]
+        assert text.count("\n") == len(rows) + 7
+
+
+def test_plan_golden_keeps_its_content():
+    # the digest of the golden plan's document as first written, one id per
+    # line; the file now holds one route per line
+    doc = json.loads(HALL_DEFICIENT_M4_PLAN.read_text())
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "56bc5efc9b8dd86afc5782df212a9467662e16a867ae15a9114ec0ba318ab55e")
+    assert HALL_DEFICIENT_M4_PLAN.read_text().count("\n") == (
+        len(doc["routes"]) + 6)
+
+
+def test_empty_plan_writes_an_empty_route_list():
+    plan = RoutePlan(routes=[])
+    assert dumps_plan(plan) == '{\n  "routes": [],\n  "edges_used": 0\n}\n'
 
 
 def test_edges_used_counts_the_owner_map(blown3):

@@ -155,6 +155,55 @@ def test_worker_count_does_not_change_verdict(c4, petersen):
     assert lone.stats == multi.stats == SearchStats(945, 15692)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs the scan in this process and
+    records the pool size asked for and the shutdown calls."""
+    made: list[int] = []
+    shutdowns: list[bool] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
+
+
+def test_pool_holds_at_most_one_worker_per_partition(monkeypatch, c4,
+                                                     petersen):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(_RecordingPool, "shutdowns", [])
+    serial = is_path_pairable(petersen)
+    assert _RecordingPool.made == []
+    pooled = is_path_pairable(petersen, workers=100_000)
+    assert _RecordingPool.made == [9]  # n - 1 partitions
+    assert _RecordingPool.shutdowns == [True]  # pending partitions cancelled
+    assert (pooled.status, pooled.stats) == (serial.status, serial.stats)
+    is_path_pairable(c4, workers=3)
+    assert _RecordingPool.made == [9, 3]
+    # a graph with one partition scans it in this process
+    assert is_path_pairable(path_graph(2), workers=8).status == PATH_PAIRABLE
+    assert _RecordingPool.made == [9, 3]
+
+
+@pytest.mark.parametrize("kwargs", [{"workers": 0}, {"workers": -1},
+                                    {"budget": 0}])
+def test_workers_and_budget_below_one_raise(c4, kwargs):
+    with pytest.raises(ValueError, match="at least 1"):
+        is_path_pairable(c4, **kwargs)
+
+
 def test_verdict_json_round_trips(c4):
     import json
     doc = json.loads(is_path_pairable(c4).to_json())

@@ -1,11 +1,11 @@
 """Exact path-pairability decision by exhaustive search, plus a fast screener
-of necessary conditions.
+of a necessary condition.
 
 The decision side enumerates every perfect pairing (there are (n-1)!! of them,
 hence the hard n <= 12 guard) and runs a pruned backtracking search for
-edge-disjoint joining paths on each.  The screener side checks conditions any
-path-pairable graph must satisfy, derived from counting how many edge-disjoint
-paths must cross thin BFS layers; a single violation certifies a negative.
+edge-disjoint joining paths on each.  The screener side checks that as many
+edges join consecutive BFS layers as some pairing forces paths across; a
+single thin cut certifies a negative.
 """
 from __future__ import annotations
 
@@ -312,36 +312,42 @@ def _combine(results) -> Verdict:
 
 # --- necessary-condition screener ---
 
-LAYER_GROWTH = "layer-growth"
 LAYERED_CUT = "layered-cut"
-DIAMETER_BOUND = "diameter-bound"
-
-_DIAMETER_COEFF = 6.0 * math.sqrt(2.0)
 
 
 def diameter_upper_bound(n: int) -> float:
-    """Largest diameter any path-pairable graph on n vertices can have."""
-    return _DIAMETER_COEFF * math.sqrt(n)
+    """6*sqrt(2)*sqrt(n): no path-pairable graph on n >= 2 vertices has a
+    larger diameter d.
+
+    Proof.  Its layered cuts all hold, so by `screen`'s growth implication
+    every root r has L_{2k} + L_{2k+1} >= k while 2k+1 <= d and
+    |B_{2k+1}(r)| <= n/2.  Let k* be the first k with |B_{2k+1}(r)| > n/2.
+    The layers before it give n/2 >= |B_{2k*-1}(r)| >= 0 + 1 + ... + (k*-1),
+    so k* < sqrt(n) + 1: a ball of radius below 2*sqrt(n) + 3 holds more
+    than half the vertices.  Around the two ends of a diametral pair these
+    balls meet, so d < 4*sqrt(n) + 6.  (With no such k* up to d, the same
+    sum gives d < 2*sqrt(n) + 2.)  Last, 4*sqrt(n) + 6 <= 6*sqrt(2)*sqrt(n)
+    when sqrt(n) >= 6 / (6*sqrt(2) - 4) ~ 1.34, so for every n >= 2.
+    """
+    return 6.0 * math.sqrt(2.0) * math.sqrt(n)
 
 
 @dataclass(frozen=True)
 class ScreenViolation:
-    """One failed necessary condition at one root.
+    """A layered cut too thin at one root: only `value` edges join BFS
+    layers `index` and index+1, fewer than `required` = min(|S|, n-|S|),
+    where S is the ball of radius `index` around `root`.
 
-    layer-growth: layers 2k and 2k+1 hold `value` < `required`=k vertices
-    while the ball (`ball` = vertices within distance 2k+1) is at most n/2.
-    layered-cut: only `value` edges cross between layers `index` and index+1,
-    fewer than the `required` = min(u_t, n-u_t) edge-disjoint paths that some
-    pairing forces across.
-    diameter-bound: diameter `value` exceeds `required` = 6*sqrt(2)*sqrt(n).
+    This is sound: pair `required` vertices of S with as many outside it.
+    Each pair's path leaves S over an edge of the cut, and the paths share
+    no edge, so a linkage needs `required` cut edges.
     """
 
-    condition: str
+    condition = LAYERED_CUT  # the only one; a class constant, not a field
     root: int
     index: int
     value: int
-    required: float
-    ball: int | None = None
+    required: int
 
 
 @dataclass(frozen=True)
@@ -358,7 +364,7 @@ class ScreenReport:
             "roots_checked": list(self.roots_checked),
             "violations": [
                 {"condition": v.condition, "root": v.root, "index": v.index,
-                 "value": v.value, "required": v.required, "ball": v.ball}
+                 "value": v.value, "required": v.required}
                 for v in self.violations
             ],
         }
@@ -366,12 +372,26 @@ class ScreenReport:
 
 
 def screen(g: Graph) -> ScreenReport:
-    """Check necessary conditions from every root attaining the diameter.
+    """Check the layered cuts of every root attaining the diameter d.
 
-    Violating any condition proves some pairing cannot be linked, so the graph
-    is certified not-path-pairable; passing all of them rules nothing in.
-    Roots are scanned ascending and the scan stops at the first root with a
-    violation, reporting every condition that root breaks.
+    From a root, B_t is the ball of radius t and L_t the BFS layer size at
+    t.  The one condition: for each t < d, at least min(|B_t|, n - |B_t|)
+    edges join layers t and t+1.  A failure certifies the graph
+    not-path-pairable (see `ScreenViolation`); passing rules nothing in.
+    Roots are scanned ascending, and the scan stops at the first root with
+    a thin cut, reporting every t at which that root fails.
+
+    Two older conditions follow from it.  Growth, L_{2k} + L_{2k+1} >= k
+    wherever 2k+1 <= d and |B_{2k+1}| <= n/2: let k be the smallest index
+    where it fails at a root.  It holds below k, so
+    |B_{2k}| >= L_{2k} + 0 + 1 + ... + (k-1) > k(k-1)/2.  At most
+    L_{2k} * L_{2k+1} <= ((k-1)/2)^2 < |B_{2k}| edges join layers 2k and
+    2k+1, and n - |B_{2k}| >= n/2 >= |B_{2k}|, so the layered cut at
+    t = 2k fails at the same root.  The bound d <= 6*sqrt(2)*sqrt(n): if
+    growth held at both ends of a diametral pair, then
+    d < 4*sqrt(n) + 6 <= 6*sqrt(2)*sqrt(n) (`diameter_upper_bound`), so a
+    larger d breaks growth, and with it a layered cut, at one of those
+    ends, and both are screened roots.
 
     Distances are computed once per false-twin class.  Twins are swapped by
     an automorphism, so they pass or fail together; the smallest twin comes
@@ -399,19 +419,22 @@ def screen(g: Graph) -> ScreenReport:
     roots = [int(r) for r in np.flatnonzero(rep_ecc[cls] == d)]
 
     checked: list[int] = []
+    found: tuple[ScreenViolation, ...] = ()
     for root in roots:
         checked.append(root)
         k = cls[root]
         if reps[k] != root:
             continue  # a twin of an earlier root that passed
         layers, cuts = _layer_counts(quotient, d, dist[k], k)
-        found = _violations(g.n, d, layers, cuts, root)
+        inside = np.cumsum(layers[:-1])  # |B_t| for t < d
+        required = np.minimum(inside, g.n - inside)
+        found = tuple(ScreenViolation(root, t, int(cuts[t]), int(required[t]))
+                      for t in np.flatnonzero(cuts < required).tolist())
         if found:
-            return ScreenReport(verdict=NOT_PATH_PAIRABLE, diameter=d,
-                                roots_checked=tuple(checked),
-                                violations=tuple(found))
-    return ScreenReport(verdict=CANNOT_RULE_OUT, diameter=d,
-                        roots_checked=tuple(checked), violations=())
+            break
+    return ScreenReport(verdict=NOT_PATH_PAIRABLE if found else CANNOT_RULE_OUT,
+                        diameter=d, roots_checked=tuple(checked),
+                        violations=found)
 
 
 def _layer_counts(quotient, d, dist_row, k) -> tuple[np.ndarray, np.ndarray]:
@@ -438,27 +461,3 @@ def _layer_counts(quotient, d, dist_row, k) -> tuple[np.ndarray, np.ndarray]:
     layers = np.bincount(at, weights=weight, minlength=d + 1)
     return layers.astype(np.int64), cuts.astype(np.int64)
 
-
-def _violations(n, d, layers, cuts, root) -> list[ScreenViolation]:
-    """The conditions broken at a root of eccentricity d whose BFS layer t
-    holds layers[t] vertices and is joined to layer t+1 by cuts[t] edges."""
-    prefix = np.cumsum(layers)
-    found = []
-    for k in range((d - 1) // 2 + 1):
-        ball = int(prefix[2 * k + 1])
-        if 2 * ball <= n and int(layers[2 * k] + layers[2 * k + 1]) < k:
-            found.append(ScreenViolation(
-                condition=LAYER_GROWTH, root=root, index=k,
-                value=int(layers[2 * k] + layers[2 * k + 1]), required=k,
-                ball=ball))
-    for t in range(d):
-        required = min(int(prefix[t]), n - int(prefix[t]))
-        if int(cuts[t]) < required:
-            found.append(ScreenViolation(
-                condition=LAYERED_CUT, root=root, index=t,
-                value=int(cuts[t]), required=required))
-    if d > diameter_upper_bound(n):
-        found.append(ScreenViolation(
-            condition=DIAMETER_BOUND, root=root, index=d,
-            value=d, required=diameter_upper_bound(n)))
-    return found

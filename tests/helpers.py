@@ -15,7 +15,7 @@ from pairpath.blowup import (BlownCycle, BlowupError, build,
                              free_common_neighbors)
 from pairpath.graph import FamilySpec, Graph, GraphError, generate, make_graph
 from pairpath.pairability import (CANNOT_RULE_OUT, NOT_PATH_PAIRABLE,
-                                  ScreenReport, _violations)
+                                  ScreenReport, ScreenViolation)
 from pairpath.rng import SplitMix64
 from pairpath.routing import (Pairing, PairingError, Route, RoutePlan,
                               RoutingError, assign_candidates,
@@ -454,18 +454,22 @@ ORACLE_GRAPHS = {
 
 def dense_distances(g: Graph) -> np.ndarray:
     """Oracle: all-pairs hop distances by plain BFS from every vertex."""
-    dist = np.full((g.n, g.n), -1, dtype=np.int64)
+    adj = [neighbors(g, v) for v in range(g.n)]
+    rows = []
     for root in range(g.n):
-        dist[root, root] = 0
+        row = [-1] * g.n
+        row[root] = 0
         frontier = [root]
         while frontier:
             nxt = []
             for v in frontier:
-                for w in neighbors(g, v):
-                    if dist[root, w] < 0:
-                        dist[root, w] = dist[root, v] + 1
+                for w in adj[v]:
+                    if row[w] < 0:
+                        row[w] = row[v] + 1
                         nxt.append(w)
             frontier = nxt
+        rows.append(row)
+    dist = np.array(rows, dtype=np.int64).reshape(g.n, g.n)
     if (dist < 0).any():
         raise GraphError("graph is disconnected")
     return dist
@@ -480,9 +484,9 @@ def dense_diameter(g: Graph) -> int:
 
 
 def dense_screen(g: Graph) -> ScreenReport:
-    """Oracle: the screen evaluated on every diametral root's own distance
-    row, without grouping twins: layer sizes count vertices and cuts count
-    the edges of G one by one."""
+    """Oracle: the layered cut checked on every diametral root's own
+    distance row, without grouping twins or counting per layer: for each
+    t < d it takes S = B_t(root) and recounts e(S, V-S) edge by edge."""
     dist = dense_distances(g)
     ecc = dist.max(axis=1)
     d = int(ecc.max())
@@ -490,10 +494,14 @@ def dense_screen(g: Graph) -> ScreenReport:
     checked = []
     for root in map(int, np.flatnonzero(ecc == d)):
         checked.append(root)
-        du, dv = dist[root][edges[:, 0]], dist[root][edges[:, 1]]
-        cuts = np.bincount(np.minimum(du, dv)[du != dv], minlength=d)
-        layers = np.bincount(dist[root], minlength=d + 1)
-        found = _violations(g.n, d, layers, cuts, root)
+        found = []
+        for t in range(d):
+            inside = dist[root] <= t
+            cut = int(np.count_nonzero(inside[edges[:, 0]]
+                                       != inside[edges[:, 1]]))
+            required = min(int(inside.sum()), g.n - int(inside.sum()))
+            if cut < required:
+                found.append(ScreenViolation(root, t, cut, required))
         if found:
             return ScreenReport(verdict=NOT_PATH_PAIRABLE, diameter=d,
                                 roots_checked=tuple(checked),

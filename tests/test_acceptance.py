@@ -11,10 +11,10 @@ import time
 from pairpath.blowup import build, free_common_neighbors
 from pairpath.graph import FamilySpec, diameter, generate
 from pairpath.pairability import (CANNOT_RULE_OUT, FEASIBLE, INFEASIBLE,
-                                  LAYERED_CUT, LAYER_GROWTH,
-                                  NOT_PATH_PAIRABLE, PATH_PAIRABLE,
-                                  diameter_upper_bound, find_disjoint_paths,
-                                  is_path_pairable, screen)
+                                  LAYERED_CUT, NOT_PATH_PAIRABLE,
+                                  PATH_PAIRABLE, diameter_upper_bound,
+                                  find_disjoint_paths, is_path_pairable,
+                                  screen)
 from pairpath.rng import SplitMix64
 from pairpath.routing import make_pairing, random_perfect_pairing, route
 from pairpath.verify import verify_plan
@@ -183,7 +183,8 @@ def test_acceptance_8_screen_fixtures(capsys):
 
         report = screen(dumbbell(14))
         assert report.verdict == NOT_PATH_PAIRABLE
-        assert any(v.condition == LAYER_GROWTH for v in report.violations)
+        assert (LAYERED_CUT, 0, 6) in {(v.condition, v.root, v.index)
+                                       for v in report.violations}
 
         report = screen(dumbbell(10))
         assert report.verdict == NOT_PATH_PAIRABLE

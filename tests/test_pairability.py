@@ -1,5 +1,7 @@
 import math
 
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,17 +11,16 @@ from pairpath.graph import (FamilySpec, GraphError, diameter, generate,
                             make_graph)
 from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
                                   INCONCLUSIVE, INFEASIBLE, LAYERED_CUT,
-                                  LAYER_GROWTH, NOT_PATH_PAIRABLE,
-                                  PATH_PAIRABLE, SearchStats,
-                                  diameter_upper_bound, enumerate_pairings,
-                                  find_disjoint_paths, is_path_pairable,
-                                  pairing_count, screen)
+                                  NOT_PATH_PAIRABLE, PATH_PAIRABLE,
+                                  SearchStats, diameter_upper_bound,
+                                  enumerate_pairings, find_disjoint_paths,
+                                  is_path_pairable, pairing_count, screen)
 from pairpath.routing import Pairing, PairingError, make_pairing
 from pairpath.verify import verify_plan
 
 import pairpath.pairability as pairability_module
-from helpers import (ORACLE_GRAPHS, dense_screen, dumbbell, graphs_with_twins,
-                     path_graph, twin_blowup)
+from helpers import (ORACLE_GRAPHS, dense_distances, dense_screen, dumbbell,
+                     graphs_with_twins, path_graph, twin_blowup)
 
 
 # ---------------------------------------------------------------- search
@@ -251,17 +252,17 @@ def test_screen_rejects_dumbbell_on_cut():
     assert any(v.condition == LAYERED_CUT for v in report.violations)
 
 
-def test_screen_rejects_dumbbell_on_layer_growth():
-    # longer bar: ball at radius 7 holds 11 <= 24/2 vertices but layers
-    # 6 and 7 contribute only 1 + 1
+def test_screen_rejects_long_dumbbell_on_cut():
+    # longer bar: layers 6 and 7 hold 1 + 1 < 3 vertices, which the old
+    # growth condition rejected at k = 3; the ball of radius 6 (one K5
+    # and 5 bar vertices) leaves by one edge where 10 pairs must cross
     report = screen(dumbbell(14))
     assert report.verdict == NOT_PATH_PAIRABLE
-    growth = [v for v in report.violations if v.condition == LAYER_GROWTH]
-    assert growth, report.violations
-    assert growth[0].index == 3
-    assert growth[0].value == 2
-    assert growth[0].required == 3
-    assert growth[0].ball == 11
+    assert report.roots_checked == (0,)
+    by_index = {v.index: v for v in report.violations}
+    assert (by_index[6].root, by_index[6].value, by_index[6].required) == (
+        0, 1, 10)
+    assert all(v.condition == LAYERED_CUT for v in report.violations)
 
 
 def test_screen_cannot_rule_out_known_pairable(q3, petersen):
@@ -318,20 +319,101 @@ def test_diameter_bound_scaling():
     for n in (100, 1000, 10000):
         assert diameter_upper_bound(n) == pytest.approx(
             6.0 * math.sqrt(2.0) * math.sqrt(n))
-    # a connected graph has n >= d+1, so the bound can only fail from d = 73
-    report = screen(path_graph(18))
-    assert all(v.condition != "diameter-bound" for v in report.violations)
-    report = screen(path_graph(74))  # d = 73 > 72.99
-    assert [(v.root, v.value) for v in report.violations
-            if v.condition == "diameter-bound"] == [(0, 73)]
-    report = screen(path_graph(72))  # d = 71 <= 72.0
-    assert all(v.condition != "diameter-bound" for v in report.violations)
+    # a connected graph has n >= d+1, so the bound can only fail from
+    # d = 73; path_graph(74) has d = 73 > 72.99, and a layered cut at its
+    # first end rejects it
+    assert diameter_upper_bound(74) < 73 and diameter_upper_bound(72) >= 71
+    report = screen(path_graph(74))
+    assert report.verdict == NOT_PATH_PAIRABLE
+    assert report.roots_checked == (0,)
+    assert {(v.condition, v.root) for v in report.violations} == {
+        (LAYERED_CUT, 0)}
 
 
 def test_blown_cycle_diameter_under_bound():
     for m in (2, 5, 9):
         b = build(m)
         assert diameter(b.graph) == m <= diameter_upper_bound(b.n)
+
+
+# ------------------------------- older conditions the layered cut implies
+
+
+def _check_implications(g) -> tuple[bool, bool]:
+    """Evaluate the two conditions the screener dropped, layer growth and
+    the 6*sqrt(2)*sqrt(n) diameter bound, from plain BFS layers, and check
+    that `screen` rejects by a layered cut wherever they fail: at the same
+    root with t = 2k for growth's smallest failing k, and at an end of a
+    diametral pair for the bound.  Returns whether each one failed."""
+    dist = dense_distances(g)
+    ecc = dist.max(axis=1)
+    d = int(ecc.max())
+    edges = np.array(g.sorted_edges(), dtype=np.int64)
+    report = screen(g)
+    stop = report.roots_checked[-1]
+    thin = {(v.root, v.index) for v in report.violations}
+    growth = {}  # root -> smallest k where growth fails
+    for root in np.flatnonzero(ecc == d).tolist():
+        layers = np.bincount(dist[root], minlength=d + 1)
+        ball = np.cumsum(layers)
+        failed = [k for k in range((d - 1) // 2 + 1)
+                  if 2 * ball[2 * k + 1] <= g.n
+                  and layers[2 * k] + layers[2 * k + 1] < k]
+        if not failed:
+            continue
+        k = growth[root] = failed[0]
+        inside = dist[root] <= 2 * k
+        cut = np.count_nonzero(inside[edges[:, 0]] != inside[edges[:, 1]])
+        assert cut < min(ball[2 * k], g.n - ball[2 * k]), (root, k)
+        # the scan stops at the first failing root, which is no later
+        assert report.verdict == NOT_PATH_PAIRABLE and stop <= root
+        if stop == root:
+            assert (root, 2 * k) in thin, (root, k, report.violations)
+    bound = d > 6.0 * math.sqrt(2.0) * math.sqrt(g.n)
+    if bound:
+        u = int(np.argmax(ecc == d))
+        v = int(np.argmax(dist[u] == d))
+        assert u in growth or v in growth, (u, v)
+    return bool(growth), bound
+
+
+@given(graphs_with_twins(even=True))
+@settings(max_examples=100, deadline=None)
+def test_layered_cut_implies_old_conditions_on_twins(g):
+    _check_implications(g)
+
+
+@pytest.mark.parametrize("family", ["path", "dumbbell", "tree"])
+def test_layered_cut_implies_old_conditions(family):
+    graphs = {
+        "path": [path_graph(n) for n in range(4, 201, 2)],
+        "dumbbell": [dumbbell(i) for i in range(0, 31, 2)],  # n even
+        "tree": [make_graph(n, list(nx.random_labeled_tree(n, seed=s).edges()))
+                 for n in range(4, 121, 4) for s in range(3)],
+    }[family]
+    fired = [_check_implications(g) for g in graphs]
+    assert any(growth for growth, _ in fired)
+    if family == "path":  # paths from n = 74 break the bound
+        assert [bound for _, bound in fired] == [n >= 74
+                                                 for n in range(4, 201, 2)]
+
+
+def _small_graphs():
+    """Every connected even-order graph of networkx's atlas (n <= 7), and
+    seeded connected G(8, 0.45) graphs."""
+    atlas = [h for h in nx.graph_atlas_g()
+             if len(h) and len(h) % 2 == 0 and nx.is_connected(h)]
+    drawn = [nx.gnp_random_graph(8, 0.45, seed=seed) for seed in range(40)]
+    for h in atlas + [h for h in drawn if nx.is_connected(h)]:
+        yield make_graph(len(h), list(h.edges()))
+
+
+def test_screen_rejections_confirmed_by_decider():
+    rejected = [g for g in _small_graphs()
+                if screen(g).verdict == NOT_PATH_PAIRABLE]
+    assert len(rejected) > 20
+    for g in rejected:
+        assert is_path_pairable(g).status == NOT_PATH_PAIRABLE, g
 
 
 # ------------------------------------------- twin-reduced screen vs oracle

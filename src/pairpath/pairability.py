@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graph import Graph, GraphError, as_ids, distance_matrix
-from .routing import Pairing, Route, RoutePlan, make_pairing
+from .routing import Pairing, RoutePlan, make_pairing
 
 DEFAULT_NODE_BUDGET = 100_000_000
 ENUMERATION_GUARD = 12
@@ -36,12 +36,6 @@ _INF = float("inf")
 
 
 @dataclass(frozen=True)
-class SearchStats:
-    pairings_examined: int
-    nodes_expanded: int
-
-
-@dataclass(frozen=True)
 class SearchResult:
     status: str  # feasible | infeasible | cap-hit
     plan: RoutePlan | None
@@ -52,15 +46,16 @@ class SearchResult:
 class Verdict:
     status: str  # path-pairable | not-path-pairable | inconclusive
     witness: Pairing | None
-    stats: SearchStats
+    pairings_examined: int
+    nodes_expanded: int
 
     def to_json(self) -> str:
         doc = {
             "status": self.status,
             "witness": ([list(p) for p in self.witness.pairs]
                         if self.witness else None),
-            "pairings_examined": self.stats.pairings_examined,
-            "nodes_expanded": self.stats.nodes_expanded,
+            "pairings_examined": self.pairings_examined,
+            "nodes_expanded": self.nodes_expanded,
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -160,22 +155,26 @@ class _Search:
         x, y = self.pairs[pick]
         to_target = _residual_dist_all(self.adj, y, self.used, self.n)
         slack = self.e_total - len(self.used) - (sum(dists.values()) - dists[pick])
-        return self._extend(pick, x, y, [x], {x}, 0, to_target, slack)
+        return self._extend(pick, [x], to_target, slack)
 
-    def _extend(self, pick, cur, target, path, visited, length,
-                to_target, slack) -> bool:
+    def _extend(self, pick, path, to_target, slack) -> bool:
+        """Extend pair `pick`'s path from path[-1] to its target, one unused
+        edge to a vertex off the path at a time, while the path plus a
+        residual shortest finish stays within `slack` edges."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _CapHit
-        if cur == target:
+        cur = path[-1]
+        if cur == self.pairs[pick][1]:
             self.routed[pick] = list(path)
             if self.solve():
                 return True
             self.routed[pick] = None
             return False
+        length = len(path) - 1
         steps = []
         for w, e in self.adj[cur]:
-            if w in visited or e in self.used:
+            if w in path or e in self.used:
                 continue
             if length + 1 + to_target[w] > slack:
                 continue
@@ -184,11 +183,8 @@ class _Search:
         for _, w, e in steps:
             self.used.add(e)
             path.append(w)
-            visited.add(w)
-            if self._extend(pick, w, target, path, visited, length + 1,
-                            to_target, slack):
+            if self._extend(pick, path, to_target, slack):
                 return True
-            visited.discard(w)
             path.pop()
             self.used.discard(e)
         return False
@@ -198,8 +194,9 @@ def find_disjoint_paths(g: Graph, p: Pairing,
                         budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
     """Decide one pairing instance by complete backtracking.
 
-    Returns a verified-feasible plan, a proof of infeasibility (the search
-    space is exhausted), or cap-hit once `budget` nodes were expanded.
+    Returns FEASIBLE with the plan the search built (`verify_plan` checks
+    such plans in the tests), INFEASIBLE once the search space is
+    exhausted, or CAP_HIT once `budget` nodes were expanded.
     """
     values = [v for pair in p.pairs for v in pair]
     bad = as_ids(values, g.n) < 0
@@ -210,9 +207,10 @@ def find_disjoint_paths(g: Graph, p: Pairing,
     status = search.run()
     plan = None
     if status == FEASIBLE:
-        plan = RoutePlan.from_routes(
-            Route(x=x, y=y, path=tuple(path))
-            for (x, y), path in zip(p.pairs, search.routed))
+        x, y = np.array(p.pairs, dtype=np.int64).reshape(-1, 2).T
+        plan = RoutePlan.from_arrays(
+            x, y, [v for path in search.routed for v in path],
+            np.cumsum([len(path) for path in search.routed]))
     return SearchResult(status=status, plan=plan, nodes_expanded=search.nodes)
 
 
@@ -307,7 +305,7 @@ def _combine(results) -> Verdict:
             break
     return Verdict(status=_VERDICTS[status],
                    witness=make_pairing(pairs) if status == INFEASIBLE else None,
-                   stats=SearchStats(examined, nodes))
+                   pairings_examined=examined, nodes_expanded=nodes)
 
 
 # --- necessary-condition screener ---

@@ -123,10 +123,10 @@ class RoutePlan:
 
     Route i goes from x[i] to y[i] along paths[ends[i] - k:ends[i]], where
     k is its path's length in vertices: the paths lie back to back, as
-    `PhaseOneResult.walks` holds the walks.  The router and
+    `PhaseOneResult.walks` holds the walks.  The router, the decider and
     `formats.loads_plan` build plans from arrays (`from_arrays`); the
-    constructor and `from_routes` convert Route objects once, and `routes`
-    builds them back from the arrays on first read.
+    constructor converts Route objects once, and `routes` builds them back
+    from the arrays on first read.
 
     The arrays hold every integer within int64, not only vertex ids, so a
     report can name a value such as -5 that is no vertex.  A route value
@@ -151,12 +151,6 @@ class RoutePlan:
         # used_edges is a cached property: a value stored here takes its place
         if used_edges is not None:
             self.used_edges = used_edges
-
-    @classmethod
-    def from_routes(cls, routes: Iterable[Route]) -> RoutePlan:
-        """Plan of the given routes; the owner map is derived on first read,
-        and the first route to use an edge owns it."""
-        return cls(routes)
 
     @classmethod
     def from_arrays(cls, x: np.ndarray, y: np.ndarray, paths: np.ndarray,

@@ -48,13 +48,13 @@ def test_acceptance_1_small_decisions(capsys):
         verdict, took = _timed(
             lambda: is_path_pairable(generate(FamilySpec("hypercube", (3,)))))
         assert verdict.status == PATH_PAIRABLE
-        assert verdict.stats.pairings_examined == 105
+        assert verdict.pairings_examined == 105
         assert took < 10.0
 
         verdict, took = _timed(
             lambda: is_path_pairable(generate(FamilySpec("petersen"))))
         assert verdict.status == PATH_PAIRABLE
-        assert verdict.stats.pairings_examined == 945
+        assert verdict.pairings_examined == 945
         assert took < 120.0
 
         verdict, took = _timed(
@@ -98,7 +98,7 @@ def test_acceptance_4_small_grid_pairable(capsys):
     def check():
         verdict = is_path_pairable(generate(FamilySpec("grid2", (2, 3))))
         assert verdict.status == PATH_PAIRABLE
-        assert verdict.stats.pairings_examined == 15
+        assert verdict.pairings_examined == 15
 
     _report(capsys, 4, "2x3 rook grid pairable across all 15 pairings", check)
 

@@ -83,6 +83,8 @@ def test_dot_holds_vertex_and_edge_statements_only(tmp_path, capsys):
     loaded, _ = loads_graph(text, "dot")
     assert loaded == g
     assert dumps_graph(loaded, "dot") == text
+    # blank lines in the body are skipped
+    assert loads_graph(text.replace("  2;", "\n  2;\n  "), "dot")[0] == g
     labelled = text.replace("  2;", '  2 [label="x"];')
     with pytest.raises(FormatError, match=r"^unparseable DOT line: "
                                           r"'2 \[label=\"x\"\];'$"):
@@ -141,6 +143,8 @@ def test_loads_graph_rejects_malformed():
         loads_graph("# n abc\n0 1\n", "edgelist")
     with pytest.raises(FormatError):
         dumps_graph(make_graph(1, []), "yaml")
+    with pytest.raises(FormatError, match=r"^unknown graph format 'gml'; "):
+        loads_graph(dumps_graph(make_graph(1, [])), "gml")
 
 
 def test_dot_requires_contiguous_ids():
@@ -187,7 +191,7 @@ def test_plan_owner_map_first_claim_wins():
         {"x": 0, "y": 2, "path": [0, 1, 2]},
         {"x": 3, "y": 0, "path": [3, 1, 0]}]}))
     assert plan.used_edges == {(0, 1): 0, (1, 2): 0, (1, 3): 1}
-    assert plan == RoutePlan.from_routes(plan.routes)
+    assert plan == RoutePlan(plan.routes)
 
 
 def test_plans_with_the_same_ids_split_apart_differently_are_unequal():
@@ -197,6 +201,7 @@ def test_plans_with_the_same_ids_split_apart_differently_are_unequal():
                                  {"x": 3, "y": 4, "path": [2, 3, 4]}])
     assert one.paths.tolist() == other.paths.tolist()
     assert one != other
+    assert (one == 5) is False
     assert one == _plan_by_constructor([{"x": 0, "y": 2, "path": [0, 1, 2]},
                                         {"x": 3, "y": 4, "path": [3, 4]}])
 
@@ -204,9 +209,9 @@ def test_plans_with_the_same_ids_split_apart_differently_are_unequal():
 def test_owner_map_first_claim_owns_a_reused_edge():
     # route 1 walks back over route 0's edge (1, 2); route 2 reuses its own
     # edge (6, 7)
-    plan = RoutePlan.from_routes([Route(0, 3, (0, 1, 2, 3)),
-                                  Route(4, 5, (4, 2, 1, 5)),
-                                  Route(6, 7, (6, 7, 6, 7))])
+    plan = RoutePlan([Route(0, 3, (0, 1, 2, 3)),
+                      Route(4, 5, (4, 2, 1, 5)),
+                      Route(6, 7, (6, 7, 6, 7))])
     owners = {(0, 1): 0, (1, 2): 0, (2, 3): 0, (2, 4): 1, (1, 5): 1,
               (6, 7): 2}
     assert plan.used_edges[(1, 2)] == 0
@@ -329,7 +334,8 @@ def _plan_by_constructor(routes):
 
 
 def _plan_by_from_routes(routes):
-    return RoutePlan.from_routes(Route(**r) for r in routes)
+    # the constructor reads a one-shot stream of routes, positionally
+    return RoutePlan(Route(**r) for r in routes)
 
 
 def _plan_by_loads_plan(routes):

@@ -70,6 +70,9 @@ def test_make_graph_names_a_row_that_is_no_pair():
         with pytest.raises(GraphError,
                            match=f"^edge {row} is not a \\(u, v\\) pair$"):
             make_graph(3, edges)
+    with pytest.raises(GraphError, match=r"^edges must be \(u, v\) pairs, "
+                                         r"got shape \(2, 3\)$"):
+        make_graph(3, np.zeros((2, 3), dtype=np.int64))
 
 
 def test_make_graph_refuses_non_integer_ids():
@@ -421,6 +424,7 @@ def test_equality_and_hash_ignore_the_built_csr():
     assert make_graph(4, edges[:-1] + [(0, 2)]) != base
     assert make_graph(4, edges[:-1]) != base
     assert make_graph(5, edges) != base
+    assert (base == 5) is False
 
 
 def test_isolated_vertex_fails_before_csr():

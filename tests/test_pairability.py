@@ -12,10 +12,11 @@ from pairpath.graph import (FamilySpec, GraphError, diameter, generate,
 from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
                                   INCONCLUSIVE, INFEASIBLE, LAYERED_CUT,
                                   NOT_PATH_PAIRABLE, PATH_PAIRABLE,
-                                  SearchStats, diameter_upper_bound,
+                                  diameter_upper_bound,
                                   enumerate_pairings, find_disjoint_paths,
                                   is_path_pairable, pairing_count, screen)
-from pairpath.routing import Pairing, PairingError, make_pairing
+from pairpath.routing import (Pairing, PairingError, make_pairing,
+                              random_perfect_pairing)
 from pairpath.verify import verify_plan
 
 import pairpath.pairability as pairability_module
@@ -31,7 +32,7 @@ def test_c4_is_not_path_pairable(c4):
     assert verdict.status == NOT_PATH_PAIRABLE
     assert verdict.witness is not None
     assert verdict.witness.pairs == ((0, 2), (1, 3))
-    assert verdict.stats.pairings_examined >= 1
+    assert verdict.pairings_examined >= 1
 
 
 def test_c4_pairing_feasibility_split(c4):
@@ -65,8 +66,8 @@ def test_empty_graph_is_path_pairable():
     # no vertex, so no pairing to refute and no partition to scan
     for workers in (1, 2):
         verdict = is_path_pairable(make_graph(0, []), workers=workers)
-        assert (verdict.status, verdict.witness, verdict.stats) \
-            == (PATH_PAIRABLE, None, SearchStats(0, 0))
+        assert (verdict.status, verdict.witness, verdict.pairings_examined,
+                verdict.nodes_expanded) == (PATH_PAIRABLE, None, 0, 0)
 
 
 def test_scan_builds_one_adjacency_per_partition_and_no_plans(monkeypatch):
@@ -78,7 +79,7 @@ def test_scan_builds_one_adjacency_per_partition_and_no_plans(monkeypatch):
     monkeypatch.setattr(pairability_module, "find_disjoint_paths", None)
     monkeypatch.setattr(pairability_module, "RoutePlan", None)
     verdict = is_path_pairable(generate(FamilySpec("grid2", (2, 3))))
-    assert verdict.stats.pairings_examined == 15
+    assert verdict.pairings_examined == 15
     assert len(built) == 5  # one per first pair (0, c)
 
 
@@ -86,10 +87,10 @@ def test_q3_is_path_pairable(q3):
     verdict = is_path_pairable(q3)
     assert verdict.status == PATH_PAIRABLE
     assert verdict.witness is None
-    assert verdict.stats.pairings_examined == 105
+    assert verdict.pairings_examined == 105
     # the exact work pins the search order, which follows the neighbour
     # order of the adjacency lists
-    assert verdict.stats.nodes_expanded == 1320
+    assert verdict.nodes_expanded == 1320
 
 
 def test_q3_antipodal_pairing_has_disjoint_paths(q3):
@@ -100,6 +101,23 @@ def test_q3_antipodal_pairing_has_disjoint_paths(q3):
     report = verify_plan(q3, pairing, result.plan)
     assert report.ok
     assert all(len(r) == 3 for r in result.plan.routes)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, g in ORACLE_GRAPHS.items() if g.n <= 90))
+def test_feasible_plans_pass_the_verifier(name):
+    # the search's plans are checked by verify_plan, not taken on trust
+    g = ORACLE_GRAPHS[name]
+    statuses = set()
+    for seed in range(20):
+        pairing = random_perfect_pairing(g.n, seed)
+        result = find_disjoint_paths(g, pairing)
+        statuses.add(result.status)
+        if result.status == FEASIBLE:
+            assert verify_plan(g, pairing, result.plan).ok, (name, seed)
+    # none hits the cap: the 8-cycle has no linkage for any sampled
+    # pairing, and every other graph has one for each
+    assert statuses == ({INFEASIBLE} if name == "cycle" else {FEASIBLE})
 
 
 def test_small_complete_family_verdicts():
@@ -114,7 +132,7 @@ def test_small_complete_family_verdicts():
 def test_small_grid_verdict():
     verdict = is_path_pairable(generate(FamilySpec("grid2", (2, 3))))
     assert verdict.status == PATH_PAIRABLE
-    assert verdict.stats.pairings_examined == 15
+    assert verdict.pairings_examined == 15
 
 
 def test_enumeration_is_canonical_and_counted():
@@ -126,6 +144,10 @@ def test_enumeration_is_canonical_and_counted():
     assert pairing_count(8) == 105
     assert pairing_count(10) == 945
     assert pairing_count(12) == 10395
+    with pytest.raises(ValueError, match="^cannot pair an odd number"):
+        enumerate_pairings([0, 1, 2])
+    with pytest.raises(ValueError, match="^no perfect pairing of an odd set$"):
+        pairing_count(3)
 
 
 def test_decision_input_guards():
@@ -153,7 +175,8 @@ def test_worker_count_does_not_change_verdict(c4, petersen):
     lone = is_path_pairable(petersen, workers=1)
     multi = is_path_pairable(petersen, workers=2)
     assert lone.status == multi.status == PATH_PAIRABLE
-    assert lone.stats == multi.stats == SearchStats(945, 15692)
+    assert (lone.pairings_examined, lone.nodes_expanded) \
+        == (multi.pairings_examined, multi.nodes_expanded) == (945, 15692)
 
 
 class _RecordingPool:
@@ -190,7 +213,7 @@ def test_pool_holds_at_most_one_worker_per_partition(monkeypatch, c4,
     pooled = is_path_pairable(petersen, workers=100_000)
     assert _RecordingPool.made == [9]  # n - 1 partitions
     assert _RecordingPool.shutdowns == [True]  # pending partitions cancelled
-    assert (pooled.status, pooled.stats) == (serial.status, serial.stats)
+    assert pooled == serial
     is_path_pairable(c4, workers=3)
     assert _RecordingPool.made == [9, 3]
     # a graph with one partition scans it in this process

@@ -47,6 +47,12 @@ class BlownCycle:
         return self.num_classes * self.q
 
     @cached_property
+    def class_ids(self) -> tuple[list[int], ...]:
+        """The vertex ids of each class, ascending, as lists of ints."""
+        return tuple(list(range(i * self.q, (i + 1) * self.q))
+                     for i in range(self.num_classes))
+
+    @cached_property
     def graph(self) -> Graph:
         q, two_m = self.q, self.num_classes
         # row (i, a, c) is the edge from (i, a) to (i+1, c)
@@ -87,35 +93,31 @@ def free_common_neighbors(b: BlownCycle, u: int, v: int) -> list[int]:
 
     u and v must be distinct vertices of one class; the list is sorted by
     within-class index and always holds at least 2m+3 vertices.  These are
-    the next-class indices outside the two reserved windows a_u+1..a_u+m and
-    a_v+1..a_v+m (mod q), computed as the gaps between the windows.
+    the next-class indices outside the two reserved windows lo+1..lo+m and
+    hi+1..hi+m (mod q), where lo < hi are the within-class indices of u and
+    v.  A window that wraps past q-1 covers a prefix of the class; lo's
+    wraps only when hi's does, which then covers more.  So the candidates
+    are three index ranges, any of them possibly empty:
+
+    * max(hi+m+1-q, 0)..lo, before lo's window,
+    * lo+m+1..hi, between the windows,
+    * hi+m+1..q-1, after hi's window.
+
+    Each range ends below where the next begins, so the three slices of the
+    next class's ids, joined in this order, are already sorted.
     """
     if u == v:
         raise BlowupError("u and v must be distinct")
     for w in (u, v):
         if not (0 <= w < b.n):
             raise BlowupError(f"vertex {w} out of range")
-    q = b.q
+    q, m = b.q, b.m
     i, au = divmod(u, q)
     iv, av = divmod(v, q)
     if iv != i:
         raise BlowupError(
             f"vertices {u} and {v} lie in different classes ({i} and {iv})")
-    windows = []  # half-open [lo, hi) index ranges of reserved shifts
-    for a in (au, av):
-        lo = (a + 1) % q
-        hi = lo + b.m
-        if hi > q:
-            windows += [(lo, q), (0, hi - q)]
-        else:
-            windows.append((lo, hi))
-    windows.sort()
-    base = (i + 1) % b.num_classes * q
-    out: list[int] = []
-    t = 0
-    for lo, hi in windows:
-        if lo > t:
-            out.extend(range(base + t, base + lo))
-        t = max(t, hi)
-    out.extend(range(base + t, base + q))
-    return out
+    lo, hi = (au, av) if au < av else (av, au)
+    ids = b.class_ids[(i + 1) % b.num_classes]
+    return (ids[max(hi + m + 1 - q, 0):lo + 1] + ids[lo + m + 1:hi + 1]
+            + ids[hi + m + 1:])

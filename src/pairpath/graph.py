@@ -97,12 +97,17 @@ def distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def first_claims(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable sort order of keys, and for each key in that order whether
-    it is the first claim of its value: the first of a run of equal keys."""
-    order = np.argsort(keys, kind="stable")
+    """A sort order of keys, and for each key in that order whether it is
+    the first claim of its value: the earliest position of its value in
+    keys.  Equal keys may come in any order within their run, so the first
+    claim need not start it."""
+    order = np.argsort(keys)
     ordered = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
+    new_run = np.ones(len(keys), dtype=bool)
+    new_run[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new_run)
+    earliest = np.minimum.reduceat(order, starts)
+    first = order == np.repeat(earliest, np.diff(starts, append=len(keys)))
     return order, first
 
 

@@ -242,13 +242,28 @@ def pairing_count(n: int) -> int:
     return math.prod(range(1, n, 2))
 
 
+# a pool worker's stop flag (see `_init_worker`); None in any other process
+_stop_flag = None
+
+
+def _init_worker(stop) -> None:
+    """Pool initializer: keep the flag that tells partitions to stop."""
+    global _stop_flag
+    _stop_flag = stop
+
+
 def _decide_partition(g: Graph, c: int, budget: int):
     """Scan the pairings that pair 0 with c, in canonical order, on one
     adjacency; stop at the first that is not FEASIBLE.  Returns that status
-    (FEASIBLE if none) and pairing, and the pairings and nodes spent."""
+    (FEASIBLE if none) and pairing, and the pairings and nodes spent.
+
+    In a pool worker whose stop flag is set, the verdict is already known:
+    the scan ends before its next pairing and returns status None."""
     adj = _adjacency(g)
     examined = nodes = 0
     for tail in enumerate_pairings(v for v in range(1, g.n) if v != c):
+        if _stop_flag is not None and _stop_flag.is_set():
+            return None, None, examined, nodes
         pairs = ((0, c),) + tail
         search = _Search(adj, pairs, budget)
         status = search.run()
@@ -282,10 +297,19 @@ def is_path_pairable(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     workers = min(workers, g.n - 1)  # one per partition
     if workers <= 1:
         return _combine(map(scan, range(1, g.n)))
-    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        verdict = _combine(pool.map(scan, range(1, g.n)))
-        pool.shutdown(cancel_futures=True)  # drop partitions not yet sent
+    # only a pool needs these
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    stop = multiprocessing.Event()
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(stop,)) as pool:
+        try:
+            verdict = _combine(pool.map(scan, range(1, g.n)))
+        finally:
+            # partitions past the deciding one may still run, and their
+            # results are never read: stop them and drop those not yet sent
+            stop.set()
+            pool.shutdown(cancel_futures=True)
     return verdict
 
 

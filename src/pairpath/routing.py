@@ -339,16 +339,16 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     ascending; each takes the smallest z whose two closing edges are still
     unclaimed (`assign_candidates`), which the module docstring proves always
     exists.  All claimed edges, the walks' steps in pair order and then the
-    closing edges in task order, are checked with one stable sort of their
-    keys, so a clash raises RoutingError naming the first claim that repeats
-    an earlier one instead of returning a bad plan.
+    closing edges in task order, are checked with one sort of their keys
+    (`first_claims`), so a clash raises RoutingError naming the first claim
+    that repeats an earlier one instead of returning a bad plan.
     """
     q, n = b.q, b.n
     y, d, walks, ends = result.y, result.d, result.walks, result.ends
-    # targets are distinct, so sorting tasks by target orders them by class,
-    # then by target index
+    # targets are distinct, so sorting tasks by target, with no ties to
+    # keep stable, orders them by class, then by target index
     tasks = np.flatnonzero(~result.complete)
-    tasks = tasks[np.argsort(y[tasks], kind="stable")]
+    tasks = tasks[np.argsort(y[tasks])]
     targets, reached = y[tasks], walks[ends[tasks] - 1]
     task_ends = list(zip(reached.tolist(), targets.tolist()))
     classes = targets // q

@@ -134,19 +134,20 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
                 if in_range[pos]]
 
     # steps: step s walks flat[step_pos[s]] -> flat[step_pos[s] + 1]; one
-    # stable sort of the step keys, in which the first claim of a key owns
-    # the edge, and one lookup of the sorted keys in g.keys
+    # sort of the step keys, in which the first claim of a key, its earliest
+    # step, owns the edge, and one lookup of the sorted keys in g.keys
     step_pos = np.delete(np.arange(len(flat)), ends[lens > 0] - 1)
     keys = edge_keys(flat[step_pos], flat[step_pos + 1], n)
     by_key, first_claim = first_claims(keys)
-    member = g.has_edges(keys[by_key])
-    owner = by_key[np.maximum.accumulate(
-        np.where(first_claim, np.arange(len(by_key)), 0))]
+    sorted_keys = keys[by_key]
+    member = g.has_edges(sorted_keys)
     reused = member & ~first_claim
+    # the owners, one per key and ascending by key, looked up for reuses
+    owner = by_key[first_claim][np.searchsorted(sorted_keys[first_claim],
+                                                sorted_keys[reused])]
     step_route = rid[step_pos]
     bad_steps = [(s, None) for s in by_key[~member].tolist()]
-    bad_steps += zip(by_key[reused].tolist(),
-                     step_route[owner[reused]].tolist())
+    bad_steps += zip(by_key[reused].tolist(), step_route[owner].tolist())
     for s, own in bad_steps:
         pos, idx = int(step_pos[s]), int(step_route[s])
         e = tuple(sorted(plan.paths[pos:pos + 2].tolist()))

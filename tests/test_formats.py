@@ -300,6 +300,21 @@ def test_plan_golden_keeps_its_content():
         len(doc["routes"]) + 6)
 
 
+@pytest.mark.parametrize("m, digest, size", [
+    (12, "46287f1cfa1336f37151538443203c945a4c41505dde13c190cb17f273ed2315",
+     50_733),
+    (16, "90de63be862c43033d25402a45754e3af19c217d2dec210705dfc65d29469e2a",
+     103_739),
+])
+def test_uniform_plans_keep_their_bytes(m, digest, size):
+    # sizes with long task lists per class and reserved windows that wrap;
+    # `pairpath route --m 16 --random 3` prints the m=16 document
+    b = build(m)
+    text = dumps_plan(route(b, random_perfect_pairing(b.n, 3)),
+                      {"m": m, "seed": 3}).encode()
+    assert (hashlib.sha256(text).hexdigest(), len(text)) == (digest, size)
+
+
 def test_empty_plan_writes_an_empty_route_list():
     plan = RoutePlan(routes=[])
     assert dumps_plan(plan) == '{\n  "routes": [],\n  "edges_used": 0\n}\n'

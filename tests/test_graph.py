@@ -4,7 +4,7 @@ import re
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairpath.graph as graph_module
@@ -15,7 +15,7 @@ from helpers import (ORACLE_GRAPHS, bfs_layers, degrees, dense_diameter,
 from pairpath.blowup import build
 from pairpath.graph import (FamilySpec, GraphError, as_ids, diameter,
                             distance_matrix, eccentricities, generate,
-                            make_graph, twin_classes)
+                            first_claims, make_graph, twin_classes)
 from pairpath.pairability import screen
 
 
@@ -125,6 +125,23 @@ def test_make_graph_rejects_keys_beyond_int64():
         make_graph(top + 1, [(top - 1, top)])
     with pytest.raises(GraphError, match="exceeds"):
         make_graph(10**10, [(9999999998, 9999999999)])
+
+
+@given(st.lists(st.one_of(st.integers(-1, 4),
+                          st.sampled_from([-2**63, 2**63 - 1])), max_size=40))
+@example([])
+@settings(max_examples=200, deadline=None)
+def test_first_claims_marks_the_earliest_position_of_each_value(values):
+    keys = np.array(values, dtype=np.int64)
+    order, first = first_claims(keys)
+    assert sorted(order.tolist()) == list(range(len(values)))
+    ordered = keys[order]
+    assert (ordered[1:] >= ordered[:-1]).all()
+    earliest: dict[int, int] = {}
+    for pos, value in enumerate(values):
+        earliest.setdefault(value, pos)
+    assert first.tolist() == [earliest[values[pos]] == pos
+                              for pos in order.tolist()]
 
 
 def test_generate_hypercube3(q3):

@@ -178,15 +178,24 @@ def test_worker_count_does_not_change_verdict(c4, petersen):
     assert (lone.pairings_examined, lone.nodes_expanded) \
         == (multi.pairings_examined, multi.nodes_expanded) == (945, 15692)
 
+    # K_{2,10}: the first pairing decides while the second worker is into a
+    # partition the serial scan never opens, which its stop flag then ends
+    k2_10 = generate(FamilySpec("complete-bipartite", (2, 10)))
+    assert is_path_pairable(k2_10, workers=2) == is_path_pairable(k2_10)
+
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: runs the scan in this process and
-    records the pool size asked for and the shutdown calls."""
+    records the pool size asked for, the shutdown calls and the workers'
+    stop flags, which it does not install here."""
     made: list[int] = []
     shutdowns: list[bool] = []
+    flags: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.made.append(max_workers)
+        assert initializer is pairability_module._init_worker
+        self.flags.extend(initargs)
 
     def __enter__(self):
         return self
@@ -208,17 +217,35 @@ def test_pool_holds_at_most_one_worker_per_partition(monkeypatch, c4,
                         _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "made", [])
     monkeypatch.setattr(_RecordingPool, "shutdowns", [])
+    monkeypatch.setattr(_RecordingPool, "flags", [])
     serial = is_path_pairable(petersen)
     assert _RecordingPool.made == []
     pooled = is_path_pairable(petersen, workers=100_000)
     assert _RecordingPool.made == [9]  # n - 1 partitions
     assert _RecordingPool.shutdowns == [True]  # pending partitions cancelled
+    # running partitions are told to stop once the verdict is in
+    assert [flag.is_set() for flag in _RecordingPool.flags] == [True]
     assert pooled == serial
     is_path_pairable(c4, workers=3)
     assert _RecordingPool.made == [9, 3]
     # a graph with one partition scans it in this process
     assert is_path_pairable(path_graph(2), workers=8).status == PATH_PAIRABLE
     assert _RecordingPool.made == [9, 3]
+
+
+def test_partition_with_its_stop_flag_set_returns_without_scanning(
+        monkeypatch, c4, petersen):
+    import threading
+    flag = threading.Event()
+    monkeypatch.setattr(pairability_module, "_stop_flag", flag)
+    assert pairability_module._decide_partition(petersen, 1, budget=10**6) \
+        == (FEASIBLE, None, 105, 1601)
+    assert pairability_module._decide_partition(c4, 2, budget=10) \
+        == (INFEASIBLE, ((0, 2), (1, 3)), 1, 5)
+    flag.set()
+    for g, c in ((petersen, 1), (c4, 2)):
+        assert pairability_module._decide_partition(g, c, budget=10) \
+            == (None, None, 0, 0)
 
 
 @pytest.mark.parametrize("kwargs", [{"workers": 0}, {"workers": -1},

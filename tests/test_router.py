@@ -232,6 +232,33 @@ def test_route_edge_clash_is_a_construction_bug(blown2, monkeypatch):
                                "construction bug")
 
 
+def test_route_calls_the_candidate_steps_by_module_name(monkeypatch):
+    # the traced benchmark and the construction-bug tests wrap these two
+    # names on the routing module, so route calls free_common_neighbors once
+    # per closing task and assign_candidates once per class with tasks; a
+    # router that drops the per-task call, such as the bitmask greedy, waits
+    # for a benchmark change that stops relying on it (ROADMAP item 1)
+    calls = {"free_common_neighbors": 0, "assign_candidates": 0}
+
+    def counting(name):
+        real = getattr(routing_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+    for name in calls:
+        monkeypatch.setattr(routing_module, name, counting(name))
+    b = build(6)
+    pairing = random_perfect_pairing(b.n, 5)
+    result = phase_one(b, canonical_labeling(b, pairing))
+    targets = result.y[~result.complete]
+    route(b, pairing)
+    assert calls == {"free_common_neighbors": len(targets),
+                     "assign_candidates": len(set((targets // b.q).tolist()))}
+    assert 0 < calls["assign_candidates"] < calls["free_common_neighbors"]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_route_names_the_first_of_many_clashes(blown2, monkeypatch, seed):
     # every task takes its smallest candidate, so walks that share an end

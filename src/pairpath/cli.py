@@ -123,9 +123,10 @@ def _cmd_verify(args) -> int:
     else:
         # the routes' own pairs in route order, up to the first route whose
         # x or y repeats an earlier end: it and later routes have no pair
-        order, first = first_claims(np.stack([plan.x, plan.y], 1).ravel())
+        ends = np.stack([plan.x, plan.y], 1)
+        order, first = first_claims(ends.ravel())
         cut = int(order[~first].min(initial=len(order))) // 2
-        pairing = routing.Pairing(tuple(plan.pairs()[:cut]))
+        pairing = routing.Pairing(ends[:cut])
     report = verify.verify_plan(g, pairing, plan)
     sys.stdout.write(report.to_json())
     return 0 if report.ok else 1

@@ -175,8 +175,8 @@ def _ints(words: list[str], what: str, line: str) -> tuple[int, ...]:
 
 
 def dumps_pairing(p: Pairing) -> str:
-    return _dumps_rows({"pairs": [f"[{x}, {y}]" for x, y in p.pairs]},
-                       "pairs")
+    pairs = [f"[{x}, {y}]" for x, y in p.ids.tolist()]
+    return _dumps_rows({"pairs": pairs}, "pairs")
 
 
 def loads_pairing(text: str) -> Pairing:

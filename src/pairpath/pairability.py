@@ -52,7 +52,7 @@ class Verdict:
     def to_json(self) -> str:
         doc = {
             "status": self.status,
-            "witness": ([list(p) for p in self.witness.pairs]
+            "witness": (self.witness.ids.tolist()
                         if self.witness else None),
             "pairings_examined": self.pairings_examined,
             "nodes_expanded": self.nodes_expanded,
@@ -198,16 +198,16 @@ def find_disjoint_paths(g: Graph, p: Pairing,
     such plans in the tests), INFEASIBLE once the search space is
     exhausted, or CAP_HIT once `budget` nodes were expanded.
     """
-    values = [v for pair in p.pairs for v in pair]
+    values = p.ids.ravel()
     bad = as_ids(values, g.n) < 0
     if bad.any():
-        raise GraphError(f"pairing vertex {values[int(np.argmax(bad))]} out "
+        raise GraphError(f"pairing vertex {values[np.argmax(bad)]} out "
                          f"of range 0..{g.n - 1}")
-    search = _Search(_adjacency(g), p.pairs, budget)
+    search = _Search(_adjacency(g), p.ids.tolist(), budget)
     status = search.run()
     plan = None
     if status == FEASIBLE:
-        x, y = np.array(p.pairs, dtype=np.int64).reshape(-1, 2).T
+        x, y = p.ids.T
         plan = RoutePlan.from_arrays(
             x, y, [v for path in search.routed for v in path],
             np.cumsum([len(path) for path in search.routed]))

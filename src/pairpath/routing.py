@@ -56,41 +56,107 @@ class RoutingError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
 class Pairing:
     """Disjoint vertex pairs, in the order given; may be partial.
     `make_pairing` sorts them by smaller endpoint.
 
-    Ids must be integers (what operator.index accepts, NumPy's too), held
-    as Python ints; anything else raises PairingError naming it."""
+    `ids` holds the pairs as one read-only (k, 2) int64 array, row i the
+    pair (x, y).  The constructor takes an iterable of pairs or an integer
+    array.  Each value must be an integer (what operator.index accepts,
+    NumPy's too) within int64; anything else raises PairingError naming
+    it, as does a row that is no pair or an endpoint that repeats.
 
-    pairs: tuple[tuple[int, int], ...]
+    `pairs` gives the same pairs as a tuple of (x, y) tuples of Python
+    ints, built anew on each read; the package's own code reads `ids`.
+    """
 
-    def __post_init__(self) -> None:
-        pairs = tuple((_vertex_id(x), _vertex_id(y)) for x, y in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        seen: set[int] = set()
-        for v in chain.from_iterable(pairs):
-            if v in seen:
-                raise PairingError(f"duplicate endpoint {v} across pairs")
-            seen.add(v)
+    def __init__(self, pairs: Iterable[Sequence[int]] | np.ndarray = ()
+                 ) -> None:
+        ids = _pair_rows(pairs)
+        flat = ids.ravel()
+        if len(distinct(flat)) < len(flat):  # name the first repeat
+            order, first = first_claims(flat)
+            v = flat[order[~first].min()]
+            raise PairingError(f"duplicate endpoint {v} across pairs")
+        self.ids = _frozen(ids)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.ids.tolist()))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.ids)
 
     def endpoints(self) -> frozenset[int]:
-        return frozenset(v for pair in self.pairs for v in pair)
+        return frozenset(self.ids.ravel().tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Pairing):
+            return NotImplemented
+        return np.array_equal(self.ids, other.ids)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Pairing({self.pairs!r})"
 
 
-def make_pairing(pairs: Iterable[Sequence[int]]) -> Pairing:
-    """Canonicalize: pair order follows the smaller endpoint, orientation
-    within each pair is kept.  Pairing checks the ids."""
-    pairs = tuple(pairs)
+def _pair_rows(pairs: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """Pairs as a new (k, 2) int64 array, else PairingError naming the first
+    row that is no pair or the first value, in pair order, that is no
+    integer within int64."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
+        if pairs.size == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise PairingError(
+                f"pairs must be (x, y) rows, got shape {pairs.shape}")
+        ids = pairs.astype(np.int64)
+        if pairs.dtype.kind == "u" and (ids < 0).any():  # wrapped past int64
+            raise PairingError(f"vertex {pairs[ids < 0][0]} lies beyond int64")
+        return ids
+    rows = list(pairs)
     try:
-        pairs = tuple(sorted(pairs, key=min))
-    except TypeError:  # values that do not compare: check them first
-        return make_pairing(Pairing(pairs).pairs)
-    return Pairing(pairs)
+        if set(map(len, rows)) - {2}:
+            raise TypeError
+        flat = list(chain.from_iterable(rows))
+    except TypeError:  # a row that is no pair, or has no length
+        flat = list(chain.from_iterable(map(_as_pair, range(len(rows)), rows)))
+    try:
+        # a sum of Python ints is a Python int; a float, a string or a
+        # NumPy value makes it something else or raises, and goes one by one
+        if type(sum(flat)) is not int:
+            raise TypeError
+        ids = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    except (TypeError, OverflowError):  # not all ints, or beyond int64
+        ids = np.array([_int64_id(v) for v in flat], dtype=np.int64)
+    return ids.reshape(-1, 2)
+
+
+def _as_pair(idx: int, row: object) -> tuple[object, object]:
+    try:
+        x, y = row
+    except (TypeError, ValueError):
+        raise PairingError(f"pair #{idx} {row!r} is not an (x, y) pair"
+                           ) from None
+    return x, y
+
+
+def _int64_id(v: object) -> int:
+    """A value as an int within int64, else PairingError naming it."""
+    v = _vertex_id(v)
+    if not -2**63 <= v < 2**63:
+        raise PairingError(f"vertex {v} lies beyond int64")
+    return v
+
+
+def make_pairing(pairs: Iterable[Sequence[int]] | np.ndarray) -> Pairing:
+    """Canonicalize: pair order follows the smaller endpoint (a stable
+    sort), orientation within each pair is kept.  Values are checked in the
+    order given, repeated endpoints in the sorted order."""
+    ids = _pair_rows(pairs)
+    return Pairing(ids[np.argsort(np.minimum(ids[:, 0], ids[:, 1]),
+                                  kind="stable")])
 
 
 def _vertex_id(v: object) -> int:
@@ -102,10 +168,11 @@ def _vertex_id(v: object) -> int:
 
 def random_perfect_pairing(n: int, seed: int) -> Pairing:
     """Uniform perfect pairing: shuffle 0..n-1, pair adjacent entries."""
-    if n % 2:
-        raise PairingError(f"perfect pairing needs even vertex count, got {n}")
-    ids = random_permutation(n, seed)
-    return make_pairing((ids[2 * t], ids[2 * t + 1]) for t in range(n // 2))
+    if n < 0 or n % 2:
+        raise PairingError(
+            f"perfect pairing needs a nonnegative even vertex count, got {n}")
+    ids = np.fromiter(random_permutation(n, seed), dtype=np.int64, count=n)
+    return make_pairing(ids.reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -220,12 +287,9 @@ def _route_id(idx: int, v: object) -> int:
     """A route value as an int within int64, else PairingError naming the
     route and the value."""
     try:
-        v = _vertex_id(v)
+        return _int64_id(v)
     except PairingError as exc:
         raise PairingError(f"route #{idx}: {exc}") from None
-    if not -2**63 <= v < 2**63:
-        raise PairingError(f"route #{idx}: vertex {v} lies beyond int64")
-    return v
 
 
 @dataclass(frozen=True)
@@ -280,10 +344,9 @@ def canonical_labeling(b: BlownCycle, p: Pairing) -> np.ndarray:
     PairingError naming the first vertex, in pairing order, outside 0..n-1.
     """
     n, q, m, two_m = b.n, b.q, b.m, b.num_classes
-    values = list(chain.from_iterable(p.pairs))
-    ids = as_ids(values, n)
+    ids = as_ids(p.ids.ravel(), n)
     if (ids < 0).any():
-        bad = values[int(np.argmax(ids < 0))]
+        bad = p.ids.ravel()[np.argmax(ids < 0)]
         raise PairingError(f"vertex {bad} out of range 0..{n - 1}")
     ids = ids.reshape(-1, 2)
     d = (ids[:, 1] // q - ids[:, 0] // q) % two_m
@@ -390,13 +453,14 @@ def _check_disjoint(us: np.ndarray, vs: np.ndarray, owners: np.ndarray,
     """Raise the clash of the first claim of edge {us[i], vs[i]} that an
     earlier claim already made, naming both claims' owners."""
     keys = edge_keys(us, vs, n)
+    if len(distinct(keys)) == len(keys):  # no edge claimed twice
+        return
     order, first = first_claims(keys)
-    if not first.all():
-        second = int(order[~first].min())
-        claim = int(np.argmax(keys == keys[second]))
-        raise RoutingError(
-            f"edge {divmod(int(keys[second]), n)} claimed by "
-            f"pairs {owners[claim]} and {owners[second]}: construction bug")
+    second = int(order[~first].min())
+    claim = int(np.argmax(keys == keys[second]))
+    raise RoutingError(
+        f"edge {divmod(int(keys[second]), n)} claimed by "
+        f"pairs {owners[claim]} and {owners[second]}: construction bug")
 
 
 def route(b: BlownCycle, p: Pairing) -> RoutePlan:

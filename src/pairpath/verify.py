@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, as_ids, edge_keys, first_claims
+from .graph import Graph, as_ids, distinct, edge_keys, first_claims
 from .routing import Pairing, RoutePlan
 
 NOT_A_WALK = "not-a-walk"
@@ -82,7 +81,7 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     """
     n = g.n
     # a route with no pair is not walked
-    walked = min(len(plan.ends), len(p.pairs))
+    walked = min(len(plan.ends), len(p))
     ends = plan.ends[:walked]
     lens = np.diff(ends, prepend=0)
     flat = as_ids(plan.paths[:lens.sum()], n)  # -1 for an id outside 0..n-1
@@ -95,7 +94,7 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     # (masked) reads in bounds
     padded = np.append(flat, -1)
     first, last = padded[ends - lens], padded[ends - 1]
-    pair_ids = as_ids(list(chain.from_iterable(p.pairs)), n)
+    pair_ids = as_ids(p.ids.ravel(), n)
     a, b = pair_ids[:2 * walked].reshape(-1, 2).T
     ends_ok = (lens > 0) & (first >= 0) & (last >= 0) \
         & (first == as_ids(plan.x[:walked], n)) \
@@ -127,27 +126,36 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
         entries.append((int(rid[pos]), 1, pos, Violation(
             kind=NOT_A_WALK, pair_indexes=(int(rid[pos]),),
             vertex=int(plan.paths[pos]))))
-    by_vertex, firsts = first_claims(np.where(in_range, rid * n + flat, -1))
-    warnings = [PlanWarning(kind="vertex-repeated", pair_index=int(rid[pos]),
-                            vertex=int(plan.paths[pos]))
-                for pos in np.sort(by_vertex[~firsts]).tolist()
-                if in_range[pos]]
+    warnings: list[PlanWarning] = []
+    vertex_keys = np.where(in_range, rid * n + flat, -1)
+    if len(distinct(vertex_keys)) < len(vertex_keys):
+        by_vertex, firsts = first_claims(vertex_keys)
+        warnings = [PlanWarning(kind="vertex-repeated",
+                                pair_index=int(rid[pos]),
+                                vertex=int(plan.paths[pos]))
+                    for pos in np.sort(by_vertex[~firsts]).tolist()
+                    if in_range[pos]]
 
-    # steps: step s walks flat[step_pos[s]] -> flat[step_pos[s] + 1]; one
-    # sort of the step keys, in which the first claim of a key, its earliest
-    # step, owns the edge, and one lookup of the sorted keys in g.keys
+    # steps: step s walks flat[step_pos[s]] -> flat[step_pos[s] + 1]; a
+    # plan whose step keys are distinct edges of g has no bad step
     step_pos = np.delete(np.arange(len(flat)), ends[lens > 0] - 1)
     keys = edge_keys(flat[step_pos], flat[step_pos + 1], n)
-    by_key, first_claim = first_claims(keys)
-    sorted_keys = keys[by_key]
-    member = g.has_edges(sorted_keys)
-    reused = member & ~first_claim
-    # the owners, one per key and ascending by key, looked up for reuses
-    owner = by_key[first_claim][np.searchsorted(sorted_keys[first_claim],
-                                                sorted_keys[reused])]
     step_route = rid[step_pos]
-    bad_steps = [(s, None) for s in by_key[~member].tolist()]
-    bad_steps += zip(by_key[reused].tolist(), step_route[owner].tolist())
+    bad_steps: list[tuple[int, int | None]] = []
+    unique = distinct(keys)
+    if len(unique) < len(keys) or not g.has_edges(unique).all():
+        # one sort of the step keys, in which the first claim of a key, its
+        # earliest step, owns the edge, and one lookup of the sorted keys
+        # in g.keys
+        by_key, first_claim = first_claims(keys)
+        sorted_keys = keys[by_key]
+        member = g.has_edges(sorted_keys)
+        reused = member & ~first_claim
+        # the owners, one per key and ascending by key, looked up for reuses
+        owner = by_key[first_claim][np.searchsorted(
+            sorted_keys[first_claim], sorted_keys[reused])]
+        bad_steps = [(s, None) for s in by_key[~member].tolist()]
+        bad_steps += zip(by_key[reused].tolist(), step_route[owner].tolist())
     for s, own in bad_steps:
         pos, idx = int(step_pos[s]), int(step_route[s])
         e = tuple(sorted(plan.paths[pos:pos + 2].tolist()))
@@ -158,10 +166,10 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
 
     entries.sort(key=lambda entry: entry[:3])
     violations = [entry[3] for entry in entries]
-    for idx in range(len(plan.ends), len(p.pairs)):
+    for idx, x in enumerate(p.ids[len(plan.ends):, 0].tolist(),
+                            len(plan.ends)):
         violations.append(Violation(
-            kind=WRONG_ENDPOINTS, pair_indexes=(idx,),
-            vertex=p.pairs[idx][0]))
+            kind=WRONG_ENDPOINTS, pair_indexes=(idx,), vertex=x))
 
     return VerificationReport(ok=not violations,
                               violations=tuple(violations),

@@ -529,3 +529,12 @@ def reference_permutation(n: int, seed: int) -> list[int]:
         j = next(stream) % (i + 1)
         xs[i], xs[j] = xs[j], xs[i]
     return xs
+
+
+def reference_perfect_pairing(n: int, seed: int
+                              ) -> tuple[tuple[int, int], ...]:
+    """Oracle: random_perfect_pairing's pairs built from tuples: shuffle
+    0..n-1, pair adjacent entries, sort the pairs by smaller endpoint."""
+    xs = reference_permutation(n, seed)
+    return tuple(sorted(((xs[2 * t], xs[2 * t + 1]) for t in range(n // 2)),
+                        key=min))

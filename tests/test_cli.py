@@ -108,18 +108,20 @@ def test_route_hall_deficient_plan_bytes_are_golden(capsys):
     assert err == "n 152\ndiameter 4\nmax_route_length 6\nedges_used 322\n"
 
 
-@pytest.mark.parametrize("pairs, bad", [
-    ([[0, 1], [2, -1]], -1),
-    ([[0, 44], [2, 3]], 44),
-    ([[0, 1], [10**30, 2]], 10**30),
+@pytest.mark.parametrize("pairs, message", [
+    ([[0, 1], [2, -1]], "vertex -1 out of range 0..43"),
+    ([[0, 44], [2, 3]], "vertex 44 out of range 0..43"),
+    # refused where the pairing is built, before any range check
+    ([[0, 1], [10**30, 2]], f"vertex {10**30} lies beyond int64"),
 ], ids=["minus-one", "n", "beyond-int64"])
-def test_route_out_of_range_pairing_exits_two(capsys, tmp_path, pairs, bad):
+def test_route_out_of_range_pairing_exits_two(capsys, tmp_path, pairs,
+                                              message):
     src = tmp_path / "pairs.json"
     src.write_text(json.dumps({"pairs": pairs}))
     code, out, err = run(capsys, "route", "--m", "2", "--pairing", str(src))
     assert code == 2
     assert out == ""
-    assert err == f"error: vertex {bad} out of range 0..43\n"
+    assert err == f"error: {message}\n"
 
 
 def test_route_construction_bug_exits_one(capsys, tmp_path, monkeypatch):
@@ -271,6 +273,18 @@ def test_verify_with_explicit_graph_and_pairing(capsys, tmp_path):
                        "--pairing", str(pairing_file))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_pairing_beyond_int64_exits_two(capsys, tmp_path):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(
+        {"routes": [{"x": 0, "y": 1, "path": [0, 1]}], "m": 2}))
+    pairing_file = tmp_path / "p.json"
+    pairing_file.write_text(json.dumps({"pairs": [[0, 2**63]]}))
+    code, out, err = run(capsys, "verify", "--plan", str(plan_file),
+                         "--pairing", str(pairing_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: vertex {2**63} lies beyond int64\n"
 
 
 def test_verify_without_graph_or_annotation_fails(capsys, tmp_path):

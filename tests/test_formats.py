@@ -305,6 +305,10 @@ def test_plan_golden_keeps_its_content():
      50_733),
     (16, "90de63be862c43033d25402a45754e3af19c217d2dec210705dfc65d29469e2a",
      103_739),
+    (24, "bd27f0374f311f6417d0e754dbfea35f12157519f5b0edd1a2bacbe80249517f",
+     296_088),
+    (48, "2f7bd38b164d319fcb5730f5ed76f1fabf1996af8038f5e21453fcad4850640f",
+     1_986_080),
 ])
 def test_uniform_plans_keep_their_bytes(m, digest, size):
     # sizes with long task lists per class and reserved windows that wrap;

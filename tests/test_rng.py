@@ -2,9 +2,10 @@ from itertools import islice
 
 import pytest
 
-from helpers import reference_permutation, splitmix64_outputs
+from helpers import (reference_perfect_pairing, reference_permutation,
+                     splitmix64_outputs)
 from pairpath.rng import SplitMix64, random_permutation
-from pairpath.routing import random_perfect_pairing
+from pairpath.routing import PairingError, random_perfect_pairing
 
 SEEDS = (0, 1, 12345, 2**64 - 1)
 
@@ -82,6 +83,20 @@ def test_random_perfect_pairing_shape():
 def test_random_perfect_pairing_rejects_odd():
     with pytest.raises(ValueError, match="even"):
         random_perfect_pairing(7, seed=0)
+
+
+@pytest.mark.parametrize("n", [-1, -2, -44])
+def test_random_perfect_pairing_rejects_negative(n):
+    # -2 is even and range(-2) is empty: no empty pairing may come out
+    with pytest.raises(PairingError, match=f"nonnegative even .* got {n}$"):
+        random_perfect_pairing(n, seed=1)
+
+
+@pytest.mark.parametrize("seed", SEEDS + (3,))
+def test_random_perfect_pairing_matches_the_tuple_construction(seed):
+    for n in range(0, 65, 2):
+        assert random_perfect_pairing(n, seed).pairs \
+            == reference_perfect_pairing(n, seed)
 
 
 def test_random_perfect_pairing_covers_all_pairings():

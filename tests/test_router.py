@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,42 @@ def test_make_pairing_takes_integer_ids_only():
             make_pairing([pair])
 
 
+def test_make_pairing_names_a_row_that_is_no_pair():
+    for pairs, message in (
+            ([(1, 2, 3)], "pair #0 (1, 2, 3) is not an (x, y) pair"),
+            ([5], "pair #0 5 is not an (x, y) pair"),
+            ([(0, 1), [2]], "pair #1 [2] is not an (x, y) pair"),
+            (np.zeros((2, 3), dtype=np.int64),
+             "pairs must be (x, y) rows, got shape (2, 3)")):
+        for build_it in (make_pairing, Pairing):
+            with pytest.raises(PairingError, match=f"^{re.escape(message)}$"):
+                build_it(pairs)
+
+
+def test_pairing_holds_one_int64_array():
+    p = make_pairing([(9, 4), (2, 0)])
+    assert p.ids.dtype == np.int64 and p.ids.tolist() == [[2, 0], [9, 4]]
+    assert not p.ids.flags.writeable
+    # lists, generators, the keyword and integer arrays build equal pairings
+    for pairs in ([(2, 0), (9, 4)], ((x, y) for x, y in [(2, 0), (9, 4)]),
+                  np.array([[2, 0], [9, 4]], dtype=np.uint8)):
+        assert Pairing(pairs) == p == Pairing(pairs=p.ids)
+    assert make_pairing(np.array([[9, 4], [2, 0]])) == p
+    assert p != make_pairing([(0, 2), (9, 4)])
+    assert len(Pairing()) == 0 and Pairing().ids.shape == (0, 2)
+    with pytest.raises(TypeError):
+        hash(p)
+    # an array is copied, so the caller's array stays its own
+    rows = np.array([[0, 1]])
+    q = Pairing(rows)
+    rows[0, 0] = 5
+    assert q.pairs == ((0, 1),)
+    with pytest.raises(PairingError, match="^duplicate endpoint 1 across"):
+        Pairing(np.array([[0, 1], [1, 2]], dtype=np.int32))
+    with pytest.raises(PairingError, match=f"^vertex {2**63} lies beyond"):
+        Pairing(np.array([[0, 1], [2, 2**63]], dtype=np.uint64))
+
+
 def test_canonical_labeling_examples(blown2, blown3):
     # forward distance within reach: kept
     p = make_pairing([(blown3.vertex(4, 0), blown3.vertex(1, 0))])
@@ -78,23 +116,30 @@ def test_canonical_labeling_rejects_bad_vertices(blown2):
         canonical_labeling(blown2, Pairing(((0, 1), (1, 2))))
 
 
-@pytest.mark.parametrize("pairs, bad", [
+BEYOND = f"vertex {10**30} lies beyond int64"
+
+
+@pytest.mark.parametrize("pairs, message", [
     # -1 would wrap to the last vertex as a numpy index
-    (((0, 1), (2, -1)), -1),
-    (((0, 44), (2, 3)), 44),
-    # beyond int64, so no int64 array can hold it
-    (((0, 1), (10**30, 2)), 10**30),
+    (((0, 1), (2, -1)), "vertex -1 out of range 0..43"),
+    (((0, 44), (2, 3)), "vertex 44 out of range 0..43"),
+    # beyond int64: the pairing refuses it before any range check
+    (((0, 1), (10**30, 2)), BEYOND),
+    (((5, 44), (10**30, -1)), BEYOND),
+    (((-1, 3), (0, 10**30)), BEYOND),
+    (((0, 10**30), (44, 3)), BEYOND),
     # the first bad vertex in pairing order is named
-    (((5, 44), (10**30, -1)), 44),
-    (((-1, 3), (0, 10**30)), -1),
-    (((0, 10**30), (44, 3)), 10**30),
+    (((5, 44), (2**63 - 1, -1)), "vertex 44 out of range 0..43"),
+    (((-1, 3), (0, 2**63 - 1)), "vertex -1 out of range 0..43"),
+    (((0, 2**63 - 1), (44, 3)), f"vertex {2**63 - 1} out of range 0..43"),
 ], ids=["minus-one", "n", "beyond-int64", "n-first", "minus-one-first",
-        "beyond-int64-first"])
-def test_out_of_range_vertices_name_the_first(blown2, pairs, bad):
+        "beyond-int64-first", "n-first-int64-max", "minus-one-first-int64-max",
+        "int64-max-first"])
+def test_out_of_range_vertices_name_the_first(blown2, pairs, message):
     for call in (canonical_labeling, route):
         with pytest.raises(PairingError) as info:
             call(blown2, Pairing(pairs))
-        assert str(info.value) == f"vertex {bad} out of range 0..43"
+        assert str(info.value) == message
 
 
 def test_phase_one_walks(blown2):

@@ -214,7 +214,7 @@ def test_empty_pairing_empty_plan():
 BAD_IDS = {"out-of-range": lambda n: st.integers(n, n + 3),
            "negative": lambda n: st.integers(-3, -1),
            "int64-extreme": lambda n: st.sampled_from([2**63 - 1, -2**63]),
-           # a plan holds int64 values only, a pairing any integer
+           # plans and pairings hold int64 values only, and refuse these
            "beyond-int64": lambda n: st.sampled_from(
                [2**63, -2**63 - 1, 10**30])}
 PLAN_BAD_IDS = ("out-of-range", "negative", "int64-extreme")
@@ -255,10 +255,10 @@ def mutated_plans(draw):
             else:
                 path[slot] = bad
         elif kind == "bad-pair" and i < len(pairs):
-            # a pair endpoint out of range, negative or beyond int64; ids
-            # must stay distinct across pairs
+            # a pair endpoint out of range, negative or at an int64
+            # extreme; ids must stay distinct across pairs
             bad = draw(BAD_IDS[draw(st.sampled_from(
-                ["out-of-range", "negative", "beyond-int64"]))](g.n))
+                ["out-of-range", "negative", "int64-extreme"]))](g.n))
             if all(bad not in pair for pair in pairs):
                 pair = list(pairs[i])
                 pair[draw(st.integers(0, 1))] = bad
@@ -271,9 +271,7 @@ def mutated_plans(draw):
                 BAD_IDS["out-of-range"](g.n), min_size=3, max_size=3,
                 unique=True))
             keep = min(pairs[i])
-            # a plan holds int64 values only, so an end that an earlier
-            # bad-pair put beyond it cannot start the route
-            if keep >= -2**63 and all(paired not in pair for pair in pairs):
+            if all(paired not in pair for pair in pairs):
                 routes[i] = [keep, bad_y, [keep] + path[1:-1] + [end]]
                 pairs[i] = (keep, paired)
         elif kind == "reverse":
@@ -306,6 +304,24 @@ def test_reports_match_the_reference_loop(case):
     g, pairing, plan = case
     assert verify_plan(g, pairing, plan).to_json() \
         == reference_verify_plan(g, pairing, plan).to_json()
+
+
+@given(st.integers(2, 40).map(lambda n: n - n % 2), st.integers(0, 2**32),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_pair_endpoints_beyond_int64_are_refused(n, seed, data):
+    # a pairing holds int64 values only: a pair endpoint beyond int64 is
+    # refused where the pairing is built, naming the first in pair order
+    pairs = list(random_perfect_pairing(n, seed).pairs)
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    bad = data.draw(BAD_IDS["beyond-int64"](n))
+    pair = list(pairs[i])
+    pair[data.draw(st.integers(0, 1))] = bad
+    pairs[i] = tuple(pair)
+    for build_it in (make_pairing, Pairing):
+        with pytest.raises(PairingError,
+                           match=f"^vertex {bad} lies beyond int64$"):
+            build_it(pairs + [(10**40, -10**40)])
 
 
 DAMAGES = ("drop-step", "reuse-edge", "stray-end", "out-of-range", "extra")
@@ -366,11 +382,16 @@ def test_array_and_route_plans_give_the_same_report(m, monkeypatch):
                                             (4, -1, 2**63)])
 def test_distinct_bad_ids_at_path_end_route_y_and_pair_differ(end, y,
                                                                paired):
+    # a pair value beyond int64 is refused where the pairing is built, so
+    # the pair's bad id is 2**62 instead, within int64
+    with pytest.raises(PairingError,
+                       match=f"^vertex {paired} lies beyond int64$"):
+        make_pairing([(0, paired), (1, 2)])
     # the three ids are all outside 0..3, and distinct, so route 0 ends at
     # a vertex no pair mentions; the array check reads every such id as -1
     # and must not take them for equal
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-    pairing = make_pairing([(0, paired), (1, 2)])
+    pairing = make_pairing([(0, 2**62), (1, 2)])
     plan = RoutePlan(routes=(Route(0, y, (0, 1, end)), Route(1, 2, (1, 2))),
                      used_edges={})
     report = verify_plan(g, pairing, plan)
@@ -440,10 +461,15 @@ def test_stray_end_on_a_huge_graph_allocates_nothing_of_size_n():
 
 
 def test_pair_value_that_is_no_id_is_no_endpoint():
-    # 2**64 + 2 wraps to 2 in 64 bits but is no id, so the pair has one
-    # endpoint and the path's end 2 is a stray
+    # 2**64 + 2 would wrap to 2 in 64 bits, so a pairing refuses it, as it
+    # refuses every value beyond int64
+    with pytest.raises(PairingError,
+                       match=f"^vertex {2**64 + 2} lies beyond int64$"):
+        Pairing(((0, 2**64 + 2),))
+    # int64's largest value is no id, so the pair has one endpoint and the
+    # path's end 2 is a stray
     g = make_graph(3, [(0, 1), (1, 2)])
-    pairing = Pairing(((0, 2**64 + 2),))
+    pairing = Pairing(((0, 2**63 - 1),))
     plan = plan_of((0, 1, 2))
     report = verify_plan(g, pairing, plan)
     assert [(v.kind, v.vertex) for v in report.violations] \

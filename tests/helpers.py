@@ -1,10 +1,12 @@
 """Shared builders and oracles for the test suite."""
 from __future__ import annotations
 
+import json
 import operator
 import pathlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 import networkx as nx
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from pairpath.blowup import (BlownCycle, BlowupError, build,
                              free_common_neighbors)
+from pairpath.formats import FormatError
 from pairpath.graph import FamilySpec, Graph, GraphError, generate, make_graph
 from pairpath.pairability import (CANNOT_RULE_OUT, NOT_PATH_PAIRABLE,
                                   ScreenReport, ScreenViolation)
@@ -538,3 +541,101 @@ def reference_perfect_pairing(n: int, seed: int
     xs = reference_permutation(n, seed)
     return tuple(sorted(((xs[2 * t], xs[2 * t + 1]) for t in range(n // 2)),
                         key=min))
+
+
+def _reference_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from None
+
+
+def _reference_rows(doc: dict, key: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise FormatError(f'"{key}" must be a list, got {type(value).__name__}')
+    return value
+
+
+def _reference_pair(item) -> tuple[int, int]:
+    if (not isinstance(item, (list, tuple)) or len(item) != 2
+            or not all(type(v) is int for v in item)):
+        raise FormatError(f"expected [u, v] integer pair, got {item!r}")
+    return item[0], item[1]
+
+
+def reference_loads_graph(text: str) -> tuple[Graph, dict]:
+    """Oracle: formats.loads_graph of JSON as one json.loads of the whole
+    document, then whole-list checks, then a per-row scan that names the
+    first bad row."""
+    doc = _reference_json(text)
+    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
+        raise FormatError('graph JSON needs keys "n" and "edges"')
+    n = doc["n"]
+    if type(n) is not int:
+        raise FormatError(f'"n" must be an integer, got {n!r}')
+    rows = _reference_rows(doc, "edges")
+    try:
+        edges = np.array(rows) if rows else np.empty((0, 2), dtype=np.int64)
+    except ValueError:  # ragged rows
+        edges = None
+    if not (edges is not None and edges.dtype.kind in "iu"
+            and edges.shape == (len(rows), 2)
+            and bool not in set(map(type, chain.from_iterable(rows)))):
+        edges = [_reference_pair(item) for item in rows]
+    annotations = {k: v for k, v in doc.items() if k not in ("n", "edges")}
+    try:
+        return make_graph(n, edges), annotations
+    except GraphError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def reference_loads_pairing(text: str) -> Pairing:
+    """Oracle: formats.loads_pairing as one json.loads of the whole document
+    and one tuple per pair."""
+    doc = _reference_json(text)
+    if not isinstance(doc, dict) or "pairs" not in doc:
+        raise FormatError('pairing JSON needs key "pairs"')
+    try:
+        return make_pairing(_reference_pair(pair)
+                            for pair in _reference_rows(doc, "pairs"))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def reference_loads_plan(text: str) -> tuple[RoutePlan, dict]:
+    """Oracle: formats.loads_plan as one json.loads of the whole document,
+    whole-list checks, then a per-route scan that names the first bad
+    route."""
+    doc = _reference_json(text)
+    if not isinstance(doc, dict) or "routes" not in doc:
+        raise FormatError('plan JSON needs key "routes"')
+    items = _reference_rows(doc, "routes")
+    try:
+        xs = [item["x"] for item in items]
+        ys = [item["y"] for item in items]
+        paths = [item["path"] for item in items]
+        flat = list(chain.from_iterable(paths))
+        if not (all(type(path) is list for path in paths)
+                and set(map(type, chain(xs, ys, flat))) <= {int}):
+            raise TypeError
+        arrays = [np.array(values, dtype=np.int64) for values in (xs, ys, flat)]
+    except (KeyError, TypeError, OverflowError):
+        raise _reference_route_error(items) from None
+    lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    extras = {k: v for k, v in doc.items() if k not in ("routes", "edges_used")}
+    return RoutePlan.from_arrays(*arrays, np.cumsum(lens)), extras
+
+
+def _reference_route_error(items: list) -> FormatError:
+    def is_int64(value) -> bool:
+        return type(value) is int and -2**63 <= value < 2**63
+    for idx, item in enumerate(items):
+        if not isinstance(item, dict) or not {"x", "y", "path"} <= set(item):
+            return FormatError(f'route #{idx} needs keys "x", "y", "path"')
+        path = item["path"]
+        if not isinstance(path, list) or not all(map(is_int64, path)):
+            return FormatError(f"route #{idx} path must be a list of ids")
+        if not (is_int64(item["x"]) and is_int64(item["y"])):
+            return FormatError(f'route #{idx} "x" and "y" must be ids')
+    raise AssertionError("every route is well formed")

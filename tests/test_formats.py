@@ -1,21 +1,25 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HALL_DEFICIENT_M4_PLAN, reference_route
+from helpers import (HALL_DEFICIENT_M4_PLAN, reference_loads_graph,
+                     reference_loads_pairing, reference_loads_plan,
+                     reference_route)
+from pairpath import formats
 from pairpath.blowup import build
 from pairpath.cli import main
 from pairpath.formats import (FormatError, dumps_graph, dumps_pairing,
                               dumps_plan, loads_graph, loads_pairing,
                               loads_plan)
-from pairpath.graph import make_graph
+from pairpath.graph import Graph, make_graph
 import pairpath.routing as routing_module
-from pairpath.routing import (PairingError, Route, RoutePlan, make_pairing,
-                              random_perfect_pairing, route)
+from pairpath.routing import (Pairing, PairingError, Route, RoutePlan,
+                              make_pairing, random_perfect_pairing, route)
 from pairpath.verify import verify_plan
 
 
@@ -416,3 +420,291 @@ def test_plan_rejects_malformed():
             ('{"x": 0, "y": 1, "path": [0, true]}', "path must be a list")):
         with pytest.raises(FormatError, match=f"^route #0 {message}"):
             loads_plan(f'{{"routes": [{route}]}}')
+
+
+@pytest.mark.parametrize("write, key", [
+    (lambda: dumps_graph(make_graph(3, [(0, 1)]), "json", {"edges": []}),
+     "edges"),
+    (lambda: dumps_graph(make_graph(3, [(0, 1)]), "json", {"n": 5}), "n"),
+    (lambda: dumps_plan(RoutePlan([Route(0, 1, (0, 1))]), {"routes": []}),
+     "routes"),
+    (lambda: dumps_plan(RoutePlan([Route(0, 1, (0, 1))]), {"edges_used": 0}),
+     "edges_used"),
+], ids=["graph-edges", "graph-n", "plan-routes", "plan-edges-used"])
+def test_an_annotation_never_replaces_a_key_of_the_file(write, key):
+    with pytest.raises(FormatError, match=f'^"{key}" is a key of the file '
+                                          "itself, not an annotation$"):
+        write()
+
+
+def _plain(read):
+    """A reader's result as plain values, to compare two readers."""
+    if isinstance(read, Pairing):
+        return read.ids.tolist()
+    made, extra = read
+    if isinstance(made, Graph):
+        return made.n, made.keys.tolist(), extra
+    return [a.tolist() for a in (made.x, made.y, made.paths, made.ends)], extra
+
+
+_READERS = {"graph": (loads_graph, reference_loads_graph),
+            "pairing": (loads_pairing, reference_loads_pairing),
+            "plan": (loads_plan, reference_loads_plan)}
+
+
+def _outcome(load, text):
+    try:
+        return "read", _plain(load(text))
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+def _assert_reads_as_reference(kind, text):
+    load, reference = _READERS[kind]
+    assert _outcome(load, text) == _outcome(reference, text)
+
+
+def _whole_reads(patch):
+    """The texts that a reader reads whole, once the chunked reader has
+    declined them."""
+    texts = []
+    whole = formats._json_loads
+    patch.setattr(formats, "_json_loads",
+                  lambda text: texts.append(text) or whole(text))
+    return texts
+
+
+@pytest.mark.parametrize("small", [False, True],
+                         ids=["module-sizes", "small-sizes"])
+def test_documents_the_writers_produce_are_read_by_chunks(monkeypatch, small):
+    if small:  # a few rows and characters per chunk
+        monkeypatch.setattr(formats, "_IDS_PER_CHUNK", 6)
+        monkeypatch.setattr(formats, "_CHUNK_CHARS", 10)
+    b = build(3)
+    pairing = random_perfect_pairing(b.n, 5)
+    texts = [
+        ("graph", dumps_graph(b.graph, "json", {
+            "blown_cycle": {"m": 3, "q": b.q}, "note": '], "edges": [[0, 1]'})),
+        ("graph", dumps_graph(make_graph(4, []))),
+        ("pairing", dumps_pairing(pairing)),
+        ("pairing", dumps_pairing(make_pairing([]))),
+        ("plan", dumps_plan(route(b, pairing), {"m": 3, "seed": 5})),
+        ("plan", dumps_plan(RoutePlan([]))),
+    ]
+    whole = _whole_reads(monkeypatch)
+    for kind, text in texts:
+        _assert_reads_as_reference(kind, text)
+    assert whole == []
+
+
+_ROUTE = '{"x": 0, "y": 1, "path": [0, 1]}'
+
+
+@pytest.mark.parametrize("kind, text", [
+    # "path" first: a cut falls after the path's "]", inside its route
+    ("plan", '{"routes": [%s]}' % ", ".join(
+        ['{"path": [0, 1], "x": 0, "y": 1}'] * 3)),
+    # each route's string "]," starts 9 characters in: a cut inside it
+    ("plan", '{"routes": [%s]}' % ", ".join(
+        ['{"note": "],", "x": 0, "y": 1, "path": [0, 1]}'] * 3)),
+    ("graph", '{"n": 3, "edges": [[0, 1], [[1, 2], 0], [0, 2]]}'),
+], ids=["nested-value", "string", "nested-row"])
+def test_a_cut_inside_a_string_or_a_nested_value_declines(monkeypatch, kind,
+                                                          text):
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", 10)
+    whole = _whole_reads(monkeypatch)
+    _assert_reads_as_reference(kind, text)
+    assert whole == [text]
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("graph", '{"n": 3, "edges": [[0, 1]], "n": 2}'),
+    ("graph", '{"edges": [[0, 1]], "n": 3, "edges": [[1, 2]]}'),
+    ("pairing", '{"pairs": [[0, 1]], "pairs": [[2, 3]]}'),
+    ("plan", '{"routes": [%s], "m": 2, "routes": []}' % _ROUTE),
+    ("plan", '{"m": 2, "routes": [%s], "m": 3}' % _ROUTE),
+], ids=["graph-n", "graph-edges", "pairing-pairs", "plan-routes", "plan-m"])
+def test_a_repeated_key_declines(monkeypatch, kind, text):
+    # json keeps a repeated key's last value, and so does the whole reader
+    whole = _whole_reads(monkeypatch)
+    _assert_reads_as_reference(kind, text)
+    assert whole == [text]
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("graph", '{"n": 3, "edges": [[0, 1], [true, 2]]}'),
+    ("graph", '{"n": 3, "edges": [[0, 1], [0, 1.0]]}'),
+    ("graph", '{"n": 3, "edges": [[0, 1], [0, %d]]}' % 2**63),
+    ("graph", '{"n": 3, "edges": [[0, 1], [1, 2],]}'),
+    ("graph", '{"n": 3, "edges": [[0, 1]],}'),
+    ("graph", '{"n": 3, "edges": [[0, 1]]} []'),
+    ("graph", '{"n": true, "edges": [[0, 1]]}'),
+    ("graph", '{"n": 3, "edges": {"0": 1}}'),
+    # U+2028 is whitespace to Python's \s but not to JSON, nor is a BOM
+    ("graph", '{"n": 3, "edges": [[0, 1]\u2028, [1, 2]]}'),
+    ("graph", '{"n": 3, "edges": [[0, 1]]\u2028}'),
+    ("pairing", '\ufeff{"pairs": [[0, 1]]}'),
+    ("pairing", '{"pairs": [[0, 1], [2]]}'),
+    ("plan", '{"routes": [{"x": 0, "y": 1, "path": [0, 01]}]}'),
+    ("plan", '{"routes": [%s, {"x": 2, "y": 3}]}' % _ROUTE),
+    ("plan", '{"routes": [%s, {"x": 2, "y": 1e3, "path": [2]}]}' % _ROUTE),
+    ("plan", '{"routes": [%s, [2, 3]]}' % _ROUTE),
+    ("plan", '{"routes": []'),
+])
+def test_a_failed_check_declines_and_the_whole_reader_names_it(
+        monkeypatch, kind, text):
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", 1)
+    whole = _whole_reads(monkeypatch)
+    load, reference = _READERS[kind]
+    outcome = _outcome(load, text)
+    assert outcome[0] == "error"
+    assert outcome == _outcome(reference, text)
+    assert whole == [text]
+
+
+_WHITESPACE = st.sampled_from(["", " ", "\n    ", "\t", "\r\n"])
+# mutations: tokens that are no id, or no JSON; strings and rows that look
+# like a cut or a rows key
+_ODD = st.sampled_from([
+    "true", "1.0", "1e3", "01", "-", str(2**63), "null", '"],"', '"},"',
+    '"\\"edges\\": ["', '"\\"pairs\\": ["', '"\\"routes\\": ["', "[0, [1]]",
+    "[[0, 1]]", "[]", "{}", '{"x": 0}', '"a'])
+_STRINGS = st.sampled_from(["],", "},", '"edges": [', '"pairs": [',
+                            '"routes": [', "]]", "}]", "a"])
+_ANNOTATION = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _STRINGS
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_STRINGS, inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def _documents(draw, kind):
+    """(text, writer_layout): a document for the reader of kind, in any
+    JSON whitespace and key order, mutated or not.  writer_layout holds when it
+    is unmutated and its routes end with "path", as the writer's do."""
+    budget, mutated = draw(st.integers(0, 2)), 0
+
+    def odd(share=8):  # whether to put a mutation here
+        nonlocal mutated
+        hit = mutated < budget and draw(st.sampled_from([False] * share
+                                                        + [True]))
+        mutated += hit
+        return hit
+
+    def ws():
+        if odd(share=40):
+            return draw(st.sampled_from(["\u2028", "\xa0", "\f"]))
+        return draw(_WHITESPACE)
+
+    def seq(items, opening, closing):
+        text = opening + ws()
+        for i, item in enumerate(items):
+            text += (ws() + "," + ws()) * (i > 0) + item
+        if items and odd():  # a trailing comma
+            text += ","
+        return text + ws() + closing
+
+    def obj(pairs):
+        return seq([json.dumps(key) + ws() + ":" + ws() + emit(value)
+                    for key, value in pairs], "{", "}")
+
+    def emit(value):
+        if odd():
+            return draw(_ODD)
+        if isinstance(value, list):
+            return seq([emit(item) for item in value], "[", "]")
+        if isinstance(value, dict):
+            return obj(value.items())
+        return json.dumps(value)
+
+    path_last = True
+    if kind == "graph":
+        n = draw(st.integers(2, 6))
+        edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        rows = [list(e) for e in draw(st.lists(edge, max_size=8))]
+        fields = [("n", n), ("edges", rows)]
+    elif kind == "pairing":
+        ends = draw(st.permutations(range(2 * draw(st.integers(0, 5)))))
+        fields = [("pairs", [list(ends[i:i + 2])
+                             for i in range(0, len(ends), 2)])]
+    else:
+        ids = st.integers(-2, 9)
+        routes = []
+        for x, y, path in draw(st.lists(st.tuples(
+                ids, ids, st.lists(ids, max_size=4)), max_size=6)):
+            keys = draw(st.permutations(["x", "y", "path"]))
+            path_last = path_last and keys[-1] == "path"
+            routes.append(dict(zip(keys, (dict(x=x, y=y, path=path)[k]
+                                          for k in keys))))
+        fields = [("routes", routes), ("edges_used", len(routes))]
+    extra = draw(st.dictionaries(st.sampled_from(["m", "seed", "note",
+                                                  "blown_cycle"]),
+                                 _ANNOTATION, max_size=3))
+    fields = draw(st.permutations(fields + list(extra.items())))
+    if odd(share=4):  # a key given twice
+        key, value = draw(st.sampled_from(fields))
+        fields.insert(draw(st.integers(0, len(fields))),
+                      (key, draw(st.sampled_from([value, [], 0]))))
+    text = ws() + obj(fields) + ws()
+    if odd():  # extra data after the document
+        text += draw(_ODD)
+    return text, not mutated and path_last
+
+
+@given(st.sampled_from(sorted(_READERS)).flatmap(
+           lambda kind: st.tuples(st.just(kind), _documents(kind))),
+       st.sampled_from([0, 1, 7, 40]))
+@settings(max_examples=500, deadline=None)
+def test_chunked_readers_match_the_whole_document_reader(doc, chars):
+    kind, (text, writer_layout) = doc
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_CHUNK_CHARS", chars)
+        whole = _whole_reads(patch)
+        _assert_reads_as_reference(kind, text)
+    if writer_layout:
+        assert whole == []
+
+
+@pytest.mark.parametrize("m, digest, size", [
+    (16, "23b0e2cae0f10214547a92a75a7622d963e8fc283fbec066f444983bef86718f",
+     2_437_006),
+    (24, "70f1590b3206cea33a84cd746608ec379e15a9777d7d49cdb0c288b4ed8ab270",
+     8_248_366),
+])
+def test_blown_cycle_graph_files_keep_their_bytes(tmp_path, m, digest, size):
+    out = tmp_path / "g.json"
+    assert main(["generate", "--family", "blown-cycle", "--m", str(m),
+                 "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+
+
+def _traced_peak(call, *args):
+    """call(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_json_is_written_and_read_in_bounded_memory():
+    b = build(16)
+    text, peak = _traced_peak(dumps_graph, b.graph, "json",
+                              {"blown_cycle": {"m": 16, "q": b.q}})
+    assert peak <= 4 * len(text)
+    (g, _), peak = _traced_peak(loads_graph, text)
+    assert g == b.graph
+    assert peak <= 4 * len(text)
+
+
+def test_plan_json_is_written_and_read_in_bounded_memory():
+    b = build(48)
+    plan = route(b, random_perfect_pairing(b.n, 1))
+    plan.edges_used  # a count the plan caches, not the writer's work
+    text, peak = _traced_peak(dumps_plan, plan, {"m": 48, "seed": 1})
+    assert peak <= 4 * len(text)
+    (loaded, _), peak = _traced_peak(loads_plan, text)
+    assert loaded == plan
+    assert peak <= 4 * len(text)

@@ -8,8 +8,7 @@ exhaustively; and screen arbitrary graphs against necessary conditions.
 """
 from . import formats
 from .blowup import BlownCycle, BlowupError, build
-from .graph import (FamilySpec, Graph, GraphError, diameter, generate,
-                    make_graph)
+from .graph import Graph, GraphError, diameter, generate, make_graph
 from .pairability import (ScreenReport, ScreenViolation, Verdict,
                           is_path_pairable, screen)
 from .routing import (Pairing, PairingError, RoutePlan, RoutingError,
@@ -20,8 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlownCycle", "BlowupError", "build",
-    "FamilySpec", "Graph", "GraphError", "diameter", "generate",
-    "make_graph",
+    "Graph", "GraphError", "diameter", "generate", "make_graph",
     "Pairing", "PairingError", "RoutePlan", "RoutingError", "make_pairing",
     "random_perfect_pairing", "route",
     "VerificationReport", "Violation", "verify_plan",

@@ -13,8 +13,8 @@ from typing import Any
 import numpy as np
 
 from . import blowup, formats, pairability, routing, verify
-from .graph import (FAMILIES, FamilySpec, Graph, GraphError, diameter,
-                    first_claims, generate)
+from .graph import (FAMILIES, Graph, GraphError, diameter, first_claims,
+                    generate)
 
 # the CLI's families: generate's, plus the blown-cycle construction
 _FAMILY_PARAMS = {**FAMILIES, "blown-cycle": ("m",)}
@@ -48,7 +48,7 @@ def _resolve_graph(args) -> tuple[Graph, dict[str, Any]]:
     if args.family == "blown-cycle":
         b = blowup.build(params[0])
         return b.graph, {"blown_cycle": {"m": b.m, "q": b.q}}
-    return generate(FamilySpec(family=args.family, params=params)), {}
+    return generate(args.family, params), {}
 
 
 def _resolve_blown(args) -> blowup.BlownCycle:

@@ -173,10 +173,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.keys)
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        us, vs = self.endpoints()
-        return list(zip(us.tolist(), vs.tolist()))
-
 
 def make_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> Graph:
     """Build a Graph from an edge list or an (E, 2) array; duplicates
@@ -226,15 +222,7 @@ def _edge_array(edges: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
     return edges
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named graph family plus integer parameters."""
-
-    family: str
-    params: tuple[int, ...] = ()
-
-
-# each family's integer parameters, in the order FamilySpec.params holds them
+# each family's integer parameters, in the order `generate` takes them
 FAMILIES: dict[str, tuple[str, ...]] = {
     "complete": ("k",),
     "complete-bipartite": ("a", "b"),
@@ -246,7 +234,7 @@ FAMILIES: dict[str, tuple[str, ...]] = {
 }
 
 
-def generate(spec: FamilySpec) -> Graph:
+def generate(family: str, params: tuple[int, ...] = ()) -> Graph:
     """Generate a named family with canonical vertex numbering.
 
     cycle k: vertices 0..k-1 around the cycle.
@@ -261,30 +249,30 @@ def generate(spec: FamilySpec) -> Graph:
     Raises GraphError for an unknown family, a parameter count other than
     the family's in FAMILIES, or a parameter below 1.
     """
-    fam, p = spec.family, spec.params
-    if fam not in FAMILIES:
-        raise GraphError(f"unknown family {fam!r}; expected one of "
+    if family not in FAMILIES:
+        raise GraphError(f"unknown family {family!r}; expected one of "
                          f"{tuple(FAMILIES)}")
-    if len(p) != len(FAMILIES[fam]):
-        raise GraphError(f"family {fam} takes parameters "
-                         f"({', '.join(FAMILIES[fam])}), got {p}")
-    if any(x <= 0 for x in p):
-        raise GraphError(f"family {fam} parameters must be positive, got {p}")
-    if fam == "cycle":
-        (k,) = p
+    if len(params) != len(FAMILIES[family]):
+        raise GraphError(f"family {family} takes parameters "
+                         f"({', '.join(FAMILIES[family])}), got {params}")
+    if any(x <= 0 for x in params):
+        raise GraphError(f"family {family} parameters must be positive, "
+                         f"got {params}")
+    if family == "cycle":
+        (k,) = params
         if k < 3:
             raise GraphError("cycle needs at least 3 vertices")
         return make_graph(k, [(i, (i + 1) % k) for i in range(k)])
-    if fam == "complete-bipartite":
-        a, b = p
+    if family == "complete-bipartite":
+        a, b = params
         return make_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    if fam == "petersen":
+    if family == "petersen":
         outer = [(i, (i + 1) % 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, i + 5) for i in range(5)]
         return make_graph(10, outer + inner + spokes)
     # complete, hypercube, grid2 and grid3: products of complete graphs
-    dims = (2,) * p[0] if fam == "hypercube" else p
+    dims = (2,) * params[0] if family == "hypercube" else params
     ids = np.arange(math.prod(dims)).reshape(dims)
     edges = []
     for axis, d in enumerate(dims):
@@ -454,13 +442,7 @@ def _first_unreachable(g: Graph, s: int) -> int:
     return min(isolated, int(apart[0])) if apart.size else isolated
 
 
-def eccentricities(g: Graph) -> tuple[int, ...]:
-    """Per-vertex eccentricity from one BFS per false-twin class."""
-    quotient = g.quotient
-    ecc = distance_matrix(g, quotient.reps).max(axis=1)
-    return tuple(int(e) for e in ecc[quotient.cls])
-
-
 def diameter(g: Graph) -> int:
-    """Max eccentricity over all vertices; exact."""
-    return max(eccentricities(g))
+    """Max eccentricity over all vertices; exact.  One BFS per false-twin
+    class suffices, as twins share eccentricity (see `twin_classes`)."""
+    return int(distance_matrix(g, g.quotient.reps).max())

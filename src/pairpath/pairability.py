@@ -17,8 +17,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, as_ids, distance_matrix
-from .routing import Pairing, RoutePlan, make_pairing
+from .graph import Graph, GraphError, distance_matrix
+from .routing import Pairing, make_pairing
 
 DEFAULT_NODE_BUDGET = 100_000_000
 ENUMERATION_GUARD = 12
@@ -33,13 +33,6 @@ INCONCLUSIVE = "inconclusive"
 CANNOT_RULE_OUT = "cannot-rule-out"
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    status: str  # feasible | infeasible | cap-hit
-    plan: RoutePlan | None
-    nodes_expanded: int
 
 
 @dataclass(frozen=True)
@@ -188,30 +181,6 @@ class _Search:
             path.pop()
             self.used.discard(e)
         return False
-
-
-def find_disjoint_paths(g: Graph, p: Pairing,
-                        budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
-    """Decide one pairing instance by complete backtracking.
-
-    Returns FEASIBLE with the plan the search built (`verify_plan` checks
-    such plans in the tests), INFEASIBLE once the search space is
-    exhausted, or CAP_HIT once `budget` nodes were expanded.
-    """
-    values = p.ids.ravel()
-    bad = as_ids(values, g.n) < 0
-    if bad.any():
-        raise GraphError(f"pairing vertex {values[np.argmax(bad)]} out "
-                         f"of range 0..{g.n - 1}")
-    search = _Search(_adjacency(g), p.ids.tolist(), budget)
-    status = search.run()
-    plan = None
-    if status == FEASIBLE:
-        x, y = p.ids.T
-        plan = RoutePlan.from_arrays(
-            x, y, [v for path in search.routed for v in path],
-            np.cumsum([len(path) for path in search.routed]))
-    return SearchResult(status=status, plan=plan, nodes_expanded=search.nodes)
 
 
 def enumerate_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -64,10 +64,8 @@ class Pairing:
     pair (x, y).  The constructor takes an iterable of pairs or an integer
     array.  Each value must be an integer (what operator.index accepts,
     NumPy's too) within int64; anything else raises PairingError naming
-    it, as does a row that is no pair or an endpoint that repeats.
-
-    `pairs` gives the same pairs as a tuple of (x, y) tuples of Python
-    ints, built anew on each read; the package's own code reads `ids`.
+    it, as does a row that is no pair or an endpoint that repeats.  The
+    repr shows the pairs as a tuple of (x, y) tuples.
     """
 
     def __init__(self, pairs: Iterable[Sequence[int]] | np.ndarray = ()
@@ -79,10 +77,6 @@ class Pairing:
             v = flat[order[~first].min()]
             raise PairingError(f"duplicate endpoint {v} across pairs")
         self.ids = _frozen(ids)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.ids.tolist()))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -98,7 +92,7 @@ class Pairing:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"Pairing({self.pairs!r})"
+        return f"Pairing({tuple(map(tuple, self.ids.tolist()))!r})"
 
 
 def _pair_rows(pairs: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -190,7 +184,7 @@ class RoutePlan:
 
     Route i goes from x[i] to y[i] along paths[ends[i] - k:ends[i]], where
     k is its path's length in vertices: the paths lie back to back, as
-    `PhaseOneResult.walks` holds the walks.  The router, the decider and
+    `PhaseOneResult.walks` holds the walks.  The router and
     `formats.loads_plan` build plans from arrays (`from_arrays`); the
     constructor converts Route objects once, and `routes` builds them back
     from the arrays on first read.
@@ -239,10 +233,6 @@ class RoutePlan:
         ends = self.ends.tolist()
         return tuple(Route(x, y, tuple(flat[lo:hi])) for x, y, lo, hi in zip(
             self.x.tolist(), self.y.tolist(), [0] + ends, ends))
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """Each route's (x, y)."""
-        return list(zip(self.x.tolist(), self.y.tolist()))
 
     @cached_property
     def used_edges(self) -> dict[tuple[int, int], int]:

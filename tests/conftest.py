@@ -1,22 +1,22 @@
 import pytest
 
 from pairpath.blowup import build
-from pairpath.graph import FamilySpec, generate
+from pairpath.graph import generate
 
 
 @pytest.fixture(scope="session")
 def c4():
-    return generate(FamilySpec("cycle", (4,)))
+    return generate("cycle", (4,))
 
 
 @pytest.fixture(scope="session")
 def q3():
-    return generate(FamilySpec("hypercube", (3,)))
+    return generate("hypercube", (3,))
 
 
 @pytest.fixture(scope="session")
 def petersen():
-    return generate(FamilySpec("petersen"))
+    return generate("petersen")
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from pairpath.blowup import (BlownCycle, BlowupError, build,
                              free_common_neighbors)
 from pairpath.formats import FormatError
-from pairpath.graph import FamilySpec, Graph, GraphError, generate, make_graph
-from pairpath.pairability import (CANNOT_RULE_OUT, NOT_PATH_PAIRABLE,
-                                  ScreenReport, ScreenViolation)
+from pairpath.graph import Graph, GraphError, as_ids, generate, make_graph
+from pairpath.pairability import (CANNOT_RULE_OUT, DEFAULT_NODE_BUDGET,
+                                  FEASIBLE, NOT_PATH_PAIRABLE, ScreenReport,
+                                  ScreenViolation, _adjacency, _Search)
 from pairpath.rng import SplitMix64
 from pairpath.routing import (Pairing, PairingError, Route, RoutePlan,
                               RoutingError, assign_candidates,
@@ -73,12 +74,53 @@ def degrees(g: Graph) -> list[int]:
     return np.diff(g.csr.indptr).tolist()
 
 
+def sorted_edges(g: Graph) -> list[tuple[int, int]]:
+    """Every edge (u, v), u < v, in key order."""
+    us, vs = g.endpoints()
+    return list(zip(us.tolist(), vs.tolist()))
+
+
+def pair_tuples(p: Pairing) -> tuple[tuple[int, int], ...]:
+    """The pairs of p as (x, y) tuples of Python ints, in pairing order."""
+    return tuple(map(tuple, p.ids.tolist()))
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(set(g.sorted_edges()))
+    h.add_edges_from(sorted_edges(g))
     return h
 
+
+@dataclass(frozen=True)
+class SearchResult:
+    status: str  # feasible | infeasible | cap-hit
+    plan: RoutePlan | None
+    nodes_expanded: int
+
+
+def find_disjoint_paths(g: Graph, p: Pairing,
+                        budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
+    """Decide one pairing instance with the decider's search core.
+
+    Returns FEASIBLE with the plan the search built, INFEASIBLE once the
+    search space is exhausted, or CAP_HIT once `budget` nodes were
+    expanded.  Raises GraphError for a pairing vertex outside 0..n-1.
+    """
+    values = p.ids.ravel()
+    bad = as_ids(values, g.n) < 0
+    if bad.any():
+        raise GraphError(f"pairing vertex {values[np.argmax(bad)]} out "
+                         f"of range 0..{g.n - 1}")
+    search = _Search(_adjacency(g), p.ids.tolist(), budget)
+    status = search.run()
+    plan = None
+    if status == FEASIBLE:
+        x, y = p.ids.T
+        plan = RoutePlan.from_arrays(
+            x, y, [v for path in search.routed for v in path],
+            np.cumsum([len(path) for path in search.routed]))
+    return SearchResult(status=status, plan=plan, nodes_expanded=search.nodes)
 
 
 def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
@@ -87,21 +129,21 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
     steps, checking each step against the edge set."""
     violations: list[Violation] = []
     warnings: list[PlanWarning] = []
-    n, edges = g.n, set(g.sorted_edges())
+    n, edges = g.n, set(sorted_edges(g))
     # a pair value that is no id, such as -1, is no endpoint
     endpoint_set = {v for v in p.endpoints() if _is_id(v, n)}
     owner: dict[tuple[int, int], int] = {}
 
     for idx, route in enumerate(plan.routes):
         path = route.path
-        if idx >= len(p.pairs):
+        if idx >= len(p):
             violations.append(Violation(
                 kind=ENDPOINT_NOT_IN_PAIRING, pair_indexes=(idx,),
                 vertex=route.x))
             continue
         # ends count only as ids, tried in path order
         ends = [path[0], path[-1]] if path else []
-        pair = list(p.pairs[idx])
+        pair = p.ids[idx].tolist()
         if not (path and all(_is_id(v, n)
                              for v in ends + [route.x, route.y] + pair)
                 and set(ends) == set(pair)
@@ -140,10 +182,10 @@ def reference_verify_plan(g: Graph, p: Pairing, plan: RoutePlan
             else:
                 owner[e] = idx
 
-    for idx in range(len(plan.routes), len(p.pairs)):
+    for idx in range(len(plan.routes), len(p)):
         violations.append(Violation(
             kind=WRONG_ENDPOINTS, pair_indexes=(idx,),
-            vertex=p.pairs[idx][0]))
+            vertex=int(p.ids[idx, 0])))
 
     return VerificationReport(ok=not violations,
                               violations=tuple(violations),
@@ -166,7 +208,7 @@ def reference_route(b: BlownCycle, p: Pairing) -> RoutePlan:
     dict, checking it against every earlier claim."""
     n, q, m, two_m = b.n, b.q, b.m, b.num_classes
     entries = []  # (x, y, walk, complete)
-    for x, y in p.pairs:
+    for x, y in p.ids.tolist():
         for v in (x, y):
             if not (0 <= v < n):
                 raise PairingError(f"vertex {v} out of range 0..{n - 1}")
@@ -277,7 +319,7 @@ def edge_cut_size(g: Graph, side: Iterable[int]) -> int:
     for v in s:
         if not (0 <= v < g.n):
             raise GraphError(f"cut side vertex {v} out of range")
-    return sum(1 for u, v in set(g.sorted_edges()) if (u in s) != (v in s))
+    return sum(1 for u, v in sorted_edges(g) if (u in s) != (v in s))
 
 
 def matching_step(b: BlownCycle, boundary: int, shift: int, frm: int) -> int:
@@ -446,11 +488,10 @@ def twin_blowup(classes: int, seed: int) -> Graph:
 
 # every generate family and small blown cycles, all of even order
 ORACLE_GRAPHS = {
-    **{spec.family: generate(spec) for spec in (
-        FamilySpec("cycle", (8,)), FamilySpec("complete", (6,)),
-        FamilySpec("complete-bipartite", (3, 5)),
-        FamilySpec("hypercube", (4,)), FamilySpec("petersen"),
-        FamilySpec("grid2", (3, 4)), FamilySpec("grid3", (2, 2, 3)))},
+    **{family: generate(family, params) for family, params in (
+        ("cycle", (8,)), ("complete", (6,)), ("complete-bipartite", (3, 5)),
+        ("hypercube", (4,)), ("petersen", ()), ("grid2", (3, 4)),
+        ("grid3", (2, 2, 3)))},
     **{f"blown-cycle-{m}": build(m).graph for m in range(2, 6)},
 }
 
@@ -493,7 +534,7 @@ def dense_screen(g: Graph) -> ScreenReport:
     dist = dense_distances(g)
     ecc = dist.max(axis=1)
     d = int(ecc.max())
-    edges = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+    edges = np.array(sorted_edges(g), dtype=np.int64).reshape(-1, 2)
     checked = []
     for root in map(int, np.flatnonzero(ecc == d)):
         checked.append(root)

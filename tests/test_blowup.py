@@ -5,7 +5,7 @@ import pytest
 
 import pairpath.blowup as blowup_module
 from helpers import (class_members, degrees, matching_step, neighbors,
-                     to_networkx)
+                     sorted_edges, to_networkx)
 from pairpath.blowup import BlownCycle, BlowupError, build, free_common_neighbors
 from pairpath.graph import MAX_VERTICES, diameter
 from pairpath.routing import random_perfect_pairing, route
@@ -104,7 +104,7 @@ def test_matching_step_rejects_wrong_class(blown2):
 
 
 def test_matching_step_edges_exist(blown2):
-    edges = set(blown2.graph.sorted_edges())
+    edges = set(sorted_edges(blown2.graph))
     for shift in (1, 2):
         for v in class_members(blown2, 0):
             w = matching_step(blown2, 0, shift, v)
@@ -137,7 +137,7 @@ def test_free_common_neighbors_example(blown2):
 
 def test_free_common_neighbors_avoid_reserved_shifts(blown2):
     u, v = blown2.vertex(0, 0), blown2.vertex(0, 1)
-    edges = set(blown2.graph.sorted_edges())
+    edges = set(sorted_edges(blown2.graph))
     for z in free_common_neighbors(blown2, u, v):
         for w in (u, v):
             assert (min(w, z), max(w, z)) in edges

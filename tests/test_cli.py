@@ -12,7 +12,7 @@ import pairpath.blowup as blowup_module
 import pairpath.routing as routing_module
 from pairpath.cli import main
 from pairpath.formats import dumps_graph, dumps_pairing, loads_graph
-from pairpath.graph import FamilySpec, generate
+from pairpath.graph import generate
 from pairpath.routing import make_pairing
 
 from helpers import (HALL_DEFICIENT_M4, HALL_DEFICIENT_M4_PLAN,
@@ -300,7 +300,7 @@ def test_verify_checks_each_route_against_its_own_pair(capsys, tmp_path):
     # without --pairing, route i is judged against (x, y) of route i, in
     # route order; a pairing file's pairs are sorted as route writes them
     graph_file = tmp_path / "c4.json"
-    graph_file.write_text(dumps_graph(generate(FamilySpec("cycle", (4,))),
+    graph_file.write_text(dumps_graph(generate("cycle", (4,)),
                                       "json"))
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps({"routes": [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (HALL_DEFICIENT_M4_PLAN, reference_loads_graph,
                      reference_loads_pairing, reference_loads_plan,
-                     reference_route)
+                     reference_route, sorted_edges)
 from pairpath import formats
 from pairpath.blowup import build
 from pairpath.cli import main
@@ -70,7 +70,7 @@ def test_json_writes_one_edge_row_per_line(blown2):
            "note": "a\nb"}
     text = dumps_graph(blown2.graph, "json", ann)
     assert json.loads(text) == {
-        "n": 44, "edges": [list(e) for e in blown2.graph.sorted_edges()],
+        "n": 44, "edges": [list(e) for e in sorted_edges(blown2.graph)],
         **ann}
     lines = text.split("\n")
     assert lines[:4] == ["{", '  "n": 44,', '  "edges": [', "    [0, 11],"]
@@ -263,7 +263,8 @@ def test_route_verify_and_formats_build_no_route_objects(monkeypatch):
     assert verify_plan(b.graph, pairing, plan).ok
     text = dumps_plan(plan)
     loaded, _ = loads_plan(text)
-    assert verify_plan(b.graph, make_pairing(loaded.pairs()), loaded).ok
+    pairs = np.stack([loaded.x, loaded.y], 1)
+    assert verify_plan(b.graph, make_pairing(pairs), loaded).ok
     # a router plan is edge-disjoint: one edge per step
     assert loaded.edges_used == plan.edges_used \
         == len(plan.paths) - len(plan.ends)
@@ -340,7 +341,7 @@ def test_loads_plan_keeps_values_that_are_no_ids_as_given():
     plan, _ = loads_plan(json.dumps({"routes": [
         {"x": 0, "y": 1, "path": [0, 1]},
         {"x": -5, "y": 2, "path": [-5, 2]}]}))
-    assert plan.pairs() == [(0, 1), (-5, 2)]
+    assert (plan.x.tolist(), plan.y.tolist()) == ([0, -5], [1, 2])
     assert plan.paths.tolist() == [0, 1, -5, 2]
     with pytest.raises(ValueError, match="holds vertex ids only"):
         dumps_plan(plan)

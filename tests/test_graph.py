@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 import pairpath.graph as graph_module
 from helpers import (ORACLE_GRAPHS, bfs_layers, degrees, dense_diameter,
                      dense_distances, dense_eccentricities, edge_cut_size,
-                     graphs_with_twins, neighbors, path_graph, to_networkx,
-                     twin_blowup)
+                     graphs_with_twins, neighbors, path_graph, sorted_edges,
+                     to_networkx, twin_blowup)
 from pairpath.blowup import build
-from pairpath.graph import (FamilySpec, GraphError, as_ids, diameter,
-                            distance_matrix, eccentricities, generate,
-                            first_claims, make_graph, twin_classes)
+from pairpath.graph import (GraphError, as_ids, diameter, distance_matrix,
+                            first_claims, generate, make_graph, twin_classes)
 from pairpath.pairability import screen
 
 
@@ -85,7 +84,7 @@ def test_make_graph_refuses_non_integer_ids():
                            match=f"^edge {named} has id out of range 0..2$"):
             make_graph(3, edges)
     g = make_graph(3, [(np.int64(0), 1), (True, np.uint8(2))])
-    assert g.sorted_edges() == [(0, 1), (1, 2)]
+    assert sorted_edges(g) == [(0, 1), (1, 2)]
 
 
 def test_as_ids_reads_every_non_id_as_minus_one():
@@ -117,7 +116,7 @@ def test_as_ids_reads_non_integer_arrays_element_by_element():
 def test_make_graph_rejects_keys_beyond_int64():
     top = graph_module.MAX_VERTICES
     g = make_graph(top, [(top - 2, top - 1), (0, top - 1)])
-    assert g.sorted_edges() == [(0, top - 1), (top - 2, top - 1)]
+    assert sorted_edges(g) == [(0, top - 1), (top - 2, top - 1)]
     assert int(g.keys.max()) == (top - 2) * top + top - 1 <= 2**63 - 1
     assert (top + 1) ** 2 - (top + 1) - 1 > 2**63 - 1
     with pytest.raises(GraphError,
@@ -151,11 +150,11 @@ def test_generate_hypercube3(q3):
 
 
 def test_generate_hypercube_matches_networkx():
-    g = generate(FamilySpec("hypercube", (4,)))
+    g = generate("hypercube", (4,))
     h = nx.hypercube_graph(4)
     relabel = {node: sum(b << i for i, b in enumerate(node)) for node in h}
     expected = {tuple(sorted((relabel[u], relabel[v]))) for u, v in h.edges}
-    assert set(g.sorted_edges()) == expected
+    assert set(sorted_edges(g)) == expected
 
 
 @pytest.mark.parametrize("family, params", [
@@ -181,8 +180,8 @@ def test_product_families_match_brute_force(family, params):
 
     expected = [(u, v) for u in range(n) for v in range(u + 1, n)
                 if sum(a != b for a, b in zip(coords(u), coords(v))) == 1]
-    g = generate(FamilySpec(family, params))
-    assert (g.n, g.sorted_edges()) == (n, expected)
+    g = generate(family, params)
+    assert (g.n, sorted_edges(g)) == (n, expected)
 
 
 def test_generate_petersen_structure(petersen):
@@ -215,19 +214,19 @@ def _shortest_cycle_through(g, root):
 
 
 def test_generate_grid2_degrees():
-    g = generate(FamilySpec("grid2", (3, 4)))
+    g = generate("grid2", (3, 4))
     assert g.n == 12
     assert degrees(g) == [5] * 12
 
 
 def test_generate_grid3_matches_product():
-    g = generate(FamilySpec("grid3", (2, 2, 3)))
+    g = generate("grid3", (2, 2, 3))
     assert g.n == 12
     assert degrees(g) == [1 + 1 + 2] * 12
 
 
 def test_generate_complete_bipartite():
-    g = generate(FamilySpec("complete-bipartite", (2, 3)))
+    g = generate("complete-bipartite", (2, 3))
     assert g.edge_count == 6
     # part A (2 vertices) sees all of B and vice versa
     assert degrees(g) == [3, 3, 2, 2, 2]
@@ -235,18 +234,18 @@ def test_generate_complete_bipartite():
 
 def test_generate_rejects_bad_parameters():
     with pytest.raises(GraphError):
-        generate(FamilySpec("complete-bipartite", (0, 3)))
+        generate("complete-bipartite", (0, 3))
     with pytest.raises(GraphError):
-        generate(FamilySpec("cycle", (2,)))
+        generate("cycle", (2,))
     with pytest.raises(GraphError):
-        generate(FamilySpec("petersen", (5,)))
+        generate("petersen", (5,))
     # the parameter count must match the family's
     for family, params in (("grid2", (3,)), ("grid3", (2, 3)),
                            ("cycle", (3, 4))):
         with pytest.raises(GraphError, match=f"^family {family} takes "):
-            generate(FamilySpec(family, params))
+            generate(family, params)
     with pytest.raises(GraphError, match="unknown family"):
-        generate(FamilySpec("moebius", (5,)))
+        generate("moebius", (5,))
 
 
 def test_bfs_layers_path_end():
@@ -282,7 +281,7 @@ def test_bfs_layers_matches_networkx(petersen, q3):
 
 
 def test_diameter_values(q3, blown3):
-    assert diameter(generate(FamilySpec("cycle", (6,)))) == 3
+    assert diameter(generate("cycle", (6,))) == 3
     assert diameter(q3) == 3
     assert diameter(blown3.graph) == 3
 
@@ -297,7 +296,7 @@ def test_diameter_rejects_disconnected():
 
 
 def test_eccentricities(q3):
-    assert eccentricities(q3) == (3,) * 8
+    assert distance_matrix(q3).max(axis=1).tolist() == [3] * 8
 
 
 def test_edge_cut_examples(c4, blown2):
@@ -327,7 +326,7 @@ def test_layers_partition_and_edges_stay_local(g):
     assert profile.sizes[0] == 1
     level = {v: t for t, layer in enumerate(profile.layers) for v in layer}
     assert all(abs(level[u] - level[v]) <= 1
-               for u, v in set(g.sorted_edges()))
+               for u, v in set(sorted_edges(g)))
 
 
 @given(connected_graphs())
@@ -365,8 +364,7 @@ def test_twin_classes_of_blown_cycle(blown3):
 
 
 def test_twin_classes_of_star():
-    reps, cls = twin_classes(generate(FamilySpec("complete-bipartite",
-                                                 (1, 7))))
+    reps, cls = twin_classes(generate("complete-bipartite", (1, 7)))
     assert reps == [0, 1]
     assert list(cls) == [0] + [1] * 7
 
@@ -387,28 +385,29 @@ def test_diameter_runs_one_bfs_per_twin_class(monkeypatch, blown3):
 
     monkeypatch.setattr(graph_module, "distance_matrix", spy)
     assert diameter(blown3.graph) == 3
-    assert eccentricities(blown3.graph) == (3,) * blown3.n
-    assert [len(s) for s in calls] == [2 * 3, 2 * 3]
+    assert [len(s) for s in calls] == [2 * 3]
 
 
 @given(graphs_with_twins())
 @settings(max_examples=80, deadline=None)
 def test_twin_reduced_metrics_match_oracle(g):
     assert diameter(g) == dense_diameter(g)
-    assert eccentricities(g) == dense_eccentricities(g)
+    assert tuple(distance_matrix(g).max(axis=1).tolist()) \
+        == dense_eccentricities(g)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
 def test_metrics_match_oracle_on_families(name):
     g = ORACLE_GRAPHS[name]
     assert diameter(g) == dense_diameter(g)
-    assert eccentricities(g) == dense_eccentricities(g)
+    assert tuple(distance_matrix(g).max(axis=1).tolist()) \
+        == dense_eccentricities(g)
     h = to_networkx(g)
     assert [neighbors(g, v) for v in range(g.n)] == [sorted(h[v])
                                                      for v in range(g.n)]
     assert degrees(g) == [h.degree(v) for v in range(g.n)]
     assert g.max_degree == max(d for _, d in h.degree)
-    assert g.sorted_edges() == sorted(tuple(sorted(e)) for e in h.edges)
+    assert sorted_edges(g) == sorted(tuple(sorted(e)) for e in h.edges)
     assert g.edge_count == h.number_of_edges()
     indptr, indices = g.csr
     assert indptr.dtype == indices.dtype == np.int64
@@ -447,10 +446,9 @@ def test_equality_and_hash_ignore_the_built_csr():
 def test_isolated_vertex_fails_before_csr():
     # n > 2E forces an isolated vertex; nothing n-sized may be allocated
     g = make_graph(10**9, [(0, 1)])
-    for metric in (diameter, eccentricities):
-        with pytest.raises(GraphError,
-                           match="disconnected: vertex 2 unreachable from 0$"):
-            metric(g)
+    with pytest.raises(GraphError,
+                       match="disconnected: vertex 2 unreachable from 0$"):
+        diameter(g)
     assert "csr" not in vars(g)
     with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
         diameter(make_graph(4, [(1, 2)]))
@@ -459,8 +457,7 @@ def test_isolated_vertex_fails_before_csr():
 def test_isolated_vertex_witness_is_one_rule():
     # n > 2E: each metric names the first vertex that 0 misses
     g = make_graph(5, [(0, 1), (2, 3)])
-    for metric in (diameter, eccentricities,
-                   lambda g: distance_matrix(g, [0])):
+    for metric in (diameter, lambda g: distance_matrix(g, [0])):
         with pytest.raises(GraphError, match="vertex 2 unreachable from 0$"):
             metric(g)
     # screen needs an even n: the same graph with a sixth, isolated vertex
@@ -471,9 +468,8 @@ def test_isolated_vertex_witness_is_one_rule():
 def test_disconnected_twins_name_witness():
     # 1, 2 are twins and 4, 5 are twins, in two separate stars
     g = make_graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
-    for metric in (diameter, eccentricities):
-        with pytest.raises(GraphError, match="vertex 3 unreachable from 0"):
-            metric(g)
+    with pytest.raises(GraphError, match="vertex 3 unreachable from 0"):
+        diameter(g)
     with pytest.raises(GraphError, match="vertex 0 unreachable from 4"):
         distance_matrix(g, [4])
 
@@ -487,9 +483,8 @@ def test_isolated_twins_are_unreachable():
         distance_matrix(g, [1])
     with pytest.raises(GraphError, match="vertex 0 unreachable from 3$"):
         distance_matrix(g, [3, 0])
-    for metric in (diameter, eccentricities):
-        with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
-            metric(g)
+    with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
+        diameter(g)
 
 
 def test_isolated_vertex_witness_names_the_source():
@@ -521,12 +516,12 @@ def test_distance_matrix_across_chunk_boundaries(classes):
     twins = [v for v in range(g.n) if reps[cls[v]] != v]
     sources = twins[:5] + [reps[-1], twins[0], reps[-1]] + [*range(g.n)][::-3]
     assert (distance_matrix(g, sources) == dense[sources]).all()
-    assert eccentricities(g) == dense_eccentricities(g)
+    assert diameter(g) == dense.max()
 
 
 def test_distance_matrix_of_one_and_of_no_vertex():
     assert distance_matrix(make_graph(1, [])).tolist() == [[0]]
-    assert eccentricities(make_graph(1, [])) == (0,)
+    assert diameter(make_graph(1, [])) == 0
     with pytest.raises(GraphError, match="^empty graph has no distances$"):
         distance_matrix(make_graph(0, []))
 

@@ -7,21 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairpath.blowup import build
-from pairpath.graph import (FamilySpec, GraphError, diameter, generate,
-                            make_graph)
+from pairpath.graph import GraphError, diameter, generate, make_graph
 from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
                                   INCONCLUSIVE, INFEASIBLE, LAYERED_CUT,
                                   NOT_PATH_PAIRABLE, PATH_PAIRABLE,
-                                  diameter_upper_bound,
-                                  enumerate_pairings, find_disjoint_paths,
+                                  diameter_upper_bound, enumerate_pairings,
                                   is_path_pairable, pairing_count, screen)
 from pairpath.routing import (Pairing, PairingError, make_pairing,
                               random_perfect_pairing)
 from pairpath.verify import verify_plan
 
 import pairpath.pairability as pairability_module
+import pairpath.routing as routing_module
 from helpers import (ORACLE_GRAPHS, dense_distances, dense_screen, dumbbell,
-                     graphs_with_twins, path_graph, twin_blowup)
+                     find_disjoint_paths, graphs_with_twins, pair_tuples,
+                     path_graph, sorted_edges, twin_blowup)
 
 
 # ---------------------------------------------------------------- search
@@ -31,7 +31,7 @@ def test_c4_is_not_path_pairable(c4):
     verdict = is_path_pairable(c4)
     assert verdict.status == NOT_PATH_PAIRABLE
     assert verdict.witness is not None
-    assert verdict.witness.pairs == ((0, 2), (1, 3))
+    assert pair_tuples(verdict.witness) == ((0, 2), (1, 3))
     assert verdict.pairings_examined >= 1
 
 
@@ -75,10 +75,10 @@ def test_scan_builds_one_adjacency_per_partition_and_no_plans(monkeypatch):
     real = pairability_module._adjacency
     monkeypatch.setattr(pairability_module, "_adjacency",
                         lambda g: built.append(g) or real(g))
-    # the scan searches each pairing itself, without the one-pairing API
-    monkeypatch.setattr(pairability_module, "find_disjoint_paths", None)
-    monkeypatch.setattr(pairability_module, "RoutePlan", None)
-    verdict = is_path_pairable(generate(FamilySpec("grid2", (2, 3))))
+    # the scan searches each pairing itself and builds no plan
+    for name in ("__init__", "from_arrays"):
+        monkeypatch.setattr(routing_module.RoutePlan, name, None)
+    verdict = is_path_pairable(generate("grid2", (2, 3)))
     assert verdict.pairings_examined == 15
     assert len(built) == 5  # one per first pair (0, c)
 
@@ -121,16 +121,16 @@ def test_feasible_plans_pass_the_verifier(name):
 
 
 def test_small_complete_family_verdicts():
-    assert is_path_pairable(generate(FamilySpec("complete-bipartite", (3, 3)))).status \
+    assert is_path_pairable(generate("complete-bipartite", (3, 3))).status \
         == PATH_PAIRABLE
-    assert is_path_pairable(generate(FamilySpec("complete-bipartite", (1, 3)))).status \
+    assert is_path_pairable(generate("complete-bipartite", (1, 3))).status \
         == PATH_PAIRABLE
-    assert is_path_pairable(generate(FamilySpec("complete-bipartite", (2, 2)))).status \
+    assert is_path_pairable(generate("complete-bipartite", (2, 2))).status \
         == NOT_PATH_PAIRABLE
 
 
 def test_small_grid_verdict():
-    verdict = is_path_pairable(generate(FamilySpec("grid2", (2, 3))))
+    verdict = is_path_pairable(generate("grid2", (2, 3)))
     assert verdict.status == PATH_PAIRABLE
     assert verdict.pairings_examined == 15
 
@@ -154,7 +154,7 @@ def test_decision_input_guards():
     with pytest.raises(ValueError, match="even"):
         is_path_pairable(path_graph(3))
     with pytest.raises(ValueError, match="12"):
-        is_path_pairable(generate(FamilySpec("cycle", (14,))))
+        is_path_pairable(generate("cycle", (14,)))
 
 
 def test_tiny_budget_reports_inconclusive(petersen):
@@ -180,7 +180,7 @@ def test_worker_count_does_not_change_verdict(c4, petersen):
 
     # K_{2,10}: the first pairing decides while the second worker is into a
     # partition the serial scan never opens, which its stop flag then ends
-    k2_10 = generate(FamilySpec("complete-bipartite", (2, 10)))
+    k2_10 = generate("complete-bipartite", (2, 10))
     assert is_path_pairable(k2_10, workers=2) == is_path_pairable(k2_10)
 
 
@@ -268,13 +268,13 @@ def test_verdict_json_round_trips(c4):
 @given(st.integers(0, 2), st.data())
 def test_adding_an_edge_preserves_feasible_pairings(extra, data):
     # routing never gets harder in a supergraph
-    base = generate(FamilySpec("cycle", (6,)))
+    base = generate("cycle", (6,))
     pairs = data.draw(st.sampled_from(list(enumerate_pairings(range(6)))))
     pairing = make_pairing(list(pairs))
     before = find_disjoint_paths(base, pairing)
     if before.status != FEASIBLE:
         return
-    edges = set(base.sorted_edges())
+    edges = set(sorted_edges(base))
     candidates = [(u, v) for u in range(6) for v in range(u + 1, 6)
                   if (u, v) not in edges]
     chosen = candidates[:extra]
@@ -316,7 +316,7 @@ def test_screen_rejects_long_dumbbell_on_cut():
 
 
 def test_screen_cannot_rule_out_known_pairable(q3, petersen):
-    star = generate(FamilySpec("complete-bipartite", (1, 9)))
+    star = generate("complete-bipartite", (1, 9))
     for g, diametral in ((q3, 8), (petersen, 10), (star, 9)):
         report = screen(g)
         assert report.verdict == CANNOT_RULE_OUT
@@ -344,8 +344,8 @@ def test_screen_stops_at_first_bad_root():
 
 def test_screen_agrees_with_decided_fixtures(q3):
     # the screen must never reject a graph the exact decision accepts
-    for g in (q3, generate(FamilySpec("complete-bipartite", (3, 3))),
-              generate(FamilySpec("grid2", (2, 3)))):
+    for g in (q3, generate("complete-bipartite", (3, 3)),
+              generate("grid2", (2, 3))):
         assert is_path_pairable(g).status == PATH_PAIRABLE
         assert screen(g).verdict == CANNOT_RULE_OUT
 
@@ -398,7 +398,7 @@ def _check_implications(g) -> tuple[bool, bool]:
     dist = dense_distances(g)
     ecc = dist.max(axis=1)
     d = int(ecc.max())
-    edges = np.array(g.sorted_edges(), dtype=np.int64)
+    edges = np.array(sorted_edges(g), dtype=np.int64)
     report = screen(g)
     stop = report.roots_checked[-1]
     thin = {(v.root, v.index) for v in report.violations}
@@ -496,7 +496,7 @@ def test_screen_rejects_path_with_twin_end_leaves():
 def test_screen_star_lists_every_leaf_root():
     # K1,7 is path-pairable; its 7 leaves form one twin class, evaluated
     # once but all reported as checked
-    star = generate(FamilySpec("complete-bipartite", (1, 7)))
+    star = generate("complete-bipartite", (1, 7))
     report = screen(star)
     assert report.verdict == CANNOT_RULE_OUT
     assert report.roots_checked == tuple(range(1, 8))

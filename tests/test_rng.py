@@ -2,8 +2,8 @@ from itertools import islice
 
 import pytest
 
-from helpers import (reference_perfect_pairing, reference_permutation,
-                     splitmix64_outputs)
+from helpers import (pair_tuples, reference_perfect_pairing,
+                     reference_permutation, splitmix64_outputs)
 from pairpath.rng import SplitMix64, random_permutation
 from pairpath.routing import PairingError, random_perfect_pairing
 
@@ -73,10 +73,9 @@ def test_shuffle_is_deterministic_permutation():
 
 def test_random_perfect_pairing_shape():
     p = random_perfect_pairing(10, seed=3)
-    flat = [v for pair in p.pairs for v in pair]
-    assert sorted(flat) == list(range(10))
-    assert [min(a, b) for a, b in p.pairs] == sorted(min(a, b)
-                                                     for a, b in p.pairs)
+    assert sorted(p.ids.ravel().tolist()) == list(range(10))
+    lows = p.ids.min(axis=1).tolist()
+    assert lows == sorted(lows)
     assert p == random_perfect_pairing(10, seed=3)
 
 
@@ -95,13 +94,14 @@ def test_random_perfect_pairing_rejects_negative(n):
 @pytest.mark.parametrize("seed", SEEDS + (3,))
 def test_random_perfect_pairing_matches_the_tuple_construction(seed):
     for n in range(0, 65, 2):
-        assert random_perfect_pairing(n, seed).pairs \
+        assert pair_tuples(random_perfect_pairing(n, seed)) \
             == reference_perfect_pairing(n, seed)
 
 
 def test_random_perfect_pairing_covers_all_pairings():
     # n=6 has 15 perfect pairings; 300 seeds must reach every one of them
-    seen = {random_perfect_pairing(6, seed).pairs for seed in range(300)}
+    seen = {pair_tuples(random_perfect_pairing(6, seed))
+            for seed in range(300)}
     normalized = {tuple(sorted(tuple(sorted(p)) for p in pairs))
                   for pairs in seen}
     assert len(normalized) == 15

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairpath
-from helpers import ORACLE_GRAPHS, reference_verify_plan, to_networkx
+from helpers import (ORACLE_GRAPHS, pair_tuples, reference_verify_plan,
+                     to_networkx)
 from pairpath.blowup import build
 import pairpath.routing as routing_module
 from pairpath.formats import dumps_plan, loads_plan
@@ -236,9 +237,9 @@ def mutated_plans(draw):
         paths = [list(r.path) for r in route(b, pairing).routes]
     else:
         h = to_networkx(g)
-        paths = [nx.shortest_path(h, x, y) for x, y in pairing.pairs]
+        paths = [nx.shortest_path(h, x, y) for x, y in pairing.ids.tolist()]
     routes = [[path[0], path[-1], path] for path in paths]
-    pairs = list(pairing.pairs)
+    pairs = list(pair_tuples(pairing))
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1,
                               max_size=4)):
         if not routes:
@@ -312,7 +313,7 @@ def test_reports_match_the_reference_loop(case):
 def test_pair_endpoints_beyond_int64_are_refused(n, seed, data):
     # a pairing holds int64 values only: a pair endpoint beyond int64 is
     # refused where the pairing is built, naming the first in pair order
-    pairs = list(random_perfect_pairing(n, seed).pairs)
+    pairs = list(pair_tuples(random_perfect_pairing(n, seed)))
     i = data.draw(st.integers(0, len(pairs) - 1))
     bad = data.draw(BAD_IDS["beyond-int64"](n))
     pair = list(pairs[i])

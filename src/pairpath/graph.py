@@ -18,6 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .rng import mix64
+
 # the largest n for which every key u*n + v (u < v < n) fits in int64
 MAX_VERTICES = 3_037_000_500
 
@@ -111,6 +113,10 @@ def first_claims(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
+# keys per step of the build of `Graph.bits`, which bounds its temporaries
+_CHUNK = 1 << 13
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph: the vertex count n and the edge keys.
@@ -118,8 +124,9 @@ class Graph:
 
     `keys` is the one stored representation of the edge set: the sorted,
     duplicate-free int64 keys u*n + v with u < v (see `edge_keys`),
-    read-only.  `endpoints` decodes them; `csr` derives the adjacency lists
-    and `quotient` the false-twin quotient from them, each on first use.
+    read-only.  `endpoints` decodes them; `csr` derives the adjacency lists,
+    `quotient` the false-twin quotient and `bits` the bit matrix that
+    `has_edges` reads from them, each on first use.
     """
 
     n: int
@@ -138,12 +145,45 @@ class Graph:
         return np.divmod(self.keys, self.n)
 
     def has_edges(self, keys: np.ndarray) -> np.ndarray:
-        """Whether each of keys is an edge key of this graph; sorted keys
-        are fastest."""
-        slot = np.searchsorted(self.keys, keys)
-        found = slot < len(self.keys)
-        found[found] = self.keys[slot[found]] == keys[found]
-        return found
+        """Whether each of the int64 keys is an edge key of this graph.  A
+        key outside 0..n*n-1, such as the -1 of `edge_keys`, is none.
+
+        One gather and one shift per key in `bits` when the graph has it;
+        otherwise a binary search in `keys`, where sorted keys are
+        fastest."""
+        bits = self.bits
+        if bits is None:
+            slot = np.searchsorted(self.keys, keys)
+            found = slot < len(self.keys)
+            found[found] = self.keys[slot[found]] == keys[found]
+            return found
+        # a negative key reads >= 2**63, so every key outside 0..n*n-1 reads
+        # bit n*n, which is clear
+        at = np.minimum(keys.view(np.uint64),
+                        np.uint64(self.n * self.n)).view(np.int64)
+        return (bits[at >> 3] >> (at & 7).astype(np.uint8) & 1).astype(bool)
+
+    @cached_property
+    def bits(self) -> np.ndarray | None:
+        """The edge set as a read-only bit matrix, derived from `keys` on
+        first use: bit j & 7 of byte j >> 3 is set when j is an edge key,
+        for j in 0..n*n, and bit n*n is always clear.  None when the n*n
+        bits would take more memory than the 64-bit keys, n*n > 64E, as on
+        sparse graphs."""
+        n = operator.index(self.n)
+        if n * n > 64 * len(self.keys):
+            return None
+        bits = np.zeros(n * n // 8 + 1, dtype=np.uint8)
+        # the keys are sorted, so the keys of one byte are a run; a run
+        # split between two chunks ORs into its byte twice
+        for lo in range(0, len(self.keys), _CHUNK):
+            chunk = self.keys[lo:lo + _CHUNK]
+            byte = chunk >> 3
+            starts = np.flatnonzero(np.diff(byte, prepend=-1))
+            bits[byte[starts]] |= np.bitwise_or.reduceat(
+                np.uint8(1) << (chunk & 7).astype(np.uint8), starts)
+        bits.flags.writeable = False
+        return bits
 
     @cached_property
     def csr(self) -> Adjacency:
@@ -295,18 +335,64 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     Every caller goes on to distances, so a graph with n >= 2 and n > 2E,
     which must leave some vertex isolated, raises GraphError here (see
     `_check_spread`), before the n-sized CSR arrays are built.
+
+    Twins have equal row fingerprints (see `_row_fingerprints`), so each
+    vertex is first put with the smallest vertex of its fingerprint.  Then
+    every row is compared with that vertex's, entry by entry: as rows of
+    one matrix when all rows have one length, which is the fastest, and
+    by a gather of entries otherwise.  The vertices of a fingerprint that
+    different rows share are grouped by their rows themselves.
     """
     _check_spread(g, 0)
     ptr, indices = g.csr
-    index: dict[bytes, int] = {}
-    reps: list[int] = []
-    cls = np.empty(g.n, dtype=np.intp)
-    for v in range(g.n):
-        k = index.setdefault(indices[ptr[v]:ptr[v + 1]].tobytes(), len(reps))
-        if k == len(reps):
-            reps.append(v)
-        cls[v] = k
-    return reps, cls
+    deg = np.diff(ptr)
+    fp = _row_fingerprints(g.csr)
+    order = np.argsort(fp)
+    ordered = fp[order]
+    new_run = np.ones(g.n, dtype=bool)
+    new_run[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new_run)
+    rep = np.empty(g.n, dtype=np.intp)
+    rep[order] = np.repeat(np.minimum.reduceat(order, starts),
+                           np.diff(starts, append=g.n))
+    # entry i of row v against entry i of row rep[v]
+    d = int(deg.max(initial=0))
+    if (deg == d).all():  # rows of one length, such as a blown cycle's
+        rows = indices.reshape(g.n, d)
+        clash = (rows[rep] != rows).any(axis=1)
+    else:  # a row whose length differs from its rep's is flagged by that
+        clash = deg != deg[rep]
+        at = np.repeat(np.where(clash, 0, ptr[rep] - ptr[:-1]), deg)
+        at += np.arange(len(indices))
+        differ = np.flatnonzero(indices[at] != indices)
+        clash[np.searchsorted(ptr, differ, "right") - 1] = True
+    if clash.any():
+        index: dict[bytes, int] = {}
+        for v in np.flatnonzero(np.isin(rep, rep[clash])).tolist():
+            rep[v] = index.setdefault(indices[ptr[v]:ptr[v + 1]].tobytes(), v)
+    is_rep = rep == np.arange(g.n)
+    cls = np.cumsum(is_rep) - 1
+    return np.flatnonzero(is_rep).tolist(), cls[rep]
+
+
+# the odd multiplier of the polynomial hash in `_row_fingerprints`
+_ODD = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_fingerprints(adj: Adjacency) -> np.ndarray:
+    """A uint64 per row that equal rows share: the row's length and five of
+    its entries, evenly spread from its first to its last, hashed; 0 for
+    an empty row.  So rows of up to five entries are read whole."""
+    ptr, indices = adj
+    deg = np.diff(ptr)
+    rows = np.flatnonzero(deg)
+    first, last = ptr[rows], deg[rows] - 1
+    h = last.view(np.uint64)
+    for j in range(5):
+        h = h * _ODD + indices[first + (last * j >> 2)].view(np.uint64)
+    fp = np.zeros(len(deg), dtype=np.uint64)
+    fp[rows] = mix64(h)
+    return fp
 
 
 def _quotient(g: Graph) -> Quotient:

@@ -146,7 +146,7 @@ def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
     if len(unique) < len(keys) or not g.has_edges(unique).all():
         # one sort of the step keys, in which the first claim of a key, its
         # earliest step, owns the edge, and one lookup of the sorted keys
-        # in g.keys
+        # in g (see Graph.has_edges)
         by_key, first_claim = first_claims(keys)
         sorted_keys = keys[by_key]
         member = g.has_edges(sorted_keys)

@@ -486,6 +486,22 @@ def twin_blowup(classes: int, seed: int) -> Graph:
                                  for a in members[u] for b in members[v]])
 
 
+def reference_twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
+    """Oracle: false-twin classes vertex by vertex, one dict entry per
+    distinct neighbour row; class k is the k-th distinct row in vertex
+    order, and reps[k] the first vertex with it."""
+    ptr, indices = g.csr
+    index: dict[bytes, int] = {}
+    reps: list[int] = []
+    cls = np.empty(g.n, dtype=np.intp)
+    for v in range(g.n):
+        k = index.setdefault(indices[ptr[v]:ptr[v + 1]].tobytes(), len(reps))
+        if k == len(reps):
+            reps.append(v)
+        cls[v] = k
+    return reps, cls
+
+
 # every generate family and small blown cycles, all of even order
 ORACLE_GRAPHS = {
     **{family: generate(family, params) for family, params in (

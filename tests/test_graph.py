@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 import pairpath.graph as graph_module
 from helpers import (ORACLE_GRAPHS, bfs_layers, degrees, dense_diameter,
                      dense_distances, dense_eccentricities, edge_cut_size,
-                     graphs_with_twins, neighbors, path_graph, sorted_edges,
-                     to_networkx, twin_blowup)
+                     graphs_with_twins, neighbors, path_graph,
+                     reference_twin_classes, sorted_edges, to_networkx,
+                     twin_blowup)
 from pairpath.blowup import build
 from pairpath.graph import (GraphError, as_ids, diameter, distance_matrix,
                             first_claims, generate, make_graph, twin_classes)
@@ -369,6 +371,63 @@ def test_twin_classes_of_star():
     assert list(cls) == [0] + [1] * 7
 
 
+def assert_twin_classes_match_the_reference(g):
+    reps, cls = twin_classes(g)
+    want_reps, want_cls = reference_twin_classes(g)
+    assert reps == want_reps
+    assert cls.dtype == want_cls.dtype and cls.tolist() == want_cls.tolist()
+
+
+@st.composite
+def graphs_with_spread(draw):
+    """A graph with twins, or random rows of many lengths, where some
+    vertices may be isolated but n <= 2E, as twin_classes requires."""
+    if draw(st.booleans()):
+        return draw(graphs_with_twins(max_n=10, max_twins=8))
+    n = draw(st.integers(2, 14))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1))
+                         .filter(lambda e: e[0] < e[1]),
+                         min_size=(n + 1) // 2, max_size=4 * n))
+    return make_graph(n, list(edges))
+
+
+# fingerprints that stand in for _row_fingerprints: its own, one that
+# only sees the row length, and one that is the same for every row
+FINGERPRINTS = {
+    "rows": graph_module._row_fingerprints,
+    "lengths": lambda adj: np.diff(adj.indptr).astype(np.uint64),
+    "constant": lambda adj: np.zeros(len(adj.indptr) - 1, dtype=np.uint64),
+}
+
+
+@given(graphs_with_spread(), st.sampled_from(sorted(FINGERPRINTS)))
+@settings(max_examples=200, deadline=None)
+def test_twin_classes_match_the_reference_loop(g, fingerprint):
+    # twins share a fingerprint, and rows that share one by chance are
+    # told apart by their entries, so the classes never depend on it
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_row_fingerprints",
+                      FINGERPRINTS[fingerprint])
+        assert_twin_classes_match_the_reference(g)
+
+
+@pytest.mark.parametrize("g", [
+    make_graph(0, []), make_graph(1, []), generate("complete", (9,)),
+    generate("hypercube", (6,)), generate("cycle", (101,)),
+    generate("complete-bipartite", (2, 9)), twin_blowup(40, seed=3),
+    build(7).graph,
+    # K4 and two isolated vertices, which are twins: n = 2E / 2
+    make_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+], ids=["n0", "n1", "K9", "Q6", "C101", "K2_9", "blowup40", "blown7",
+        "K4+2"])
+def test_twin_classes_match_the_reference_on_families(g):
+    # rows of K9 that differ only between the five entries a fingerprint
+    # reads share it, so K9 takes the split by rows; K9, Q6, C101 and the
+    # blown cycle compare rows as one matrix, the others entry by entry
+    assert_twin_classes_match_the_reference(g)
+
+
 def test_distance_matrix_rows_for_sources(petersen):
     dense = dense_distances(petersen)
     assert (distance_matrix(petersen) == dense).all()
@@ -441,6 +500,53 @@ def test_equality_and_hash_ignore_the_built_csr():
     assert make_graph(4, edges[:-1]) != base
     assert make_graph(5, edges) != base
     assert (base == 5) is False
+
+
+# (graph, whether it has a bit matrix): Graph.bits exists when n*n <= 64E;
+# the blown cycle at m = 32 and the 64-cycle are exactly at that bound
+EDGE_LOOKUP_GRAPHS = {
+    "blown-cycle-32": (lambda: build(32).graph, True),
+    "blown-cycle-33": (lambda: build(33).graph, False),
+    "cycle-64": (lambda: generate("cycle", (64,)), True),
+    "cycle-65": (lambda: generate("cycle", (65,)), False),
+    "complete-9": (lambda: generate("complete", (9,)), True),
+    "hypercube-10": (lambda: generate("hypercube", (10,)), False),
+    "no-edges-5": (lambda: make_graph(5, []), False),
+    "one-vertex": (lambda: make_graph(1, []), False),
+    "no-vertex": (lambda: make_graph(0, []), True),
+    "huge": (lambda: make_graph(10**9, [(0, 1), (5, 10**9 - 1)]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LOOKUP_GRAPHS))
+def test_has_edges_is_key_membership_on_both_paths(name):
+    make, dense = EDGE_LOOKUP_GRAPHS[name]
+    g = make()
+    assert (g.bits is not None) == dense
+    rng = np.random.default_rng(len(name))
+    top = g.n * g.n
+    queries = np.concatenate([
+        g.keys, rng.integers(0, max(top, 1), size=2000),
+        [-1, 0, top - 1, top, -2**63, 2**63 - 1]]).astype(np.int64)
+    edges = set(g.keys.tolist())
+    for keys in (np.sort(queries), rng.permutation(queries), queries[:0]):
+        found = g.has_edges(keys)
+        assert found.dtype == bool
+        assert found.tolist() == [k in edges for k in keys.tolist()]
+
+
+def test_bit_matrix_is_built_in_bounded_memory():
+    # the bits take n*n/8 bytes, a fifth of the keys' memory here; the build
+    # must not make anything of n*n bytes, nor one key-sized temporary
+    g = build(24).graph
+    tracemalloc.start()
+    try:
+        bits = g.bits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.nbytes == g.n * g.n // 8 + 1 and not bits.flags.writeable
+    assert peak < bits.nbytes + g.keys.nbytes // 4
 
 
 def test_isolated_vertex_fails_before_csr():

@@ -281,7 +281,7 @@ def test_route_calls_the_candidate_steps_by_module_name(monkeypatch):
     # names on the routing module, so route calls free_common_neighbors once
     # per closing task and assign_candidates once per class with tasks; a
     # router that drops the per-task call, such as the bitmask greedy, waits
-    # for a benchmark change that stops relying on it (ROADMAP item 1)
+    # for a benchmark change that stops relying on it (ROADMAP item 2)
     calls = {"free_common_neighbors": 0, "assign_candidates": 0}
 
     def counting(name):

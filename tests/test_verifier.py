@@ -17,7 +17,7 @@ from helpers import (ORACLE_GRAPHS, pair_tuples, reference_verify_plan,
 from pairpath.blowup import build
 import pairpath.routing as routing_module
 from pairpath.formats import dumps_plan, loads_plan
-from pairpath.graph import make_graph
+from pairpath.graph import generate, make_graph
 from pairpath.rng import SplitMix64
 from pairpath.routing import Pairing, PairingError, Route, RoutePlan, \
     make_pairing, random_perfect_pairing, route
@@ -224,13 +224,23 @@ MUTATIONS = PLAN_BAD_IDS + (
     "drop", "reuse-within", "reuse-across", "drop-pair")
 
 
+# the oracle graphs all have a bit matrix (Graph.bits); the 130-cycle is
+# sparse enough to be looked up in its sorted keys
+PLAN_GRAPHS = {**ORACLE_GRAPHS, "cycle-130": generate("cycle", (130,))}
+
+
+def test_plan_graphs_take_both_edge_lookups():
+    assert {name for name, g in PLAN_GRAPHS.items() if g.bits is None} \
+        == {"cycle-130"}
+
+
 @st.composite
 def mutated_plans(draw):
-    """(graph, pairing, plan): a perfect pairing of an oracle graph, routed
-    by the router on blown cycles and by shortest paths (which may share
-    edges) elsewhere, then damaged by a few drawn mutations."""
-    name = draw(st.sampled_from(sorted(ORACLE_GRAPHS)))
-    g = ORACLE_GRAPHS[name]
+    """(graph, pairing, plan): a perfect pairing of a graph of PLAN_GRAPHS,
+    routed by the router on blown cycles and by shortest paths (which may
+    share edges) elsewhere, then damaged by a few drawn mutations."""
+    name = draw(st.sampled_from(sorted(PLAN_GRAPHS)))
+    g = PLAN_GRAPHS[name]
     pairing = random_perfect_pairing(g.n, draw(st.integers(0, 2**32)))
     if name.startswith("blown-cycle-"):
         b = build(int(name.rsplit("-", 1)[1]))

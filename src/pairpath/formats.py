@@ -249,8 +249,14 @@ def dumps_graph(g: Graph, fmt: str = "json",
     raise FormatError(f"unknown graph format {fmt!r}; expected {GRAPH_FORMATS}")
 
 
-_DOT_NODE = re.compile(r"^(\d+)\s*;$")
-_DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+)\s*;$")
+# ids are ASCII digits, as int() and \d also read 1_0, +0 and the digits
+# of other scripts; an edge list's may start with -, so that a negative id
+# is named as out of range
+_DOT_HEAD = re.compile(r"graph([ \t]+[A-Za-z0-9_]+)?[ \t]*\{")
+_DOT_NODE = re.compile(r"^([0-9]+)\s*;$")
+_DOT_EDGE = re.compile(r"^([0-9]+)\s*--\s*([0-9]+)\s*;$")
+_INT = re.compile(r"-?[0-9]+")
+_EDGE_LINE = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
 
 
 def loads_graph(text: str, fmt: str = "json") -> tuple[Graph, dict[str, Any]]:
@@ -278,12 +284,13 @@ def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
         annotations = {k: v for k, v in doc.items() if k not in ("n", "edges")}
         return make_graph(doc["n"], edges), annotations
     if fmt == "dot":
-        body = text.strip()
-        if not body.startswith("graph") or not body.endswith("}"):
+        lines = text.strip().split("\n")
+        if (not _DOT_HEAD.fullmatch(lines[0].strip())
+                or lines[-1].strip() != "}"):
             raise FormatError("not a DOT graph")
         nodes: set[int] = set()
         edges = []
-        for raw in body.split("\n")[1:-1]:
+        for raw in lines[1:-1]:
             line = raw.strip()
             if not line:
                 continue
@@ -310,23 +317,21 @@ def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
             if line.startswith("#"):
                 head = line[1:].split()
                 if len(head) == 2 and head[0] == "n":
-                    (n,) = _ints(head[1:], "vertex count", line)
+                    if not _INT.fullmatch(head[1]):
+                        raise FormatError(f"non-integer vertex count: "
+                                          f"{line!r}")
+                    n = int(head[1])
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"expected 'u v' per line, got {line!r}")
-            edges.append(_ints(parts, "edge endpoints", line))
+            me = _EDGE_LINE.fullmatch(line)
+            if me is None:
+                if len(line.split()) != 2:
+                    raise FormatError(f"expected 'u v' per line, got {line!r}")
+                raise FormatError(f"non-integer edge endpoints: {line!r}")
+            edges.append((int(me[1]), int(me[2])))
         if n is None:
             n = 1 + max((max(e) for e in edges), default=-1)
         return make_graph(n, edges), {}
     raise FormatError(f"unknown graph format {fmt!r}; expected {GRAPH_FORMATS}")
-
-
-def _ints(words: list[str], what: str, line: str) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, words))
-    except ValueError:
-        raise FormatError(f"non-integer {what}: {line!r}") from None
 
 
 def dumps_pairing(p: Pairing) -> str:

@@ -343,7 +343,7 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     by a gather of entries otherwise.  The vertices of a fingerprint that
     different rows share are grouped by their rows themselves.
     """
-    _check_spread(g, 0)
+    _check_spread(g)
     ptr, indices = g.csr
     deg = np.diff(ptr)
     fp = _row_fingerprints(g.csr)
@@ -456,14 +456,15 @@ def _bfs(adj: Adjacency, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
-def distance_matrix(g: Graph, sources: Sequence[int] | None = None
-                    ) -> np.ndarray:
-    """Hop distances from each vertex of `sources` (default: every vertex) as
-    a (len(sources), n) int64 array.  Raises GraphError for an empty or a
-    disconnected graph, and for a source that is no id (see `as_ids`).
+def distance_matrix(g: Graph) -> np.ndarray:
+    """Hop distances between the false-twin classes of `g.quotient`, as a
+    (k, k) int64 array: entry [a, b] is the distance from a vertex of class
+    a to every other vertex of class b.  So the diagonal is 2 for a class
+    of two or more vertices and 0 for a class of one.  Raises GraphError
+    for an empty or a disconnected graph, naming the smallest vertex that
+    vertex 0 cannot reach.  Reads only `g.n` and `g.quotient`.
 
-    The BFS runs on the false-twin quotient H (`Graph.quotient`) and its
-    rows expand to all n vertices.  This is exact:
+    The BFS runs on the quotient H.  This is exact:
     - False twins are never adjacent: v in N(u) = N(v) would be a loop.  If
       one vertex of class A is adjacent to one of class B, every vertex of
       A is adjacent to it, as they share its neighbourhood, and then to all
@@ -471,64 +472,55 @@ def distance_matrix(g: Graph, sources: Sequence[int] | None = None
       all, and H's adjacency is well defined.
     - A path of G maps class by class to a walk of H of the same length,
       and a path of H lifts to G through any members of its classes.  So
-      a vertex in a class other than the source's is at that class's
-      distance in H.
-    - A twin of the source is not adjacent to it, and a common neighbour
-      joins them: it is at distance 2, or unreachable when its class has no
-      neighbour, as isolated vertices have none.  The source is at 0.
+      two vertices in different classes are at their classes' distance in
+      H.
+    - Two twins are not adjacent, and a common neighbour joins them: they
+      are at distance 2, or unreachable when their class has no neighbour,
+      as isolated vertices have none.
     """
     if g.n == 0:
         raise GraphError("empty graph has no distances")
-    if sources is None:
-        ids = np.arange(g.n)
-    else:
-        ids = as_ids(sources, g.n)
-        if (ids < 0).any():
-            bad = sources[int(np.argmax(ids < 0))]
-            raise GraphError(f"source {bad!r} out of range 0..{g.n - 1}")
-    if not ids.size:
-        return np.zeros((0, g.n), dtype=np.int64)
-    _check_spread(g, int(ids[0]))
-    quotient = g.quotient
-    classes, row = np.unique(quotient.cls[ids], return_inverse=True)
-    dist = _bfs(quotient.adj, classes)
-    twins = np.where(np.diff(quotient.adj.indptr)[classes] > 0, 2, -1)
-    dist[np.arange(len(classes)), classes] = twins
-    dist = dist[row[:, None], quotient.cls]
-    dist[np.arange(len(ids)), ids] = 0
+    quotient = g.quotient  # a graph with n > 2E raises here
+    dist = _bfs(quotient.adj, np.arange(len(quotient.reps)))
+    many = np.flatnonzero(quotient.sizes > 1)
+    dist[many, many] = np.where(np.diff(quotient.adj.indptr)[many] > 0, 2, -1)
     if (dist < 0).any():
-        i, v = map(int, np.argwhere(dist < 0)[0])
-        raise GraphError(f"graph is disconnected: vertex {v} unreachable "
-                         f"from {int(ids[i])}")
+        # vertex 0 is in class 0, and a -1 anywhere leaves one in its row
+        missed = np.flatnonzero(dist[0] < 0)
+        firsts = np.asarray(quotient.reps)[missed]
+        if missed[0] == 0:  # the twins of vertex 0 have no neighbour
+            firsts[0] = np.flatnonzero(quotient.cls == 0)[1]
+        raise GraphError(f"graph is disconnected: vertex {firsts.min()} "
+                         "unreachable from 0")
     return dist
 
 
-def _check_spread(g: Graph, s: int) -> None:
+def _check_spread(g: Graph) -> None:
     """Raise GraphError when n >= 2 and n > 2E, so that some vertex must be
-    isolated, naming the first vertex that s cannot reach: the witness the
-    BFS in `distance_matrix` names on any other disconnected graph."""
+    isolated, naming the first vertex that 0 cannot reach: the witness
+    `distance_matrix` names on any other disconnected graph."""
     if g.n >= 2 and g.n > 2 * g.edge_count:
         raise GraphError(f"graph is disconnected: vertex "
-                         f"{_first_unreachable(g, s)} unreachable from {s}")
+                         f"{_first_unreachable(g)} unreachable from 0")
 
 
-def _first_unreachable(g: Graph, s: int) -> int:
-    """The smallest vertex that s cannot reach, in a graph with an isolated
+def _first_unreachable(g: Graph) -> int:
+    """The smallest vertex that 0 cannot reach, in a graph with an isolated
     vertex; found on the touched vertices alone, so nothing n-sized is
     built."""
     touched, ends = np.unique(np.concatenate(g.endpoints()),
                               return_inverse=True)
-    at = int(np.searchsorted(touched, s))
-    if at == len(touched) or touched[at] != s:  # s is isolated
-        return 1 if s == 0 else 0
+    if not len(touched) or touched[0] != 0:  # 0 is isolated
+        return 1
     gaps = np.flatnonzero(touched != np.arange(len(touched)))
     isolated = int(gaps[0]) if gaps.size else len(touched)
     sub = make_graph(len(touched), ends.reshape(2, -1).T)
-    apart = touched[_bfs(sub.csr, np.array([at]))[0] < 0]
+    apart = touched[_bfs(sub.csr, np.array([0]))[0] < 0]
     return min(isolated, int(apart[0])) if apart.size else isolated
 
 
 def diameter(g: Graph) -> int:
-    """Max eccentricity over all vertices; exact.  One BFS per false-twin
-    class suffices, as twins share eccentricity (see `twin_classes`)."""
-    return int(distance_matrix(g, g.quotient.reps).max())
+    """Max eccentricity over all vertices; exact.  Twins share
+    eccentricity (see `twin_classes`), so the largest entry of the class
+    matrix of `distance_matrix` is the diameter."""
+    return int(distance_matrix(g).max())

@@ -396,15 +396,16 @@ def screen(g: Graph) -> ScreenReport:
     joins two twins.  Every member of a class other than the root's lies at
     the class's distance, so those s * s' edges all cross between the same
     two layers or none does.  The root's own class splits: the root is at
-    0, and its twins, at 2, are a class of their own with the same
-    neighbour classes.  Summing the weights of H's edges per layer pair
-    then counts each edge of G once, in O(|E(H)|) per root.
+    0, and its twins, at the class's own distance, are a class of their
+    own with the same neighbour classes.  Summing the weights of H's edges
+    per layer pair then counts each edge of G once, in O(|E(H)|) per root.
+    Only `g.n` and `g.quotient` are read.
     """
     if g.n % 2:
         raise GraphError(f"screening needs an even vertex count, got {g.n}")
     quotient = g.quotient
     reps, cls = quotient.reps, quotient.cls
-    dist = distance_matrix(g, reps)  # raises on disconnected input
+    dist = distance_matrix(g)  # raises on disconnected input
     rep_ecc = dist.max(axis=1)
     d = int(rep_ecc.max())
     roots = [int(r) for r in np.flatnonzero(rep_ecc[cls] == d)]
@@ -430,12 +431,13 @@ def screen(g: Graph) -> ScreenReport:
 
 def _layer_counts(quotient, d, dist_row, k) -> tuple[np.ndarray, np.ndarray]:
     """Vertices per BFS layer t <= d, and edges between layers t and t+1 per
-    t < d, from the representative of class k, whose distance row is
-    dist_row."""
+    t < d, from the representative of class k, whose row of the class
+    matrix is dist_row."""
     ptr, indices = quotient.adj
     size = len(quotient.reps)
     # class k now holds the root alone; class `size` holds its twins
-    at = np.append(dist_row[quotient.reps], 2)
+    at = np.append(dist_row, dist_row[k])
+    at[k] = 0
     weight = np.append(quotient.sizes, quotient.sizes[k] - 1)
     weight[k] = 1
     # each edge of H once, then the twins' edges, which are the root's

@@ -535,14 +535,6 @@ def dense_distances(g: Graph) -> np.ndarray:
     return dist
 
 
-def dense_eccentricities(g: Graph) -> tuple[int, ...]:
-    return tuple(int(e) for e in dense_distances(g).max(axis=1))
-
-
-def dense_diameter(g: Graph) -> int:
-    return int(dense_distances(g).max())
-
-
 def dense_screen(g: Graph) -> ScreenReport:
     """Oracle: the layered cut checked on every diametral root's own
     distance row, without grouping twins or counting per layer: for each

@@ -156,6 +156,44 @@ def test_dot_requires_contiguous_ids():
         loads_graph("graph G {\n  1;\n  2;\n  1 -- 2;\n}", "dot")
 
 
+@pytest.mark.parametrize("text", [
+    "graph G { 0; 1; 0 -- 1; }",  # read as the empty graph before
+    "graph G {\n  0;\n  1;\n  0 -- 1; }\n",  # lost its edge before
+    "graphX {\n  0;\n}\n", "graph G\n{\n  0;\n}\n", "graph G {\n",
+    "graph G {\n  0;\n}}\n", "graph G {\n  0;\n} x\n"])
+def test_dot_needs_its_header_and_closing_brace_on_lines_of_their_own(text):
+    with pytest.raises(FormatError, match="^not a DOT graph$"):
+        loads_graph(text, "dot")
+
+
+def test_dot_header_may_name_the_graph_or_not():
+    for head in ("graph {", "graph G {", "  graph g_1{", "graph 7 {"):
+        g, _ = loads_graph(f"{head}\n  0;\n  1;\n  0 -- 1;\n}}\n", "dot")
+        assert g == make_graph(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("word", ["1_0", "+0", "\u0663"])
+def test_ids_are_ascii_digits(word):
+    # int() reads 1_0 as 10, +0 as 0 and the Arabic-Indic digit as 3
+    for text, fmt, message in (
+            (f"graph G {{\n  {word};\n}}\n", "dot", "unparseable DOT line"),
+            (f"graph G {{\n  0;\n  0 -- {word};\n}}\n", "dot",
+             "unparseable DOT line"),
+            (f"0 {word}\n", "edgelist", "non-integer edge endpoints"),
+            (f"# n {word}\n", "edgelist", "non-integer vertex count")):
+        with pytest.raises(FormatError, match=f"^{message}: "):
+            loads_graph(text, fmt)
+
+
+def test_edgelist_names_a_negative_id_as_out_of_range():
+    with pytest.raises(FormatError, match=r"^edge \(-1,2\) has id out of "
+                                          r"range 0\.\.2$"):
+        loads_graph("# n 3\n0 1\n-1 2\n", "edgelist")
+    with pytest.raises(FormatError, match="^vertex count must be "
+                                          "nonnegative, got -3$"):
+        loads_graph("# n -3\n", "edgelist")
+
+
 def test_pairing_round_trip():
     p = make_pairing([(5, 2), (0, 7), (3, 1)])
     text = dumps_pairing(p)

@@ -1,5 +1,4 @@
 import itertools
-import re
 import tracemalloc
 
 import networkx as nx
@@ -9,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairpath.graph as graph_module
-from helpers import (ORACLE_GRAPHS, bfs_layers, degrees, dense_diameter,
-                     dense_distances, dense_eccentricities, edge_cut_size,
-                     graphs_with_twins, neighbors, path_graph,
+from helpers import (ORACLE_GRAPHS, bfs_layers, degrees, dense_distances,
+                     edge_cut_size, graphs_with_twins, neighbors, path_graph,
                      reference_twin_classes, sorted_edges, to_networkx,
                      twin_blowup)
 from pairpath.blowup import build
@@ -297,8 +295,12 @@ def test_diameter_rejects_disconnected():
         diameter(make_graph(3, [(0, 1)]))
 
 
-def test_eccentricities(q3):
+def test_eccentricities(q3, blown2):
     assert distance_matrix(q3).max(axis=1).tolist() == [3] * 8
+    # twins share eccentricity: the vertex's is its class's
+    cls = blown2.graph.quotient.cls
+    assert (distance_matrix(blown2.graph).max(axis=1)[cls]
+            == dense_distances(blown2.graph).max(axis=1)).all()
 
 
 def test_edge_cut_examples(c4, blown2):
@@ -349,9 +351,10 @@ def test_cut_symmetric_under_complement(g, data):
 
 def test_distance_matrix_agrees_with_layers(blown2):
     dist = distance_matrix(blown2.graph)
+    cls = blown2.graph.quotient.cls
     profile = bfs_layers(blown2.graph, 5)
     for t, layer in enumerate(profile.layers):
-        assert all(dist[5, v] == t for v in layer)
+        assert all(dist[cls[5], cls[v]] == t for v in layer if v != 5)
 
 
 # ------------------------------------------------- twin-reduced distances
@@ -428,39 +431,67 @@ def test_twin_classes_match_the_reference_on_families(g):
     assert_twin_classes_match_the_reference(g)
 
 
-def test_distance_matrix_rows_for_sources(petersen):
-    dense = dense_distances(petersen)
-    assert (distance_matrix(petersen) == dense).all()
-    assert (distance_matrix(petersen, [7, 2]) == dense[[7, 2]]).all()
+def test_distance_matrix_of_a_twin_free_graph_is_all_pairs(petersen):
+    # every class holds one vertex, so the class matrix is n x n
+    assert (distance_matrix(petersen) == dense_distances(petersen)).all()
 
 
 def test_diameter_runs_one_bfs_per_twin_class(monkeypatch, blown3):
     calls = []
-    real = graph_module.distance_matrix
+    real = graph_module._bfs
 
-    def spy(g, sources=None):
+    def spy(adj, sources):
         calls.append(sources)
-        return real(g, sources)
+        return real(adj, sources)
 
-    monkeypatch.setattr(graph_module, "distance_matrix", spy)
+    monkeypatch.setattr(graph_module, "_bfs", spy)
     assert diameter(blown3.graph) == 3
-    assert [len(s) for s in calls] == [2 * 3]
+    assert [s.tolist() for s in calls] == [[*range(2 * 3)]]
 
 
-@given(graphs_with_twins())
-@settings(max_examples=80, deadline=None)
-def test_twin_reduced_metrics_match_oracle(g):
-    assert diameter(g) == dense_diameter(g)
-    assert tuple(distance_matrix(g).max(axis=1).tolist()) \
-        == dense_eccentricities(g)
+def assert_class_matrix_matches_the_oracle(g):
+    dense = dense_distances(g)
+    reps, cls = reference_twin_classes(g)
+    dist = distance_matrix(g)
+    assert dist.dtype == np.int64
+    # the representatives' distances, and on the diagonal 2 for a class of
+    # two or more (they have a neighbour, g being connected), 0 for one
+    want = dense[reps][:, reps]
+    np.fill_diagonal(want, np.where(np.bincount(cls) > 1, 2, 0))
+    assert (dist == want).all()
+    # vertex by vertex: [cls[u], cls[v]] is the distance of u and v, u != v
+    between = dist[cls][:, cls]
+    np.fill_diagonal(between, 0)
+    assert (between == dense).all()
+    # a vertex's eccentricity is its class's row maximum
+    assert (dist.max(axis=1)[cls] == dense.max(axis=1)).all()
+    assert diameter(g) == dense.max()
+
+
+@given(graphs_with_twins(), st.integers(0, 2), st.data())
+@settings(max_examples=120, deadline=None)
+def test_twin_reduced_metrics_match_oracle(g, isolated, data):
+    # isolated vertices are twins of one another, so two or more of them
+    # leave a class without a neighbour; the witness is then the smallest
+    # vertex that 0 cannot reach, as a plain BFS from 0 finds it
+    if isolated:
+        perm = data.draw(st.permutations(range(g.n + isolated)))
+        us, vs = g.endpoints()
+        g = make_graph(g.n + isolated, [(perm[u], perm[v]) for u, v
+                                        in zip(us.tolist(), vs.tolist())])
+        with pytest.raises(GraphError) as err:
+            bfs_layers(g, 0)
+        for metric in (distance_matrix, diameter):
+            with pytest.raises(GraphError, match=f"^{err.value}$"):
+                metric(g)
+    else:
+        assert_class_matrix_matches_the_oracle(g)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
 def test_metrics_match_oracle_on_families(name):
     g = ORACLE_GRAPHS[name]
-    assert diameter(g) == dense_diameter(g)
-    assert tuple(distance_matrix(g).max(axis=1).tolist()) \
-        == dense_eccentricities(g)
+    assert_class_matrix_matches_the_oracle(g)
     h = to_networkx(g)
     assert [neighbors(g, v) for v in range(g.n)] == [sorted(h[v])
                                                      for v in range(g.n)]
@@ -563,7 +594,7 @@ def test_isolated_vertex_fails_before_csr():
 def test_isolated_vertex_witness_is_one_rule():
     # n > 2E: each metric names the first vertex that 0 misses
     g = make_graph(5, [(0, 1), (2, 3)])
-    for metric in (diameter, lambda g: distance_matrix(g, [0])):
+    for metric in (diameter, distance_matrix):
         with pytest.raises(GraphError, match="vertex 2 unreachable from 0$"):
             metric(g)
     # screen needs an even n: the same graph with a sixth, isolated vertex
@@ -574,39 +605,41 @@ def test_isolated_vertex_witness_is_one_rule():
 def test_disconnected_twins_name_witness():
     # 1, 2 are twins and 4, 5 are twins, in two separate stars
     g = make_graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
-    with pytest.raises(GraphError, match="vertex 3 unreachable from 0"):
-        diameter(g)
-    with pytest.raises(GraphError, match="vertex 0 unreachable from 4"):
-        distance_matrix(g, [4])
+    for metric in (diameter, distance_matrix):
+        with pytest.raises(GraphError, match="vertex 3 unreachable from 0$"):
+            metric(g)
 
 
 def test_isolated_twins_are_unreachable():
     # 0 and 1 are isolated, so they are false twins with no neighbour
     g = make_graph(6, [(2, 3), (3, 4), (4, 5)])
-    with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
-        distance_matrix(g, [0])
-    with pytest.raises(GraphError, match="vertex 0 unreachable from 1$"):
-        distance_matrix(g, [1])
-    with pytest.raises(GraphError, match="vertex 0 unreachable from 3$"):
-        distance_matrix(g, [3, 0])
-    with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
-        diameter(g)
+    for metric in (diameter, distance_matrix):
+        with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
+            metric(g)
+    # with K4 on the other four, n <= 2E: on 2..5 the -1 on class 0's
+    # diagonal names 1; on 1..4 the isolated twins are 0 and 5, and the
+    # missing class of 1 comes before 5
+    for first in (2, 1):
+        k4 = make_graph(6, [(first + i, first + j) for i in range(4)
+                            for j in range(i + 1, 4)])
+        with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
+            distance_matrix(k4)
 
 
-def test_isolated_vertex_witness_names_the_source():
-    # n > 2E: the witness is the first vertex the first source misses,
-    # found without building anything n-sized
-    g = make_graph(7, [(0, 1), (2, 3)])
-    for source, missed in ((0, 2), (1, 2), (2, 0), (3, 0), (5, 0)):
+def test_isolated_vertex_witness_is_found_on_touched_vertices():
+    # n > 2E: the witness is the first vertex 0 misses, whether 0 is
+    # isolated, the first untouched vertex comes first, or a touched one
+    # in another component does, and nothing n-sized is built
+    for edges, missed in (([(1, 2), (3, 4)], 1), ([(0, 1), (0, 3)], 2),
+                          ([(0, 3), (1, 2)], 1), ([(0, 1), (2, 3)], 2)):
+        g = make_graph(7, edges)
         with pytest.raises(GraphError, match=f"vertex {missed} unreachable "
-                                             f"from {source}$"):
-            distance_matrix(g, [source, 6])
-    assert distance_matrix(g, []).shape == (0, 7)
+                                             "from 0$"):
+            distance_matrix(g)
+        assert "csr" not in vars(g)
     huge = make_graph(10**9, [(0, 1)])
-    with pytest.raises(GraphError, match="vertex 2 unreachable from 1$"):
-        distance_matrix(huge, [1])
-    with pytest.raises(GraphError, match="vertex 0 unreachable from 7$"):
-        distance_matrix(huge, [7])
+    with pytest.raises(GraphError, match="vertex 2 unreachable from 0$"):
+        distance_matrix(huge)
     assert "csr" not in vars(huge)
 
 
@@ -614,15 +647,8 @@ def test_isolated_vertex_witness_names_the_source():
 def test_distance_matrix_across_chunk_boundaries(classes):
     # the BFS takes 64 source classes per chunk
     g = twin_blowup(classes, seed=classes)
-    reps, cls = twin_classes(g)
-    assert len(reps) == classes
-    dense = dense_distances(g)
-    assert (distance_matrix(g) == dense).all()
-    assert (distance_matrix(g, reps) == dense[reps]).all()
-    twins = [v for v in range(g.n) if reps[cls[v]] != v]
-    sources = twins[:5] + [reps[-1], twins[0], reps[-1]] + [*range(g.n)][::-3]
-    assert (distance_matrix(g, sources) == dense[sources]).all()
-    assert diameter(g) == dense.max()
+    assert len(g.quotient.reps) == classes
+    assert_class_matrix_matches_the_oracle(g)
 
 
 def test_distance_matrix_of_one_and_of_no_vertex():
@@ -630,13 +656,3 @@ def test_distance_matrix_of_one_and_of_no_vertex():
     assert diameter(make_graph(1, [])) == 0
     with pytest.raises(GraphError, match="^empty graph has no distances$"):
         distance_matrix(make_graph(0, []))
-
-
-def test_distance_matrix_rejects_sources_that_are_no_ids(petersen):
-    for sources, bad in (([-1], -1), ([1.0], 1.0), ([10], 10),
-                         ([0, "3", -1], "3"), ([2, -1, 10], -1)):
-        with pytest.raises(GraphError, match=re.escape(
-                f"source {bad!r} out of range 0..9")):
-            distance_matrix(petersen, sources)
-    empty = distance_matrix(petersen, [])
-    assert empty.shape == (0, 10) and empty.dtype == np.int64

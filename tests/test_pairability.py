@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairpath.blowup import build
-from pairpath.graph import GraphError, diameter, generate, make_graph
+from pairpath.graph import (GraphError, diameter, distance_matrix, generate,
+                            make_graph)
 from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
                                   INCONCLUSIVE, INFEASIBLE, LAYERED_CUT,
                                   NOT_PATH_PAIRABLE, PATH_PAIRABLE,
@@ -17,11 +20,13 @@ from pairpath.routing import (Pairing, PairingError, make_pairing,
                               random_perfect_pairing)
 from pairpath.verify import verify_plan
 
+import pairpath.graph as graph_module
 import pairpath.pairability as pairability_module
 import pairpath.routing as routing_module
-from helpers import (ORACLE_GRAPHS, dense_distances, dense_screen, dumbbell,
-                     find_disjoint_paths, graphs_with_twins, pair_tuples,
-                     path_graph, sorted_edges, twin_blowup)
+from helpers import (ORACLE_GRAPHS, bfs_layers, dense_distances, dense_screen,
+                     dumbbell, edge_cut_size, find_disjoint_paths,
+                     graphs_with_twins, pair_tuples, path_graph, sorted_edges,
+                     twin_blowup)
 
 
 # ---------------------------------------------------------------- search
@@ -475,6 +480,22 @@ def test_twin_reduced_screen_matches_oracle(g):
     assert screen(g).to_json() == dense_screen(g).to_json()
 
 
+@given(graphs_with_twins())
+@settings(max_examples=100, deadline=None)
+def test_layer_counts_match_the_oracle_from_every_class(g):
+    # layers 0 and 1 too, where no screen verdict can tell a wrong count
+    quotient = g.quotient
+    dist = distance_matrix(g)
+    for k, root in enumerate(quotient.reps):
+        profile = bfs_layers(g, root)
+        d = profile.eccentricity
+        layers, cuts = pairability_module._layer_counts(quotient, d, dist[k],
+                                                         k)
+        assert layers.tolist() == list(profile.sizes)
+        balls = itertools.accumulate(profile.layers[:-1])
+        assert cuts.tolist() == [edge_cut_size(g, ball) for ball in balls]
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
 def test_screen_matches_oracle_on_families(name):
     g = ORACLE_GRAPHS[name]
@@ -506,17 +527,28 @@ def test_screen_star_lists_every_leaf_root():
 def test_screen_runs_one_bfs_per_twin_class(monkeypatch):
     b = build(16)
     calls = []
-    real = pairability_module.distance_matrix
+    real = graph_module._bfs
 
-    def spy(g, sources=None):
+    def spy(adj, sources):
         calls.append(sources)
-        return real(g, sources)
+        return real(adj, sources)
 
-    monkeypatch.setattr(pairability_module, "distance_matrix", spy)
+    monkeypatch.setattr(graph_module, "_bfs", spy)
     report = screen(b.graph)
-    assert [len(s) for s in calls] == [2 * 16]
+    assert [s.tolist() for s in calls] == [[*range(2 * 16)]]
     assert report.verdict == CANNOT_RULE_OUT
     assert report.roots_checked == tuple(range(b.n))
+
+
+@pytest.mark.parametrize("g", [
+    generate("complete-bipartite", (3, 5)), generate("petersen"),
+    *(build(m).graph for m in range(2, 6))],
+    ids=["K3_5", "petersen", *(f"blown-cycle-{m}" for m in range(2, 6))])
+def test_distances_read_only_n_and_the_quotient(g):
+    # what a closed-form graph must supply for diameter and screen
+    seam = SimpleNamespace(n=g.n, quotient=g.quotient)
+    assert diameter(seam) == diameter(g)
+    assert screen(seam).to_json() == screen(g).to_json()
 
 
 def test_screen_rejects_isolated_vertex_before_csr():

@@ -20,7 +20,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, make_graph
+from .graph import MAX_VERTICES, Adjacency, Graph, Quotient
+# make_graph is no longer called here, but stays importable: the traced
+# benchmark runs patch blowup.make_graph by name, until the benchmark reads
+# spans of its own (ROADMAP item 2)
+from .graph import make_graph  # noqa: F401
+
+# keys per step of `BlownCycle.has_edges`, which bounds its temporaries
+_CHUNK = 1 << 16
 
 
 class BlowupError(ValueError):
@@ -30,7 +37,12 @@ class BlowupError(ValueError):
 @dataclass(frozen=True)
 class BlownCycle:
     """The construction for half cycle length m.  Everything else derives
-    from m; the graph is built on first use, so routing builds none."""
+    from m, in closed form: `n`, `edge_count`, `max_degree`, the edge
+    lookup `has_edges` and the false-twin `quotient`, which is all that
+    `verify.verify_plan`, `graph.diameter`, `graph.distance_matrix` and
+    `pairability.screen` read from a graph.  So those take a BlownCycle
+    as it is, and only `graph`, the edge keys as a `Graph`, costs memory
+    in E = 2m*q^2; it is built on first use, so routing builds none."""
 
     m: int
 
@@ -46,21 +58,83 @@ class BlownCycle:
     def n(self) -> int:
         return self.num_classes * self.q
 
+    @property
+    def edge_count(self) -> int:
+        return self.num_classes * self.q * self.q
+
+    @property
+    def max_degree(self) -> int:
+        return 2 * self.q
+
     @cached_property
     def class_ids(self) -> tuple[list[int], ...]:
         """The vertex ids of each class, ascending, as lists of ints."""
         return tuple(list(range(i * self.q, (i + 1) * self.q))
                      for i in range(self.num_classes))
 
+    def has_edges(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each of the int64 keys is an edge key u*n + v of the
+        graph.  This is the graph's definition, not the router's shift
+        windows: a key is an edge when it lies in 0..n*n-1, decodes to
+        u < v, and the classes u // q and v // q differ by 1 or, across the
+        cycle's wrap, by 2m-1.  Every other int64 is none, such as the -1
+        of `graph.edge_keys`.  Evaluated by chunks, so temporaries stay
+        small whatever the number of keys."""
+        n, q, wrap = self.n, self.q, self.num_classes - 1
+        found = np.empty(len(keys), dtype=bool)
+        for lo in range(0, len(keys), _CHUNK):
+            u, v = np.divmod(keys[lo:lo + _CHUNK], n)
+            # a class step of 1 or 2m-1 puts v's class above u's, so
+            # u < v < n; a negative key has u < 0, and one >= n*n has
+            # u >= n, whose class lies above every class of v
+            outside = u < 0
+            u //= q
+            v //= q
+            v -= u
+            found[lo:lo + _CHUNK] = ((v == 1) | (v == wrap)) & ~outside
+        return found
+
+    @cached_property
+    def quotient(self) -> Quotient:
+        """The false-twin quotient (see `graph.twin_classes`), equal to the
+        one `Graph.quotient` finds on `graph`.  For m >= 3 it is the 2m
+        blown classes of q vertices, with representatives i*q, joined as a
+        2m-cycle.  At m = 2, classes i and i+2 have the same neighbours,
+        so there are two classes of 2q, with representatives 0 and q, and
+        one quotient edge: the graph is K_{2q,2q}."""
+        k = 2 if self.m == 2 else self.num_classes
+        cls = np.arange(self.n) // self.q % k
+        sizes = np.full(k, self.n // k)
+        if k == 2:
+            indptr, neighbours = np.arange(3), np.array([1, 0])
+        else:  # class i is joined to i-1 and i+1 mod k
+            i = np.arange(k)
+            neighbours = np.sort([(i - 1) % k, (i + 1) % k], axis=0).T.ravel()
+            indptr = np.arange(0, 2 * k + 1, 2)
+        for kept in (cls, sizes, indptr, neighbours):
+            kept.flags.writeable = False
+        return Quotient([c * self.q for c in range(k)], cls, sizes,
+                        Adjacency(indptr, neighbours))
+
     @cached_property
     def graph(self) -> Graph:
-        q, two_m = self.q, self.num_classes
-        # row (i, a, c) is the edge from (i, a) to (i+1, c)
-        edges = np.empty((two_m, q, q, 2), dtype=np.int64)
-        edges[..., 0] = np.arange(self.n).reshape(two_m, q, 1)
-        edges[..., 1] = (np.arange(1, two_m + 1) % two_m * q).reshape(
-            two_m, 1, 1) + np.arange(q)
-        return make_graph(self.n, edges.reshape(-1, 2))
+        """The graph with its sorted keys written in order, with no edge
+        array and no sort.  Row u of class c holds u's neighbours in class
+        c+1; class 0's rows also hold class 2m-1, which the wrap joins to
+        it, and class 2m-1's rows hold no neighbour above u."""
+        n, q, two_m = self.n, self.q, self.num_classes
+        keys = np.empty(self.edge_count, dtype=np.int64)
+        # class 0: row a holds q keys into class 1, then q into class 2m-1
+        np.add((np.arange(q) * n).reshape(q, 1, 1),
+               np.array([[q], [(two_m - 1) * q]]) + np.arange(q),
+               out=keys[:2 * q * q].reshape(q, 2, q))
+        # classes 1..2m-2: row u of class c holds q keys into class c+1
+        np.add((np.arange(q, (two_m - 1) * q) * n).reshape(two_m - 2, q, 1),
+               (np.arange(2, two_m) * q).reshape(two_m - 2, 1, 1)
+               + np.arange(q),
+               out=keys[2 * q * q:].reshape(two_m - 2, q, q))
+        keys.flags.writeable = False
+        return Graph(n=n, keys=keys)
 
     def class_of(self, v: int) -> int:
         return v // self.q

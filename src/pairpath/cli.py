@@ -32,9 +32,12 @@ def _add_graph_source(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(f"--{name}", type=int)
 
 
-def _resolve_graph(args) -> tuple[Graph, dict[str, Any]]:
+def _resolve_graph(args) -> tuple[Graph | blowup.BlownCycle,
+                                  dict[str, Any]]:
     """Build or load the graph named by --family/--graph; returns annotations
-    (the blown-cycle block when applicable) alongside."""
+    (the blown-cycle block when applicable) alongside.  A blown cycle comes
+    as its BlownCycle, which answers what stats and screen read in closed
+    form; commands that need its edges take `_edges` of it."""
     if args.graph is not None:
         return formats.loads_graph(_read(args.graph), args.format)
     wanted = _FAMILY_PARAMS[args.family]
@@ -47,8 +50,13 @@ def _resolve_graph(args) -> tuple[Graph, dict[str, Any]]:
             raise GraphError(f"family {args.family} does not take --{name}")
     if args.family == "blown-cycle":
         b = blowup.build(params[0])
-        return b.graph, {"blown_cycle": {"m": b.m, "q": b.q}}
+        return b, {"blown_cycle": {"m": b.m, "q": b.q}}
     return generate(args.family, params), {}
+
+
+def _edges(g: Graph | blowup.BlownCycle) -> Graph:
+    """The graph itself, with a blown cycle's edge keys written out."""
+    return g.graph if isinstance(g, blowup.BlownCycle) else g
 
 
 def _resolve_blown(args) -> blowup.BlownCycle:
@@ -65,8 +73,10 @@ def _resolve_blown(args) -> blowup.BlownCycle:
         raise formats.FormatError(
             f'blown-cycle annotation "m" must be an integer, got {block["m"]!r}')
     b = blowup.build(block["m"])
-    # compare sizes first, so a false claim never builds the claimed graph
-    if g.n != b.n or g != b.graph:
+    # g's keys are distinct, so E of them that are all edges of b are b's
+    # edges; the closed form checks them, and no second graph is built
+    if (g.n != b.n or g.edge_count != b.edge_count
+            or not b.has_edges(g.keys).all()):
         raise formats.FormatError(
             "graph file does not match the construction its annotation claims")
     return b
@@ -87,7 +97,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_generate(args) -> int:
     g, annotations = _resolve_graph(args)
-    _emit(formats.dumps_graph(g, args.format, annotations or None), args.output)
+    _emit(formats.dumps_graph(_edges(g), args.format, annotations or None),
+          args.output)
     return 0
 
 
@@ -114,7 +125,7 @@ def _cmd_verify(args) -> int:
     if args.graph is not None:
         g, _ = formats.loads_graph(_read(args.graph), args.format)
     elif formats.is_json_int(extras.get("m")):
-        g = blowup.build(extras["m"]).graph
+        g = blowup.build(extras["m"])  # edges looked up in closed form
     else:
         raise formats.FormatError(
             "verify needs --graph or a plan with an \"m\" annotation")
@@ -134,7 +145,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decide(args) -> int:
     g, _ = _resolve_graph(args)
-    verdict = pairability.is_path_pairable(g, budget=args.budget,
+    verdict = pairability.is_path_pairable(_edges(g), budget=args.budget,
                                            workers=args.workers)
     sys.stdout.write(verdict.to_json())
     if verdict.status == pairability.PATH_PAIRABLE:

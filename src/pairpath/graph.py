@@ -120,7 +120,8 @@ _CHUNK = 1 << 13
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph: the vertex count n and the edge keys.
-    Build via make_graph, not directly.
+    Build via make_graph, or as a blown cycle's `blowup.BlownCycle.graph`,
+    which writes its sorted keys in order; not directly.
 
     `keys` is the one stored representation of the edge set: the sorted,
     duplicate-free int64 keys u*n + v with u < v (see `edge_keys`),

@@ -1,10 +1,16 @@
 """Independent certification of route plans against the raw graph.
 
-Deliberately knows nothing about class structure or shift matchings: a plan is
+Deliberately knows nothing about the router's shift matchings: a plan is
 checked only for walk validity, endpoint correctness, and global
 edge-disjointness, so construction bugs cannot leak into the check.  Vertex
 repetition inside a route is legal (only edges are consumed) and surfaces as a
 warning.
+
+The graph is anything with `n` and `has_edges`: a `Graph`, whose keys are
+looked up, or a `blowup.BlownCycle`, which answers from m alone.  The blown
+cycle's predicate is the graph's definition, classes u // q and v // q that
+differ by 1 or -1 mod 2m, not the router's reserved and free shift windows;
+tests pin it against the keys of the complete joins built by `make_graph`.
 """
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blowup import BlownCycle
 from .graph import Graph, as_ids, distinct, edge_keys, first_claims
 from .routing import Pairing, RoutePlan
 
@@ -60,10 +67,12 @@ class VerificationReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def verify_plan(g: Graph, p: Pairing, plan: RoutePlan) -> VerificationReport:
+def verify_plan(g: Graph | BlownCycle, p: Pairing,
+                plan: RoutePlan) -> VerificationReport:
     """Check a plan: route i must walk g's edges between exactly the two
     endpoints of pair i, and no edge may be used twice anywhere.  All problems
-    become report entries; nothing raises.
+    become report entries; nothing raises.  Only `g.n` and `g.has_edges`
+    are read.
 
     A route's ends are right when both are ids, equal its x and y, and form
     its pair.  Otherwise its endpoint entry is endpoint-not-in-pairing

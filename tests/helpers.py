@@ -340,6 +340,18 @@ def matching_step(b: BlownCycle, boundary: int, shift: int, frm: int) -> int:
     return b.vertex(i + 1, b.index_of(frm) + shift)
 
 
+def blown_cycle_edges(b: BlownCycle) -> np.ndarray:
+    """Oracle: the blown cycle's edges as an (E, 2) array, one complete
+    join per pair of consecutive classes: row (i, a, c) is the edge from
+    vertex a of class i to vertex c of class i+1 (mod 2m)."""
+    q, two_m = b.q, b.num_classes
+    edges = np.empty((two_m, q, q, 2), dtype=np.int64)
+    edges[..., 0] = np.arange(b.n).reshape(two_m, q, 1)
+    edges[..., 1] = (np.arange(1, two_m + 1) % two_m * q).reshape(
+        two_m, 1, 1) + np.arange(q)
+    return edges.reshape(-1, 2)
+
+
 def class_members(b: BlownCycle, cls: int) -> range:
     """The ids of class cls (mod 2m), which are consecutive."""
     base = b.vertex(cls, 0)

@@ -1,13 +1,15 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 import pairpath.blowup as blowup_module
-from helpers import (class_members, degrees, matching_step, neighbors,
+from helpers import (blown_cycle_edges, class_members, degrees,
+                     matching_step, neighbors, reference_twin_classes,
                      sorted_edges, to_networkx)
 from pairpath.blowup import BlownCycle, BlowupError, build, free_common_neighbors
-from pairpath.graph import MAX_VERTICES, diameter
+from pairpath.graph import MAX_VERTICES, diameter, make_graph
 from pairpath.routing import random_perfect_pairing, route
 
 
@@ -39,19 +41,56 @@ def test_derived_sizes(m):
     assert b.graph.edge_count == 2 * m * b.q ** 2
 
 
-def test_graph_is_built_once_through_the_module_global(monkeypatch):
-    calls = []
-    real = blowup_module.make_graph
-
-    def spy(n, edges):
-        calls.append(n)
-        return real(n, edges)
-
-    monkeypatch.setattr(blowup_module, "make_graph", spy)
+def test_graph_is_built_once_on_first_use():
     b = build(2)
-    assert calls == []
-    assert b.graph is b.graph
-    assert calls == [44]
+    assert "graph" not in vars(b)
+    g = b.graph
+    assert vars(b)["graph"] is g
+    assert b.graph is g
+
+
+@pytest.mark.parametrize("m", [*range(2, 17), 32, 33])
+def test_keys_written_in_order_equal_make_graph(m):
+    # m = 32 is the largest blown cycle with a bit matrix, m = 33 the first
+    # without, so both edge lookups of the written keys are covered
+    b = build(m)
+    g = make_graph(b.n, blown_cycle_edges(b))
+    assert b.graph == g
+    assert b.graph.keys.dtype == np.int64
+    assert not b.graph.keys.flags.writeable
+    assert (b.graph.bits is None) == (m > 32)
+    assert (b.edge_count, b.max_degree) == (g.edge_count, g.max_degree)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_has_edges_is_the_graph_definition(m):
+    # every key 0..n*n-1, so every pair u < v and every u >= v, and the
+    # int64 values around and beyond that range; from m = 6 on, n*n keys
+    # span more than one chunk of has_edges
+    b = build(m)
+    n = b.n
+    keys = np.concatenate([np.arange(n * n), np.array(
+        [-1, -2, -n, -n + 1, n * n, n * n + 1, -2**63, 2**63 - 1])])
+    found = b.has_edges(keys)
+    assert found.dtype == bool
+    assert np.array_equal(found, b.graph.has_edges(keys))
+    assert not found[n * n:].any()
+    assert np.array_equal(np.flatnonzero(found), b.graph.keys)
+    assert len(b.has_edges(keys[:0])) == 0
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_quotient_equals_the_twin_classes_of_the_graph(m):
+    b = build(m)
+    want, got = b.graph.quotient, b.quotient
+    assert got.reps == want.reps == reference_twin_classes(b.graph)[0]
+    for a, c in ((got.cls, want.cls), (got.sizes, want.sizes),
+                 (got.adj.indptr, want.adj.indptr),
+                 (got.adj.indices, want.adj.indices)):
+        assert a.dtype == c.dtype
+        assert np.array_equal(a, c)
+        assert not a.flags.writeable
+    assert len(got.reps) == (2 if m == 2 else 2 * m)
 
 
 def test_route_builds_no_graph():

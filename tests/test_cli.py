@@ -12,11 +12,11 @@ import pairpath.blowup as blowup_module
 import pairpath.routing as routing_module
 from pairpath.cli import main
 from pairpath.formats import dumps_graph, dumps_pairing, loads_graph
-from pairpath.graph import generate
+from pairpath.graph import generate, make_graph
 from pairpath.routing import make_pairing
 
 from helpers import (HALL_DEFICIENT_M4, HALL_DEFICIENT_M4_PLAN,
-                     SHARED_END_PAIRS_M2, path_graph)
+                     SHARED_END_PAIRS_M2, blown_cycle_edges, path_graph)
 
 
 def run(capsys, *argv):
@@ -186,20 +186,74 @@ def test_route_rejects_options_it_does_not_read(capsys, tmp_path):
         assert "error:" in err
 
 
-def test_route_false_annotation_builds_no_graph(capsys, tmp_path,
-                                                monkeypatch):
-    calls = []
-    monkeypatch.setattr(blowup_module, "make_graph",
-                        lambda *args: calls.append(args))
-    target = tmp_path / "claim.json"
-    # an m within blowup.build's size limit, so the claim is compared
-    target.write_text(dumps_graph(path_graph(2), "json",
-                                  {"blown_cycle": {"m": 50}}))
-    code, _, err = run(capsys, "route", "--graph", str(target),
-                       "--random", "0")
-    assert code == 2
-    assert "does not match the construction" in err
-    assert calls == []
+@pytest.fixture
+def built(monkeypatch):
+    """The BlownCycles that the commands build, in order."""
+    made = []
+    real = blowup_module.build
+
+    def spy(m):
+        made.append(real(m))
+        return made[-1]
+
+    monkeypatch.setattr(blowup_module, "build", spy)
+    return made
+
+
+def test_route_false_annotation_builds_no_graph(capsys, tmp_path, built):
+    b2 = blowup_module.BlownCycle(2)
+    edges = blown_cycle_edges(b2)
+    swapped = edges.copy()
+    swapped[0] = (0, 1)  # two vertices of class 0: no edge
+    # an m within blowup.build's size limit, so the claim is compared; the
+    # last two files have the claimed n, and the last its edge count too
+    claims = [(path_graph(2), 50), (make_graph(b2.n, edges[1:]), 2),
+              (make_graph(b2.n, swapped), 2)]
+    for i, (g, m) in enumerate(claims):
+        target = tmp_path / f"claim{i}.json"
+        target.write_text(dumps_graph(g, "json", {"blown_cycle": {"m": m}}))
+        code, _, err = run(capsys, "route", "--graph", str(target),
+                           "--random", "0")
+        assert code == 2
+        assert "does not match the construction" in err
+    assert [b.m for b in built] == [50, 2, 2]
+    assert not any("graph" in vars(b) for b in built)
+
+
+def test_route_annotated_file_builds_no_second_graph(capsys, tmp_path,
+                                                     built):
+    target = tmp_path / "b3.json"
+    target.write_text(dumps_graph(blowup_module.BlownCycle(3).graph, "json",
+                                  {"blown_cycle": {"m": 3, "q": 15}}))
+    assert run(capsys, "route", "--graph", str(target), "--random", "1") \
+        == run(capsys, "route", "--m", "3", "--random", "1")
+    assert [b.m for b in built] == [3, 3]
+    assert not any("graph" in vars(b) for b in built)
+
+
+def test_stats_screen_and_verify_build_no_graph(capsys, monkeypatch, built):
+    for argv in (["stats", "--family", "blown-cycle", "--m", "3"],
+                 ["screen", "--family", "blown-cycle", "--m", "3"]):
+        assert run(capsys, *argv)[0] == 0
+    code, plan_text, _ = run(capsys, "route", "--m", "3", "--random", "2")
+    monkeypatch.setattr("sys.stdin", io.StringIO(plan_text))
+    assert run(capsys, "verify")[0] == 0
+    assert [b.m for b in built] == [3, 3, 3, 3]
+    assert not any("graph" in vars(b) for b in built)
+
+
+@pytest.mark.parametrize("m", [*range(2, 25), 48])
+def test_closed_form_commands_print_what_the_graph_file_prints(capsys,
+                                                               tmp_path, m):
+    target = tmp_path / "g.json"
+    code, _, _ = run(capsys, "generate", "--family", "blown-cycle",
+                     "--m", str(m), "-o", str(target))
+    assert code == 0
+    for command in ("stats", "screen"):
+        closed = run(capsys, command, "--family", "blown-cycle",
+                     "--m", str(m))
+        assert closed[0] == 0
+        assert closed == run(capsys, command, "--graph", str(target))
 
 
 @pytest.mark.parametrize("argv", [["route", "--m", "100000", "--random", "1"],

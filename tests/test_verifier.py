@@ -388,6 +388,25 @@ def test_array_and_route_plans_give_the_same_report(m, monkeypatch):
     assert rejected >= 10
 
 
+@pytest.mark.parametrize("m", [2, 3, 16])
+def test_closed_form_and_built_graph_give_the_same_report(m):
+    # verify_plan reads a BlownCycle's edges from m alone, and must say
+    # what it says on the graph of keys, for clean and damaged plans
+    outcomes = set()
+    for seed in range(8):
+        clean = random_perfect_pairing(build(m).n, seed)
+        damaged, text = damaged_plan_file(build(m), seed)
+        for pairing, plan in ((clean, route(build(m), clean)),
+                              (damaged, loads_plan(text)[0])):
+            b = build(m)
+            report = verify_plan(b, pairing, plan)
+            assert "graph" not in vars(b)
+            assert report.to_json() \
+                == verify_plan(b.graph, pairing, plan).to_json()
+            outcomes.add(report.ok)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("end, y, paired", [(2**63 - 1, -7, 10**30),
                                             (-7, 10**18, 10**30),
                                             (4, -1, 2**63)])

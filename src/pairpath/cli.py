@@ -36,8 +36,8 @@ def _resolve_graph(args) -> tuple[Graph | blowup.BlownCycle,
                                   dict[str, Any]]:
     """Build or load the graph named by --family/--graph; returns annotations
     (the blown-cycle block when applicable) alongside.  A blown cycle comes
-    as its BlownCycle, which answers what stats and screen read in closed
-    form; commands that need its edges take `_edges` of it."""
+    as its BlownCycle, which answers what stats, screen and decide read in
+    closed form; generate, which writes its edges, takes its `graph`."""
     if args.graph is not None:
         return formats.loads_graph(_read(args.graph), args.format)
     wanted = _FAMILY_PARAMS[args.family]
@@ -52,11 +52,6 @@ def _resolve_graph(args) -> tuple[Graph | blowup.BlownCycle,
         b = blowup.build(params[0])
         return b, {"blown_cycle": {"m": b.m, "q": b.q}}
     return generate(args.family, params), {}
-
-
-def _edges(g: Graph | blowup.BlownCycle) -> Graph:
-    """The graph itself, with a blown cycle's edge keys written out."""
-    return g.graph if isinstance(g, blowup.BlownCycle) else g
 
 
 def _resolve_blown(args) -> blowup.BlownCycle:
@@ -97,7 +92,9 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_generate(args) -> int:
     g, annotations = _resolve_graph(args)
-    _emit(formats.dumps_graph(_edges(g), args.format, annotations or None),
+    if isinstance(g, blowup.BlownCycle):
+        g = g.graph
+    _emit(formats.dumps_graph(g, args.format, annotations or None),
           args.output)
     return 0
 
@@ -145,7 +142,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decide(args) -> int:
     g, _ = _resolve_graph(args)
-    verdict = pairability.is_path_pairable(_edges(g), budget=args.budget,
+    verdict = pairability.is_path_pairable(g, budget=args.budget,
                                            workers=args.workers)
     sys.stdout.write(verdict.to_json())
     if verdict.status == pairability.PATH_PAIRABLE:

@@ -2,11 +2,14 @@
 
 Vertices are integer ids 0..n-1.  An edge {u, v} with u < v is stored as the
 int64 key u*n + v, and a graph keeps its edges as one sorted, duplicate-free
-array of keys.  This module owns both formats: other modules convert ids with
-`as_ids`, encode edges with `edge_keys`, decode and look up keys through
+array of keys.  This module defines both formats: other modules convert ids
+with `as_ids`, encode edges with `edge_keys`, decode and look up keys through
 `Graph`, dedupe keys with `distinct` and order repeated claims with
-`first_claims`.  All metrics are pure functions; Graph values are safe to
-share across threads and processes.
+`first_claims`.  Two places read the key format themselves: a blown cycle
+writes its keys and decodes them in closed form (`blowup.BlownCycle.graph`
+and `has_edges`), and the router's self-check decodes the one key that its
+error names (`routing._check_disjoint`).  All metrics are pure functions;
+Graph values are safe to share across threads and processes.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import mix64
 
 # the largest n for which every key u*n + v (u < v < n) fits in int64
 MAX_VERTICES = 3_037_000_500
@@ -337,63 +339,20 @@ def twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
     which must leave some vertex isolated, raises GraphError here (see
     `_check_spread`), before the n-sized CSR arrays are built.
 
-    Twins have equal row fingerprints (see `_row_fingerprints`), so each
-    vertex is first put with the smallest vertex of its fingerprint.  Then
-    every row is compared with that vertex's, entry by entry: as rows of
-    one matrix when all rows have one length, which is the fastest, and
-    by a gather of entries otherwise.  The vertices of a fingerprint that
-    different rows share are grouped by their rows themselves.
+    One pass in vertex order over the rows of `g.csr`: a dict maps each
+    row's bytes to the first vertex that has that row, so equal rows, and
+    only they, share a class.
     """
     _check_spread(g)
     ptr, indices = g.csr
-    deg = np.diff(ptr)
-    fp = _row_fingerprints(g.csr)
-    order = np.argsort(fp)
-    ordered = fp[order]
-    new_run = np.ones(g.n, dtype=bool)
-    new_run[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(new_run)
-    rep = np.empty(g.n, dtype=np.intp)
-    rep[order] = np.repeat(np.minimum.reduceat(order, starts),
-                           np.diff(starts, append=g.n))
-    # entry i of row v against entry i of row rep[v]
-    d = int(deg.max(initial=0))
-    if (deg == d).all():  # rows of one length, such as a blown cycle's
-        rows = indices.reshape(g.n, d)
-        clash = (rows[rep] != rows).any(axis=1)
-    else:  # a row whose length differs from its rep's is flagged by that
-        clash = deg != deg[rep]
-        at = np.repeat(np.where(clash, 0, ptr[rep] - ptr[:-1]), deg)
-        at += np.arange(len(indices))
-        differ = np.flatnonzero(indices[at] != indices)
-        clash[np.searchsorted(ptr, differ, "right") - 1] = True
-    if clash.any():
-        index: dict[bytes, int] = {}
-        for v in np.flatnonzero(np.isin(rep, rep[clash])).tolist():
-            rep[v] = index.setdefault(indices[ptr[v]:ptr[v + 1]].tobytes(), v)
+    first: dict[bytes, int] = {}
+    bounds = ptr.tolist()
+    rep = np.array([first.setdefault(indices[lo:hi].tobytes(), v)
+                    for v, lo, hi in zip(range(g.n), bounds, bounds[1:])],
+                   dtype=np.intp)
     is_rep = rep == np.arange(g.n)
     cls = np.cumsum(is_rep) - 1
     return np.flatnonzero(is_rep).tolist(), cls[rep]
-
-
-# the odd multiplier of the polynomial hash in `_row_fingerprints`
-_ODD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _row_fingerprints(adj: Adjacency) -> np.ndarray:
-    """A uint64 per row that equal rows share: the row's length and five of
-    its entries, evenly spread from its first to its last, hashed; 0 for
-    an empty row.  So rows of up to five entries are read whole."""
-    ptr, indices = adj
-    deg = np.diff(ptr)
-    rows = np.flatnonzero(deg)
-    first, last = ptr[rows], deg[rows] - 1
-    h = last.view(np.uint64)
-    for j in range(5):
-        h = h * _ODD + indices[first + (last * j >> 2)].view(np.uint64)
-    fp = np.zeros(len(deg), dtype=np.uint64)
-    fp[rows] = mix64(h)
-    return fp
 
 
 def _quotient(g: Graph) -> Quotient:

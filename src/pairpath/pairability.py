@@ -204,13 +204,6 @@ def enumerate_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], 
     return rec(list(items))
 
 
-def pairing_count(n: int) -> int:
-    """(n-1)!! perfect pairings of n items, n even."""
-    if n % 2:
-        raise ValueError("no perfect pairing of an odd set")
-    return math.prod(range(1, n, 2))
-
-
 # a pool worker's stop flag (see `_init_worker`); None in any other process
 _stop_flag = None
 
@@ -252,13 +245,16 @@ def is_path_pairable(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     but the verdict and witness are those of the lowest canonical pairing
     index regardless of worker count.  workers or budget below 1 raise
     ValueError.
+
+    An odd n, or one above ENUMERATION_GUARD, raises ValueError from `g.n`
+    alone, so a `blowup.BlownCycle` is refused before its edges are built.
     """
     if g.n % 2:
         raise ValueError(f"path-pairability needs an even vertex count, got {g.n}")
     if g.n > ENUMERATION_GUARD:
         raise ValueError(
             f"n={g.n} exceeds the enumeration guard {ENUMERATION_GUARD} "
-            f"({pairing_count(g.n)} pairings)")
+            f"({g.n - 1}!! pairings)")
     if workers < 1 or budget < 1:
         raise ValueError(f"workers and budget must be at least 1, got "
                          f"workers={workers}, budget={budget}")

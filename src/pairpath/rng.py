@@ -16,14 +16,6 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64's output function on each uint64 state, in wrapping
-    uint64 arithmetic: a bijection that spreads every input bit."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
 class SplitMix64:
     """splitmix64 sequence generator; state advances by the 64-bit golden gamma."""
 
@@ -35,7 +27,9 @@ class SplitMix64:
         steps = np.arange(1, k + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
         self._state = (self._state + k * _GAMMA) & _MASK64
-        return mix64(z)
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
 
     def next_u64(self) -> int:
         return int(self._draw(1)[0])

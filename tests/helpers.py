@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import operator
 import pathlib
 from dataclasses import dataclass
@@ -78,6 +79,13 @@ def sorted_edges(g: Graph) -> list[tuple[int, int]]:
     """Every edge (u, v), u < v, in key order."""
     us, vs = g.endpoints()
     return list(zip(us.tolist(), vs.tolist()))
+
+
+def pairing_count(n: int) -> int:
+    """(n-1)!! perfect pairings of n items, n even."""
+    if n % 2:
+        raise ValueError("no perfect pairing of an odd set")
+    return math.prod(range(1, n, 2))
 
 
 def pair_tuples(p: Pairing) -> tuple[tuple[int, int], ...]:
@@ -499,19 +507,17 @@ def twin_blowup(classes: int, seed: int) -> Graph:
 
 
 def reference_twin_classes(g: Graph) -> tuple[list[int], np.ndarray]:
-    """Oracle: false-twin classes vertex by vertex, one dict entry per
-    distinct neighbour row; class k is the k-th distinct row in vertex
-    order, and reps[k] the first vertex with it."""
-    ptr, indices = g.csr
-    index: dict[bytes, int] = {}
-    reps: list[int] = []
-    cls = np.empty(g.n, dtype=np.intp)
+    """Oracle: false-twin classes from networkx, grouping the vertices by
+    the frozenset of their neighbours; class k is the k-th distinct set in
+    vertex order, and reps[k] the first vertex with it."""
+    h = to_networkx(g)
+    groups: dict[frozenset, list[int]] = {}
     for v in range(g.n):
-        k = index.setdefault(indices[ptr[v]:ptr[v + 1]].tobytes(), len(reps))
-        if k == len(reps):
-            reps.append(v)
-        cls[v] = k
-    return reps, cls
+        groups.setdefault(frozenset(h[v]), []).append(v)
+    cls = np.empty(g.n, dtype=np.intp)
+    for k, members in enumerate(groups.values()):
+        cls[members] = k
+    return [members[0] for members in groups.values()], cls
 
 
 # every generate family and small blown cycles, all of even order

@@ -434,6 +434,26 @@ def test_decide_workers_flag(capsys):
     assert json.loads(out)["witness"] == [[0, 3], [1, 2]]
 
 
+@pytest.mark.parametrize("n", [14, 3000])
+def test_decide_above_the_guard_names_the_count(capsys, n):
+    # (3000-1)!! has more than 4,300 digits: the message names it
+    code, out, err = run(capsys, "decide", "--family", "cycle", "--k", str(n))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: n={n} exceeds the enumeration guard 12 "
+                   f"({n - 1}!! pairings)\n")
+
+
+def test_decide_blown_cycle_is_refused_before_its_edges(capsys, built):
+    code, out, err = run(capsys, "decide", "--family", "blown-cycle",
+                         "--m", "48")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the enumeration guard 12 (18719!! pairings)" in err
+    assert [b.m for b in built] == [48]
+    assert "graph" not in vars(built[0])
+
+
 @pytest.mark.parametrize("flag", ["--workers", "--budget"])
 def test_decide_workers_or_budget_zero_is_usage_error(capsys, flag):
     code, out, err = run(capsys, "decide", "--family", "petersen", flag, "0")

@@ -395,24 +395,10 @@ def graphs_with_spread(draw):
     return make_graph(n, list(edges))
 
 
-# fingerprints that stand in for _row_fingerprints: its own, one that
-# only sees the row length, and one that is the same for every row
-FINGERPRINTS = {
-    "rows": graph_module._row_fingerprints,
-    "lengths": lambda adj: np.diff(adj.indptr).astype(np.uint64),
-    "constant": lambda adj: np.zeros(len(adj.indptr) - 1, dtype=np.uint64),
-}
-
-
-@given(graphs_with_spread(), st.sampled_from(sorted(FINGERPRINTS)))
+@given(graphs_with_spread())
 @settings(max_examples=200, deadline=None)
-def test_twin_classes_match_the_reference_loop(g, fingerprint):
-    # twins share a fingerprint, and rows that share one by chance are
-    # told apart by their entries, so the classes never depend on it
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graph_module, "_row_fingerprints",
-                      FINGERPRINTS[fingerprint])
-        assert_twin_classes_match_the_reference(g)
+def test_twin_classes_match_the_reference_loop(g):
+    assert_twin_classes_match_the_reference(g)
 
 
 @pytest.mark.parametrize("g", [
@@ -425,9 +411,6 @@ def test_twin_classes_match_the_reference_loop(g, fingerprint):
 ], ids=["n0", "n1", "K9", "Q6", "C101", "K2_9", "blowup40", "blown7",
         "K4+2"])
 def test_twin_classes_match_the_reference_on_families(g):
-    # rows of K9 that differ only between the five entries a fingerprint
-    # reads share it, so K9 takes the split by rows; K9, Q6, C101 and the
-    # blown cycle compare rows as one matrix, the others entry by entry
     assert_twin_classes_match_the_reference(g)
 
 
@@ -504,13 +487,7 @@ def test_metrics_match_oracle_on_families(name):
     assert indptr.tolist() == [0, *itertools.accumulate(
         len(h[v]) for v in range(g.n))]
     assert indices.tolist() == [w for v in range(g.n) for w in sorted(h[v])]
-    reps, cls = twin_classes(g)
-    first: dict[frozenset, int] = {}
-    for v in range(g.n):
-        first.setdefault(frozenset(h[v]), v)
-    assert reps == sorted(first.values())
-    assert [reps[k] for k in cls] == [first[frozenset(h[v])]
-                                      for v in range(g.n)]
+    assert_twin_classes_match_the_reference(g)
 
 
 def test_equality_and_hash_ignore_the_built_csr():

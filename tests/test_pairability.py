@@ -15,7 +15,7 @@ from pairpath.pairability import (CANNOT_RULE_OUT, CAP_HIT, FEASIBLE,
                                   INCONCLUSIVE, INFEASIBLE, LAYERED_CUT,
                                   NOT_PATH_PAIRABLE, PATH_PAIRABLE,
                                   diameter_upper_bound, enumerate_pairings,
-                                  is_path_pairable, pairing_count, screen)
+                                  is_path_pairable, screen)
 from pairpath.routing import (Pairing, PairingError, make_pairing,
                               random_perfect_pairing)
 from pairpath.verify import verify_plan
@@ -25,8 +25,8 @@ import pairpath.pairability as pairability_module
 import pairpath.routing as routing_module
 from helpers import (ORACLE_GRAPHS, bfs_layers, dense_distances, dense_screen,
                      dumbbell, edge_cut_size, find_disjoint_paths,
-                     graphs_with_twins, pair_tuples, path_graph, sorted_edges,
-                     twin_blowup)
+                     graphs_with_twins, pair_tuples, pairing_count, path_graph,
+                     sorted_edges, twin_blowup)
 
 
 # ---------------------------------------------------------------- search
@@ -158,8 +158,24 @@ def test_enumeration_is_canonical_and_counted():
 def test_decision_input_guards():
     with pytest.raises(ValueError, match="even"):
         is_path_pairable(path_graph(3))
-    with pytest.raises(ValueError, match="12"):
-        is_path_pairable(generate("cycle", (14,)))
+
+
+@pytest.mark.parametrize("n", [14, 3000])
+def test_enumeration_guard_names_the_count_without_computing_it(n):
+    # (n-1)!! has more than 4,300 digits from n = 2,848 on, beyond what
+    # Python converts to a string by default
+    with pytest.raises(ValueError) as exc:
+        is_path_pairable(generate("cycle", (n,)))
+    assert str(exc.value) == (f"n={n} exceeds the enumeration guard 12 "
+                              f"({n - 1}!! pairings)")
+
+
+def test_enumeration_guard_builds_no_blown_cycle_edges():
+    b = build(48)
+    with pytest.raises(ValueError, match="^n=18720 exceeds the enumeration "
+                                         r"guard 12 \(18719!! pairings\)$"):
+        is_path_pairable(b)
+    assert "graph" not in vars(b)
 
 
 def test_tiny_budget_reports_inconclusive(petersen):

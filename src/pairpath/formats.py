@@ -7,7 +7,9 @@ files hold one edge, pair or route per line (see `_dumps_rows`).
 Rows go out and come in by chunks, so that no call holds one Python object
 per edge, pair or route: the writers format a slice of the arrays at a time,
 and the JSON readers parse the rows array a chunk at a time into int64 arrays
-(see `_loads_rows`).  A JSON file that does not split that way is read whole.
+(see `_loads_rows`), and never read an object whole, even to name an error: at
+m = 48, a graph file whose last edge row is [0, 1.5] is refused at 160 MB
+(930 MB when read whole), and the good file reads at 258 MB, as commands.
 """
 from __future__ import annotations
 
@@ -40,14 +42,8 @@ _WS = re.compile(r"[ \t\n\r]*")
 _CUT = re.compile(r"[\]}][ \t\n\r]*,")
 # the last row's closing bracket, then the rows array's own
 _LAST = re.compile(r"[\]}][ \t\n\r]*\]")
+_decode = json.JSONDecoder().raw_decode
 _ROW_SEP = ",\n    "
-
-
-def _json_loads(text: str) -> Any:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
 
 
 def _dumps_rows(doc: dict[str, Any], rows_key: str,
@@ -89,16 +85,12 @@ def _pair_chunks(us: np.ndarray, vs: np.ndarray,
             for rows in _slices(len(us), _IDS_PER_CHUNK // 2)]
 
 
-def _loads_rows(text: str, rows_key: str,
-                convert: Callable[[list[Any]], tuple[np.ndarray, ...] | None]
-                ) -> tuple[dict[str, Any], list[np.ndarray]] | None:
-    """Read a JSON object whose rows_key holds an array of rows, by chunks:
-    (the other keys, parsed by json, and the arrays that convert makes of
-    the rows, each joined over all chunks).  None declines, and never an
-    exception, so the whole-document reader stays the one that names an
-    error.  It declines a text that is no such object, that gives a key
-    twice (JSON keeps the last value), whose rows do not split into chunks
-    that parse, or for a chunk that convert returns None for.
+def _loads_rows(text: str, rows_key: str, convert: Callable) -> Any:
+    """A JSON document read in one pass: an object as a dict whose rows_key,
+    where it holds an array, maps to its chunks (see `_scan_rows` and
+    `_joined`), with json parsing each other value alone; any other text
+    through json whole.  Invalid JSON raises FormatError with json's own
+    message and position in text.
 
     The rows array is cut into chunks of about _CHUNK_CHARS characters.  A
     chunk ends right after a row's closing "]" or "}" that JSON whitespace
@@ -106,85 +98,125 @@ def _loads_rows(text: str, rows_key: str,
     parsed as json.loads("[" + chunk + "]").  A cut inside a string or a
     nested value leaves that string or an extra bracket open at the end of
     its chunk, and a chunk that runs past the array's end closes a bracket
-    too many, so neither parses.
+    too many, so neither parses: its rows are read one at a time instead.
     """
     try:
         return _scan_object(text, rows_key, convert)
-    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
-        return None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
 
 
-def _scan_object(text: str, rows_key: str, convert: Callable
-                 ) -> tuple[dict[str, Any], list[np.ndarray]] | None:
-    decode = json.JSONDecoder().raw_decode
+def _scan_object(text: str, rows_key: str, convert: Callable) -> Any:
     pos = _WS.match(text).end()
     if not text.startswith("{", pos):
-        return None
+        return json.loads(text)
     doc: dict[str, Any] = {}
-    pos = _WS.match(text, pos + 1).end()
-    while text.startswith('"', pos):
-        key, pos = scanstring(text, pos + 1)
-        pos = _WS.match(text, pos).end()
-        if key in doc or not text.startswith(":", pos):
-            return None
+    # head: a text that leaves json where text up to at leaves it
+    head, at = "{", pos + 1
+    pos = _WS.match(text, at).end()
+    while not (head == "{" and text.startswith("}", pos)):
+        if not text.startswith('"', pos):
+            raise _json_error(text, head, at)
+        key, at = scanstring(text, pos + 1)
+        pos = _WS.match(text, at).end()
+        if not text.startswith(":", pos):
+            raise _json_error(text, '{""', at)
         pos = _WS.match(text, pos + 1).end()
-        if key == rows_key:
-            doc[key], pos = _scan_rows(text, pos, convert)
-            if doc[key] is None:
-                return None
-        else:
-            doc[key], pos = decode(text, pos)
-        pos = _WS.match(text, pos).end()
-        if text.startswith("}", pos):
-            chunks = doc.pop(rows_key, None)
-            if (chunks is None
-                    or _WS.match(text, pos + 1).end() != len(text)):
-                return None
-            return doc, [np.concatenate(parts) for parts in zip(*chunks)]
+        if key == rows_key and text.startswith("[", pos):
+            doc[key], at = _scan_rows(text, pos, convert)
+        else:  # a key given twice keeps its last value, as in json
+            doc[key], at = _decode(text, pos)
+        pos = _WS.match(text, at).end()
         if not text.startswith(",", pos):
-            return None
-        pos = _WS.match(text, pos + 1).end()
-    return None
+            if not text.startswith("}", pos):
+                raise _json_error(text, '{"":0', at)
+            break
+        head, at = '{"":0,', pos + 1
+        pos = _WS.match(text, at).end()
+    if _WS.match(text, pos + 1).end() != len(text):
+        raise _json_error(text, "{}", pos + 1)
+    return doc
 
 
-def _scan_rows(text: str, pos: int, convert: Callable
-               ) -> tuple[list[tuple[np.ndarray, ...]] | None, int]:
-    """(convert(rows) for each chunk, the position after the array) for the
-    rows array at text[pos]; None for the list when it declines."""
-    if not text.startswith("[", pos):
-        return None, pos
+def _scan_rows(text: str, pos: int, convert: Callable) -> tuple[list, int]:
+    """(chunks, the position after the array) for the rows array whose "["
+    is at text[pos]: convert(rows, index of rows[0]) for each chunk, or,
+    once convert refuses one, [its FormatError] and syntax checks only."""
     pos = _WS.match(text, pos + 1).end()
     if text.startswith("]", pos):
-        return [convert([])], pos + 1
-    chunks = []
+        return [convert([], 0)], pos + 1
+    chunks, count, closed, refused = [], 0, False, None
+    while not closed:
+        rows, pos, closed = _next_rows(text, pos)
+        if refused is None:
+            try:
+                chunks.append(convert(rows, count))
+            except FormatError as exc:
+                refused = exc
+        count += len(rows)
+    return ([refused] if refused else chunks), pos
+
+
+def _next_rows(text: str, pos: int) -> tuple[list[Any], int, bool]:
+    """(rows, the position after them, whether they close the array) for
+    the chunk of rows that starts at text[pos]."""
+    cut = _CUT.search(text, pos + _CHUNK_CHARS)
+    limit = cut.end() if cut else len(text)
+    for closed in (False, True):
+        if closed:  # the array ends before the cut, or its rows do not parse
+            cut = _LAST.search(text, pos, limit)
+        try:
+            if cut:
+                rows = json.loads("[" + text[pos:cut.start() + 1] + "]")
+                return rows, cut.end(), closed
+        except json.JSONDecodeError:
+            pass
+    return _read_rows(text, pos, limit)
+
+
+def _read_rows(text: str, pos: int, limit: int) -> tuple[list[Any], int, bool]:
+    """_next_rows for rows read one at a time, through the first that ends
+    at limit or beyond or closes the array.  text[pos] starts the first
+    row, or follows the comma before it."""
+    rows = []
     while True:
-        cut = _CUT.search(text, pos + _CHUNK_CHARS)
-        rows = None if cut is None else _parsed(text[pos:cut.start() + 1])
-        last = rows is None
-        if last:  # the array ends before the cut, or its rows do not parse
-            cut = _LAST.search(text, pos, cut.end() if cut else len(text))
-            rows = None if cut is None else _parsed(text[pos:cut.start() + 1])
-        chunk = None if rows is None else convert(rows)
-        if chunk is None:
-            return None, pos
-        chunks.append(chunk)
-        pos = cut.end()
-        if last:
-            return chunks, pos
+        start = _WS.match(text, pos).end()
+        if text.startswith("]", start):  # a comma before the array's end
+            raise _json_error(text, "[0,", pos)
+        row, at = _decode(text, start)
+        rows.append(row)
+        pos = _WS.match(text, at).end()
+        if text.startswith("]", pos):
+            return rows, pos + 1, True
+        if not text.startswith(",", pos):
+            raise _json_error(text, "[0", at)
+        pos += 1
+        if pos >= limit:
+            return rows, pos, False
 
 
-def _parsed(chunk: str) -> list[Any] | None:
+def _json_error(text: str, head: str, at: int) -> json.JSONDecodeError:
+    """json's error for text, which goes wrong at the first character at
+    or after at that is no JSON whitespace: head must leave json in the
+    state that text up to at leaves it in."""
     try:
-        return json.loads("[" + chunk + "]")
-    except json.JSONDecodeError:
-        return None
+        json.loads(head + text[at:_WS.match(text, at).end() + 1])
+    except json.JSONDecodeError as exc:
+        return json.JSONDecodeError(exc.msg, text, exc.pos - len(head) + at)
 
 
-def _as_list(doc: dict[str, Any], key: str) -> list[Any]:
-    value = doc[key]
-    if not isinstance(value, list):
-        raise FormatError(f'"{key}" must be a list, got {type(value).__name__}')
-    return value
+def _joined(doc: dict[str, Any], key: str) -> list[np.ndarray]:
+    """The arrays of doc[key]'s chunks (see `_scan_rows`), each joined over
+    all chunks.  Readers call it once they have checked the other keys, so
+    that an error in the rows comes after theirs."""
+    chunks = doc.pop(key)
+    if not isinstance(chunks, list):
+        raise FormatError(f'"{key}" must be a list, got {type(chunks).__name__}')
+    if isinstance(chunks[0], FormatError):
+        raise chunks[0]
+    return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
 def is_json_int(value: Any) -> bool:
@@ -192,36 +224,26 @@ def is_json_int(value: Any) -> bool:
     return type(value) is int
 
 
-def _as_edge(item: Any) -> tuple[int, int]:
-    if (not isinstance(item, (list, tuple)) or len(item) != 2
-            or not all(map(is_json_int, item))):
-        raise FormatError(f"expected [u, v] integer pair, got {item!r}")
-    return item[0], item[1]
-
-
-def _pair_array(rows: list[Any]) -> tuple[np.ndarray] | None:
-    """JSON [u, v] rows as one (k, 2) int64 array, or None when some row is
-    no pair of JSON integers within int64.  Only a list yields ints when
-    iterated, so rows of length 2 whose items are all ints are such pairs."""
+def _pair_array(rows: list[Any], first: int) -> tuple[np.ndarray]:
+    """JSON [u, v] rows as one (k, 2) array: int64, or objects when some id
+    lies beyond int64, for make_graph and make_pairing to name.  A row that
+    is no pair of JSON integers raises FormatError naming it, without its
+    index (first, that of rows[0]).  Only a list yields ints when iterated,
+    so rows of length 2 whose items are all ints are such pairs."""
     try:
-        if set(map(len, rows)) - {2}:
-            return None
-        flat = list(chain.from_iterable(rows))
-        if set(map(type, flat)) - {int}:
-            return None
-        pairs = np.fromiter(flat, dtype=np.int64, count=len(flat))
-    except (TypeError, OverflowError):  # a row with no length, or beyond int64
-        return None
-    return (pairs.reshape(-1, 2),)
-
-
-def _as_edges(rows: list[Any]) -> np.ndarray | list[tuple[int, int]]:
-    """JSON edge rows as one (E, 2) int64 array.  The per-row scan runs
-    only when that check fails, to name the first bad row; rows that all
-    pass it hold an id beyond int64, which make_graph rejects as out of
-    range."""
-    pairs = _pair_array(rows)
-    return [_as_edge(item) for item in rows] if pairs is None else pairs[0]
+        if not set(map(len, rows)) - {2}:
+            flat = list(chain.from_iterable(rows))
+            if not set(map(type, flat)) - {int}:
+                try:
+                    pairs = np.fromiter(flat, dtype=np.int64, count=len(flat))
+                except OverflowError:
+                    pairs = np.array(flat, dtype=object)
+                return (pairs.reshape(-1, 2),)
+    except TypeError:  # a row with no length
+        pass
+    bad = next(item for item in rows if type(item) is not list
+               or len(item) != 2 or not all(map(is_json_int, item)))
+    raise FormatError(f"expected [u, v] integer pair, got {bad!r}")
 
 
 def _json_pairs(us: list[int], vs: list[int]) -> str:
@@ -270,17 +292,12 @@ def loads_graph(text: str, fmt: str = "json") -> tuple[Graph, dict[str, Any]]:
 
 def _loads_graph(text: str, fmt: str) -> tuple[Graph, dict[str, Any]]:
     if fmt == "json":
-        read = _loads_rows(text, "edges", _pair_array)
-        if read is not None and is_json_int(read[0].get("n")):
-            doc, (edges,) = read
-        else:
-            doc = _json_loads(text)
-            if (not isinstance(doc, dict) or "n" not in doc
-                    or "edges" not in doc):
-                raise FormatError('graph JSON needs keys "n" and "edges"')
-            if not is_json_int(doc["n"]):
-                raise FormatError(f'"n" must be an integer, got {doc["n"]!r}')
-            edges = _as_edges(_as_list(doc, "edges"))
+        doc = _loads_rows(text, "edges", _pair_array)
+        if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
+            raise FormatError('graph JSON needs keys "n" and "edges"')
+        if not is_json_int(doc["n"]):
+            raise FormatError(f'"n" must be an integer, got {doc["n"]!r}')
+        (edges,) = _joined(doc, "edges")
         annotations = {k: v for k, v in doc.items() if k not in ("n", "edges")}
         return make_graph(doc["n"], edges), annotations
     if fmt == "dot":
@@ -340,14 +357,10 @@ def dumps_pairing(p: Pairing) -> str:
 
 
 def loads_pairing(text: str) -> Pairing:
-    read = _loads_rows(text, "pairs", _pair_array)
-    if read is None:
-        doc = _json_loads(text)
-        if not isinstance(doc, dict) or "pairs" not in doc:
-            raise FormatError('pairing JSON needs key "pairs"')
-        pairs = (_as_edge(pair) for pair in _as_list(doc, "pairs"))
-    else:
-        pairs = read[1][0]
+    doc = _loads_rows(text, "pairs", _pair_array)
+    if not isinstance(doc, dict) or "pairs" not in doc:
+        raise FormatError('pairing JSON needs key "pairs"')
+    (pairs,) = _joined(doc, "pairs")
     try:
         return make_pairing(pairs)
     except ValueError as exc:
@@ -386,53 +399,38 @@ def loads_plan(text: str) -> tuple[RoutePlan, dict[str, Any]]:
     verify_plan names -5 as no vertex.  Anything else raises FormatError
     naming the first bad route.  The stored edge count is not read, so
     verification never trusts it."""
-    read = _loads_rows(text, "routes", _route_arrays)
-    if read is None:
-        doc = _json_loads(text)
-        if not isinstance(doc, dict) or "routes" not in doc:
-            raise FormatError('plan JSON needs key "routes"')
-        items = _as_list(doc, "routes")
-        arrays = _route_arrays(items)
-        if arrays is None:
-            raise _route_error(items)
-    else:
-        doc, arrays = read
-    xs, ys, flat, lens = arrays
+    doc = _loads_rows(text, "routes", _route_arrays)
+    if not isinstance(doc, dict) or "routes" not in doc:
+        raise FormatError('plan JSON needs key "routes"')
+    xs, ys, flat, lens = _joined(doc, "routes")
     extras = {k: v for k, v in doc.items() if k not in ("routes", "edges_used")}
     return RoutePlan.from_arrays(xs, ys, flat, np.cumsum(lens)), extras
 
 
-def _route_arrays(items: list[Any]) -> tuple[np.ndarray, ...] | None:
+def _route_arrays(items: list[Any], first: int) -> tuple[np.ndarray, ...]:
     """JSON routes as int64 arrays (x, y, path values back to back, path
-    lengths), or None when some route is no object with keys x, y and
-    path, all JSON integers within int64."""
+    lengths).  A route that is no object with keys x, y and path, all JSON
+    integers within int64, raises FormatError naming it: route #first is
+    items[0]."""
     try:
         xs = [item["x"] for item in items]
         ys = [item["y"] for item in items]
         paths = [item["path"] for item in items]
         flat = list(chain.from_iterable(paths))
-        if not (all(type(path) is list for path in paths)
+        if (all(type(path) is list for path in paths)
                 and set(map(type, chain(xs, ys, flat))) <= {int}):
-            return None
-        return tuple(np.fromiter(values, dtype=np.int64, count=len(values))
-                     for values in (xs, ys, flat, list(map(len, paths))))
+            return tuple(np.fromiter(values, dtype=np.int64, count=len(values))
+                         for values in (xs, ys, flat, list(map(len, paths))))
     except (KeyError, TypeError, OverflowError):
-        return None
-
-
-def _route_error(items: list[Any]) -> FormatError:
-    """The error naming the first route that is no object with keys x, y
-    and path, all JSON integers within int64; loads_plan asks only when
-    its whole-list check finds such a route."""
-    for idx, item in enumerate(items):
+        pass
+    for idx, item in enumerate(items, first):
         if not isinstance(item, dict) or not {"x", "y", "path"} <= set(item):
-            return FormatError(f'route #{idx} needs keys "x", "y", "path"')
+            raise FormatError(f'route #{idx} needs keys "x", "y", "path"')
         path = item["path"]
         if not isinstance(path, list) or not all(map(_is_int64, path)):
-            return FormatError(f"route #{idx} path must be a list of ids")
+            raise FormatError(f"route #{idx} path must be a list of ids")
         if not (_is_int64(item["x"]) and _is_int64(item["y"])):
-            return FormatError(f'route #{idx} "x" and "y" must be ids')
-    raise AssertionError("every route is well formed")
+            raise FormatError(f'route #{idx} "x" and "y" must be ids')
 
 
 def _is_int64(value: Any) -> bool:

@@ -341,6 +341,15 @@ def test_verify_pairing_beyond_int64_exits_two(capsys, tmp_path):
     assert err == f"error: vertex {2**63} lies beyond int64\n"
 
 
+def test_verify_plan_nested_too_deeply_exits_two(capsys, tmp_path):
+    # exit 1 would say that the plan is invalid
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text('{"routes": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    code, out, err = run(capsys, "verify", "--plan", str(plan_file))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: nested too deeply\n"
+
+
 def test_verify_without_graph_or_annotation_fails(capsys, tmp_path):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps(

@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -179,6 +179,14 @@ class Route:
         return len(self.path) - 1
 
 
+def step_mask(ends: np.ndarray, size: int) -> np.ndarray:
+    """Whether each of `size` path positions starts a step, for paths laid
+    back to back that end at `ends`: every position but a path's last."""
+    mask = np.ones(size, dtype=bool)
+    mask[ends[ends > 0] - 1] = False
+    return mask
+
+
 class RoutePlan:
     """One route per pair, held as read-only int64 arrays.
 
@@ -248,9 +256,8 @@ class RoutePlan:
         from the arrays; a step whose ends are equal, or not both ids of a
         graph (below graph.MAX_VERTICES), is no edge."""
         ids = as_ids(self.paths, MAX_VERTICES)
-        lens = np.diff(self.ends, prepend=0)
-        steps = np.delete(np.arange(len(ids)), self.ends[lens > 0] - 1)
-        keys = edge_keys(ids[steps], ids[steps + 1], MAX_VERTICES)
+        keys = edge_keys(ids[:-1], ids[1:], MAX_VERTICES)[
+            step_mask(self.ends, len(ids))[:-1]]
         return len(distinct(keys[keys >= 0]))
 
     @property
@@ -418,13 +425,14 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
                 "candidate: construction bug") from None
 
     # claims: each walk's steps in pair order, then per task (reached, z)
-    # and (z, target); step s of the walks goes walks[s] -> walks[s + 1]
-    steps = np.delete(np.arange(len(walks)), ends - 1)
-    us = np.concatenate([walks[steps], np.stack([reached, z], 1).ravel()])
-    vs = np.concatenate([walks[steps + 1], np.stack([z, targets], 1).ravel()])
-    owners = np.concatenate([np.repeat(np.arange(len(d)), d),
-                             np.repeat(tasks, 2)])
-    _check_disjoint(us, vs, owners, n)
+    # and (z, target); every position of a walk but its last steps to the
+    # next
+    is_step = step_mask(ends, len(walks))
+    us = np.concatenate([walks[is_step], np.stack([reached, z], 1).ravel()])
+    vs = np.concatenate([walks[1:][is_step[:-1]],
+                         np.stack([z, targets], 1).ravel()])
+    _check_disjoint(us, vs, lambda: np.concatenate(
+        [np.repeat(np.arange(len(d)), d), np.repeat(tasks, 2)]), n)
 
     # each route is its walk, followed by z and the target when closed
     lens = d + 1
@@ -438,19 +446,21 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     return RoutePlan.from_arrays(result.x, y, paths, route_ends)
 
 
-def _check_disjoint(us: np.ndarray, vs: np.ndarray, owners: np.ndarray,
-                    n: int) -> None:
+def _check_disjoint(us: np.ndarray, vs: np.ndarray,
+                    owners: Callable[[], np.ndarray], n: int) -> None:
     """Raise the clash of the first claim of edge {us[i], vs[i]} that an
-    earlier claim already made, naming both claims' owners."""
+    earlier claim already made, naming both claims' owners.  `owners()`
+    returns the owner of every claim; it is called only on a clash."""
     keys = edge_keys(us, vs, n)
     if len(distinct(keys)) == len(keys):  # no edge claimed twice
         return
     order, first = first_claims(keys)
     second = int(order[~first].min())
     claim = int(np.argmax(keys == keys[second]))
+    owner = owners()
     raise RoutingError(
         f"edge {divmod(int(keys[second]), n)} claimed by "
-        f"pairs {owners[claim]} and {owners[second]}: construction bug")
+        f"pairs {owner[claim]} and {owner[second]}: construction bug")
 
 
 def route(b: BlownCycle, p: Pairing) -> RoutePlan:

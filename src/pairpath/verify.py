@@ -21,7 +21,7 @@ import numpy as np
 
 from .blowup import BlownCycle
 from .graph import Graph, as_ids, distinct, edge_keys, first_claims
-from .routing import Pairing, RoutePlan
+from .routing import Pairing, RoutePlan, step_mask
 
 NOT_A_WALK = "not-a-walk"
 WRONG_ENDPOINTS = "wrong-endpoints"
@@ -87,21 +87,25 @@ def verify_plan(g: Graph | BlownCycle, p: Pairing,
     The checks read only the plan's arrays (see RoutePlan), all routes' ids
     at once, and entries are built only for what they flag, each naming
     the value the plan holds, such as -5, which no graph has as a vertex.
+    A flagged position's route is looked up from the ends, so no array of
+    route numbers is built, and each array the size of the paths is
+    deleted once read: a clean plan's check holds at most about six such
+    int64 arrays at once, including the graph's lookup of the step keys.
     """
     n = g.n
     # a route with no pair is not walked
     walked = min(len(plan.ends), len(p))
     ends = plan.ends[:walked]
     lens = np.diff(ends, prepend=0)
-    flat = as_ids(plan.paths[:lens.sum()], n)  # -1 for an id outside 0..n-1
-    rid = np.repeat(np.arange(walked), lens)
-    in_range = flat >= 0
+    # the ids, -1 for one outside 0..n-1, and one -1 more, which keeps an
+    # empty path's (masked) end reads and the step pairs (flat, padded[1:])
+    # in bounds
+    padded = as_ids(np.append(plan.paths[:lens.sum()], -1), n)
+    flat = padded[:-1]
     entries: list[tuple[int, int, int, Violation]] = []
 
     # endpoints: judged from the ids alone; every bad id reads -1, so only
-    # in-range ends can match, and the -1 appended keeps an empty path's
-    # (masked) reads in bounds
-    padded = np.append(flat, -1)
+    # in-range ends can match
     first, last = padded[ends - lens], padded[ends - 1]
     pair_ids = as_ids(p.ids.ravel(), n)
     a, b = pair_ids[:2 * walked].reshape(-1, 2).T
@@ -129,28 +133,33 @@ def verify_plan(g: Graph | BlownCycle, p: Pairing,
             vertex=int(plan.x[idx]))))
 
     # vertex ids: out of range, or repeated within a route (a warning),
-    # found as runs of equal keys route*n + id (below routes*n, which fits
-    # in int64 for up to graph.MAX_VERTICES routes)
-    for pos in np.flatnonzero(~in_range).tolist():
-        entries.append((int(rid[pos]), 1, pos, Violation(
-            kind=NOT_A_WALK, pair_indexes=(int(rid[pos]),),
+    # found as equal keys route*n + id (below routes*n, which fits in int64
+    # for up to graph.MAX_VERTICES routes) in one sort in place
+    bad_ids = np.flatnonzero(flat < 0)
+    for pos, idx in zip(bad_ids.tolist(), _route_of(ends, bad_ids)):
+        entries.append((idx, 1, pos, Violation(
+            kind=NOT_A_WALK, pair_indexes=(idx,),
             vertex=int(plan.paths[pos]))))
     warnings: list[PlanWarning] = []
-    vertex_keys = np.where(in_range, rid * n + flat, -1)
-    if len(distinct(vertex_keys)) < len(vertex_keys):
-        by_vertex, firsts = first_claims(vertex_keys)
-        warnings = [PlanWarning(kind="vertex-repeated",
-                                pair_index=int(rid[pos]),
+    vertex_keys = _vertex_keys(flat, lens, n)
+    vertex_keys.sort()
+    repeated = (vertex_keys[1:] == vertex_keys[:-1]).any()
+    del vertex_keys
+    if repeated:  # the keys again, in path order, for the first claims
+        by_vertex, firsts = first_claims(_vertex_keys(flat, lens, n))
+        repeats = np.sort(by_vertex[~firsts])
+        repeats = repeats[flat[repeats] >= 0]
+        warnings = [PlanWarning(kind="vertex-repeated", pair_index=idx,
                                 vertex=int(plan.paths[pos]))
-                    for pos in np.sort(by_vertex[~firsts]).tolist()
-                    if in_range[pos]]
+                    for pos, idx in zip(repeats.tolist(),
+                                        _route_of(ends, repeats))]
 
-    # steps: step s walks flat[step_pos[s]] -> flat[step_pos[s] + 1]; a
-    # plan whose step keys are distinct edges of g has no bad step
-    step_pos = np.delete(np.arange(len(flat)), ends[lens > 0] - 1)
-    keys = edge_keys(flat[step_pos], flat[step_pos + 1], n)
-    step_route = rid[step_pos]
-    bad_steps: list[tuple[int, int | None]] = []
+    # steps: every path position but its route's last steps to the next
+    # one; a plan whose step keys are distinct edges of g has no bad step
+    is_step = step_mask(ends, len(flat))
+    keys = edge_keys(flat, padded[1:], n)[is_step]
+    del padded, flat
+    bad_pos, owners = np.empty(0, dtype=np.int64), []
     unique = distinct(keys)
     if len(unique) < len(keys) or not g.has_edges(unique).all():
         # one sort of the step keys, in which the first claim of a key, its
@@ -163,10 +172,12 @@ def verify_plan(g: Graph | BlownCycle, p: Pairing,
         # the owners, one per key and ascending by key, looked up for reuses
         owner = by_key[first_claim][np.searchsorted(
             sorted_keys[first_claim], sorted_keys[reused])]
-        bad_steps = [(s, None) for s in by_key[~member].tolist()]
-        bad_steps += zip(by_key[reused].tolist(), step_route[owner].tolist())
-    for s, own in bad_steps:
-        pos, idx = int(step_pos[s]), int(step_route[s])
+        step_pos = np.flatnonzero(is_step)  # where step s starts
+        bad_pos = step_pos[np.concatenate([by_key[~member], by_key[reused]])]
+        owners = [None] * int((~member).sum()) \
+            + _route_of(ends, step_pos[owner])
+    for pos, idx, own in zip(bad_pos.tolist(), _route_of(ends, bad_pos),
+                             owners):
         e = tuple(sorted(plan.paths[pos:pos + 2].tolist()))
         entries.append((idx, 2, pos, Violation(
             kind=NOT_A_WALK, pair_indexes=(idx,), edge=e) if own is None
@@ -184,3 +195,16 @@ def verify_plan(g: Graph | BlownCycle, p: Pairing,
                               violations=tuple(violations),
                               warnings=tuple(warnings))
 
+
+def _vertex_keys(flat: np.ndarray, lens: np.ndarray, n: int) -> np.ndarray:
+    """The key route*n + id of each path position, or -1 for a bad id."""
+    keys = np.repeat(np.arange(len(lens)) * n, lens)
+    keys += flat
+    keys[flat < 0] = -1
+    return keys
+
+
+def _route_of(ends: np.ndarray, positions: np.ndarray) -> list[int]:
+    """The route of each path position: the first whose end lies beyond it.
+    An empty path ends where the route before it does, so it is skipped."""
+    return np.searchsorted(ends, positions, side="right").tolist()

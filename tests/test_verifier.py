@@ -209,6 +209,45 @@ def test_empty_pairing_empty_plan():
     assert report.ok
 
 
+# K12 less the edge {1, 6}; the last route's damage sits at its first
+# position, which equals the end of every empty path before it
+EMPTY_RUN_GRAPH = make_graph(12, [(u, v) for u in range(12)
+                                  for v in range(u + 1, 12) if (u, v) != (1, 6)])
+EMPTY_RUN_DAMAGES = {"out-of-range": (12, 3, 7), "repeated": (1, 3, 5, 1, 7),
+                     "non-edge": (1, 6, 7), "reused": (1, 2, 7)}
+
+
+@pytest.mark.parametrize("lead", [0, 2])
+@pytest.mark.parametrize("damage", sorted(EMPTY_RUN_DAMAGES))
+def test_routes_after_empty_paths_are_named_as_the_reference_names_them(
+        damage, lead):
+    # `lead` empty paths, a route walking 0-1-2 (which owns {1, 2}), two
+    # empty paths, then the damaged route from 1 to 7
+    routes = [Route(8 + 2 * i, 9 + 2 * i, ()) for i in range(lead)] \
+        + [Route(0, 2, (0, 1, 2)), Route(3, 4, ()), Route(5, 6, ()),
+           Route(1, 7, EMPTY_RUN_DAMAGES[damage])]
+    pairing = Pairing([(r.x, r.y) for r in routes])
+    plan = RoutePlan(routes, used_edges={})
+    report = verify_plan(EMPTY_RUN_GRAPH, pairing, plan)
+    assert report.to_json() \
+        == reference_verify_plan(EMPTY_RUN_GRAPH, pairing, plan).to_json()
+    flagged = [v.pair_indexes for v in report.violations
+               if v.kind in (NOT_A_WALK, EDGE_REUSED)]
+    flagged += [(w.pair_index,) for w in report.warnings]
+    assert flagged and all(idx[-1] == len(routes) - 1 for idx in flagged)
+
+
+def test_a_plan_of_empty_paths_matches_the_reference():
+    pairing = Pairing([(0, 2), (3, 4), (5, 6)])
+    plan = RoutePlan([Route(x, y, ()) for x, y in pair_tuples(pairing)],
+                     used_edges={})
+    report = verify_plan(EMPTY_RUN_GRAPH, pairing, plan)
+    assert report.to_json() \
+        == reference_verify_plan(EMPTY_RUN_GRAPH, pairing, plan).to_json()
+    assert [(v.kind, v.vertex) for v in report.violations] \
+        == [(WRONG_ENDPOINTS, None)] * 3
+
+
 # ------------------------------------------------- reference oracle
 
 
@@ -488,6 +527,25 @@ def test_stray_end_on_a_huge_graph_allocates_nothing_of_size_n():
     assert peak < 2**20
     assert [(v.kind, v.vertex) for v in report.violations] \
         == [(ENDPOINT_NOT_IN_PAIRING, 1)]
+
+
+@pytest.mark.parametrize("m", [16, 48])
+def test_verify_plan_holds_few_plan_sized_arrays_at_once(m):
+    # each plan-sized temporary is freed before the next is made, so a
+    # clean plan's check peaks below 8 int64 arrays the size of its paths
+    b = build(m)
+    pairing = random_perfect_pairing(b.n, 1)
+    plan = route(b, pairing)
+    for g in (b.graph, b):
+        verify_plan(g, pairing, plan)  # builds g's lookup (Graph.bits)
+        tracemalloc.start()
+        try:
+            report = verify_plan(g, pairing, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak <= 8 * plan.paths.nbytes
 
 
 def test_pair_value_that_is_no_id_is_no_endpoint():

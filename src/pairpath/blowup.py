@@ -179,19 +179,26 @@ def free_common_neighbors(b: BlownCycle, u: int, v: int) -> list[int]:
 
     Each range ends below where the next begins, so the three slices of the
     next class's ids, joined in this order, are already sorted.
+
+    The inputs pass one chained comparison: u's class starts at a
+    nonnegative id below n, where v's class starts, and u differs from v.
+    Only when it fails are the checks replayed one by one, to name the
+    first that fails.
     """
-    if u == v:
-        raise BlowupError("u and v must be distinct")
-    for w in (u, v):
-        if not (0 <= w < b.n):
-            raise BlowupError(f"vertex {w} out of range")
     q, m = b.q, b.m
-    i, au = divmod(u, q)
-    iv, av = divmod(v, q)
-    if iv != i:
-        raise BlowupError(
-            f"vertices {u} and {v} lie in different classes ({i} and {iv})")
-    lo, hi = (au, av) if au < av else (av, au)
-    ids = b.class_ids[(i + 1) % b.num_classes]
-    return (ids[max(hi + m + 1 - q, 0):lo + 1] + ids[lo + m + 1:hi + 1]
+    start = u - u % q  # the first id of u's class
+    if not (0 <= start == v - v % q < b.n and u != v):
+        if u == v:
+            raise BlowupError("u and v must be distinct")
+        for w in (u, v):
+            if not (0 <= w < b.n):
+                raise BlowupError(f"vertex {w} out of range")
+        raise BlowupError(f"vertices {u} and {v} lie in different classes "
+                          f"({u // q} and {v // q})")
+    if u > v:
+        u, v = v, u
+    lo, hi = u - start, v - start
+    ids = b.class_ids[(start // q + 1) % b.num_classes]
+    wrap = hi + m + 1 - q  # hi's window covers 0..wrap-1 when it wraps
+    return (ids[wrap if wrap > 0 else 0:lo + 1] + ids[lo + m + 1:hi + 1]
             + ids[hi + m + 1:])

@@ -61,10 +61,12 @@ def _id(v: object, n: int) -> int:
 
 def edge_keys(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
     """The key u*n + v (u < v) of each edge {us[i], vs[i]}, or -1 for a loop
-    or an end of -1; ids are int64 in -1..n-1."""
+    or an end of -1; ids are int64 in -1..n-1.  The key is built as
+    min(u, v)*(n-1) + u + v, which needs no array of the larger ends."""
     keys = np.minimum(us, vs)
-    keys *= n
-    keys += np.maximum(us, vs)
+    keys *= n - 1
+    keys += us
+    keys += vs
     keys[(keys < 0) | (us == vs)] = -1
     return keys
 
@@ -153,13 +155,15 @@ class Graph:
 
         One gather and one shift per key in `bits` when the graph has it;
         otherwise a binary search in `keys`, where sorted keys are
-        fastest."""
+        fastest, and one gather of the key at each slot found, clipped to
+        the last."""
         bits = self.bits
         if bits is None:
+            if not len(self.keys):
+                return np.zeros(len(keys), dtype=bool)
             slot = np.searchsorted(self.keys, keys)
-            found = slot < len(self.keys)
-            found[found] = self.keys[slot[found]] == keys[found]
-            return found
+            np.minimum(slot, len(self.keys) - 1, out=slot)
+            return self.keys[slot] == keys
         # a negative key reads >= 2**63, so every key outside 0..n*n-1 reads
         # bit n*n, which is clear
         at = np.minimum(keys.view(np.uint64),

@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -254,11 +254,18 @@ class RoutePlan:
     def edges_used(self) -> int:
         """The number of distinct edges {u, v} the routes step along, read
         from the arrays; a step whose ends are equal, or not both ids of a
-        graph (below graph.MAX_VERTICES), is no edge."""
+        graph (below graph.MAX_VERTICES), is no edge.  The key of every
+        position to the next is built once; one mask keeps the steps that
+        are edges, and their keys, sorted in place, are counted by runs."""
         ids = as_ids(self.paths, MAX_VERTICES)
-        keys = edge_keys(ids[:-1], ids[1:], MAX_VERTICES)[
-            step_mask(self.ends, len(ids))[:-1]]
-        return len(distinct(keys[keys >= 0]))
+        keys = edge_keys(ids[:-1], ids[1:], MAX_VERTICES)
+        del ids
+        keep = step_mask(self.ends, len(self.paths))[:-1]
+        keep &= keys >= 0
+        keys = keys[keep]
+        keys.sort()
+        runs = np.count_nonzero(keys[1:] != keys[:-1]) + 1
+        return int(runs) if len(keys) else 0
 
     @property
     def max_route_length(self) -> int:
@@ -357,14 +364,33 @@ def phase_one(b: BlownCycle, oriented: np.ndarray) -> PhaseOneResult:
     walk's j-th vertex lies in class c + j at within-class index
     a + 1 + 2 + ... + j = a + j(j+1)/2 (mod q), for x = (c, a).  All walks
     are computed at once from that closed form.  `oriented` holds the rows
-    (x, y, d) that `canonical_labeling` returns."""
+    (x, y, d) that `canonical_labeling` returns.
+
+    Three arrays the size of the walks are alive at once: the step index
+    j, the walks, built in place from the repeated x as class ids and then
+    as vertices, and the within-class part a."""
     q, two_m = b.q, b.num_classes
     x, y, d = oriented.T
     lens = d + 1
     ends = np.cumsum(lens)
-    j = np.arange(lens.sum()) - np.repeat(ends - lens, lens)
-    c, a = np.divmod(np.repeat(x, lens), q)
-    walks = (c + j) % two_m * q + (a + j * (j + 1) // 2) % q
+    j = np.repeat(ends - lens, lens)  # each position's walk start
+    np.subtract(np.arange(len(j)), j, out=j)
+    walks = np.repeat(x, lens)
+    a = walks % q
+    walks //= q
+    walks += j
+    walks %= two_m
+    walks *= q
+    # a + j(j+1)/2 as (2a + j + j*j) / 2, with no temporary: j + j*j is even
+    a <<= 1
+    a += j
+    j *= j
+    a += j
+    del j
+    a >>= 1
+    a %= q
+    walks += a
+    del a
     complete = (d >= 1) & (walks[ends - 1] == y)
     return PhaseOneResult(x=x, y=y, d=d, walks=walks, ends=ends,
                           complete=complete)
@@ -381,12 +407,15 @@ def assign_candidates(cand_lists: Sequence[Sequence[int]],
     chosen = []
     for cands, (reached, target) in zip(cand_lists, ends):
         for z in cands:
-            if (reached, z) not in taken and (target, z) not in taken:
-                break
+            at_reached = (reached, z)
+            if at_reached not in taken:
+                at_target = (target, z)
+                if at_target not in taken:
+                    break
         else:
             raise ValueError("no free candidate")
-        taken.add((reached, z))
-        taken.add((target, z))
+        taken.add(at_reached)
+        taken.add(at_target)
         chosen.append(z)
     return chosen
 
@@ -399,9 +428,13 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     ascending; each takes the smallest z whose two closing edges are still
     unclaimed (`assign_candidates`), which the module docstring proves always
     exists.  All claimed edges, the walks' steps in pair order and then the
-    closing edges in task order, are checked with one sort of their keys
-    (`first_claims`), so a clash raises RoutingError naming the first claim
-    that repeats an earlier one instead of returning a bad plan.
+    closing edges in task order, are checked with one in-place sort of
+    their keys: the keys of consecutive walk positions, kept where the
+    first position steps, then the closing keys.  Only when a key repeats
+    are the claims' ends built, and RoutingError names the first claim
+    that repeats an earlier one (`_raise_clash`) instead of returning a bad
+    plan.  The routes are laid out by one mask of the
+    positions that are no closing vertex, which the walks fill in order.
     """
     q, n = b.q, b.n
     y, d, walks, ends = result.y, result.d, result.walks, result.ends
@@ -410,12 +443,11 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
     tasks = np.flatnonzero(~result.complete)
     tasks = tasks[np.argsort(y[tasks])]
     targets, reached = y[tasks], walks[ends[tasks] - 1]
-    task_ends = list(zip(reached.tolist(), targets.tolist()))
     classes = targets // q
     z = np.empty(len(tasks), dtype=np.int64)  # the closing vertex per task
     starts = np.flatnonzero(np.diff(classes, prepend=-1)).tolist()
     for lo, hi in zip(starts, starts[1:] + [len(tasks)]):
-        group = task_ends[lo:hi]
+        group = list(zip(reached[lo:hi].tolist(), targets[lo:hi].tolist()))
         try:
             z[lo:hi] = assign_candidates(
                 [free_common_neighbors(b, r, t) for r, t in group], group)
@@ -424,40 +456,47 @@ def phase_two(b: BlownCycle, result: PhaseOneResult) -> RoutePlan:
                 f"class {classes[lo]} (m={b.m}): a closing task has no free "
                 "candidate: construction bug") from None
 
-    # claims: each walk's steps in pair order, then per task (reached, z)
-    # and (z, target); every position of a walk but its last steps to the
-    # next
-    is_step = step_mask(ends, len(walks))
-    us = np.concatenate([walks[is_step], np.stack([reached, z], 1).ravel()])
-    vs = np.concatenate([walks[1:][is_step[:-1]],
-                         np.stack([z, targets], 1).ravel()])
-    _check_disjoint(us, vs, lambda: np.concatenate(
-        [np.repeat(np.arange(len(d)), d), np.repeat(tasks, 2)]), n)
+    # every position of a walk but its last steps to the next
+    is_step = step_mask(ends, len(walks))[:-1]
+    keys = np.concatenate([
+        edge_keys(walks[:-1], walks[1:], n)[is_step],
+        edge_keys(reached, z, n), edge_keys(z, targets, n)])
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():  # an edge claimed twice
+        # claims: each walk's steps in pair order, then per task
+        # (reached, z) and (z, target)
+        _raise_clash(
+            np.concatenate([walks[:-1][is_step],
+                            np.stack([reached, z], 1).ravel()]),
+            np.concatenate([walks[1:][is_step],
+                            np.stack([z, targets], 1).ravel()]),
+            np.concatenate([np.repeat(np.arange(len(d)), d),
+                            np.repeat(tasks, 2)]), n)
+    del is_step, keys
 
     # each route is its walk, followed by z and the target when closed
     lens = d + 1
     lens[tasks] += 2
     route_ends = np.cumsum(lens)
-    paths = np.empty(int(lens.sum()), dtype=np.int64)
-    shift = route_ends - lens - (ends - d - 1)  # route start less walk start
-    paths[np.arange(len(walks)) + np.repeat(shift, d + 1)] = walks
-    paths[route_ends[tasks] - 2] = z
-    paths[route_ends[tasks] - 1] = targets
+    at = route_ends[tasks] - 1  # each closed route's target position
+    paths = np.empty(len(walks) + 2 * len(tasks), dtype=np.int64)
+    of_walk = np.ones(len(paths), dtype=bool)
+    of_walk[at] = of_walk[at - 1] = False
+    paths[of_walk] = walks
+    paths[at - 1] = z
+    paths[at] = targets
     return RoutePlan.from_arrays(result.x, y, paths, route_ends)
 
 
-def _check_disjoint(us: np.ndarray, vs: np.ndarray,
-                    owners: Callable[[], np.ndarray], n: int) -> None:
+def _raise_clash(us: np.ndarray, vs: np.ndarray, owner: np.ndarray,
+                 n: int) -> NoReturn:
     """Raise the clash of the first claim of edge {us[i], vs[i]} that an
-    earlier claim already made, naming both claims' owners.  `owners()`
-    returns the owner of every claim; it is called only on a clash."""
+    earlier claim already made, naming both claims' owners: owner[i] is
+    the pair of claim i.  Some edge must be claimed twice."""
     keys = edge_keys(us, vs, n)
-    if len(distinct(keys)) == len(keys):  # no edge claimed twice
-        return
     order, first = first_claims(keys)
     second = int(order[~first].min())
     claim = int(np.argmax(keys == keys[second]))
-    owner = owners()
     raise RoutingError(
         f"edge {divmod(int(keys[second]), n)} claimed by "
         f"pairs {owner[claim]} and {owner[second]}: construction bug")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,23 @@ def test_free_common_neighbors_rejects_bad_input(blown2):
     for u, v, bad in ((0, blown2.n, blown2.n), (-1, 1, -1)):
         with pytest.raises(BlowupError, match=f"vertex {bad} out of range"):
             free_common_neighbors(blown2, u, v)
+
+
+@pytest.mark.parametrize("u, v, message", [
+    (44, 44, "u and v must be distinct"),
+    (-1, 44, "vertex -1 out of range"),
+    (44, -1, "vertex 44 out of range"),
+    (47, 5, "vertex 47 out of range"),
+    (5, -3, "vertex -3 out of range"),
+    (0, 11, "vertices 0 and 11 lie in different classes (0 and 1)"),
+    (43, 0, "vertices 43 and 0 lie in different classes (3 and 0)"),
+])
+def test_free_common_neighbors_names_the_first_failed_check(blown2, u, v,
+                                                            message):
+    # inputs that fail more than one check, at m = 2 (n = 44, q = 11): the
+    # checks run in order, distinct ends, u then v in range, one class
+    with pytest.raises(BlowupError, match=f"^{re.escape(message)}$"):
+        free_common_neighbors(blown2, u, v)
 
 
 @pytest.mark.parametrize("m", [2, 3])

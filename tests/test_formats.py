@@ -19,7 +19,7 @@ from pairpath.cli import main
 from pairpath.formats import (FormatError, dumps_graph, dumps_pairing,
                               dumps_plan, loads_graph, loads_pairing,
                               loads_plan)
-from pairpath.graph import Graph, make_graph
+from pairpath.graph import MAX_VERTICES, Graph, make_graph
 import pairpath.routing as routing_module
 from pairpath.routing import (Pairing, PairingError, Route, RoutePlan,
                               make_pairing, random_perfect_pairing, route)
@@ -376,6 +376,35 @@ def test_edges_used_counts_the_owner_map(blown3):
         loaded, _ = loads_plan(dumps_plan(plan))
         for made in (plan, loaded):
             assert made.edges_used == len(made.used_edges)
+
+
+def _edges_by_set(plan):
+    """The distinct edges that the routes step along, from a set of steps
+    whose two ends are distinct graph ids."""
+    edges = set()
+    for r in plan.routes:
+        for u, v in zip(r.path, r.path[1:]):
+            if u != v and 0 <= u < MAX_VERTICES and 0 <= v < MAX_VERTICES:
+                edges.add((min(u, v), max(u, v)))
+    return len(edges)
+
+
+@pytest.mark.parametrize("routes", [
+    [],
+    [Route(0, 1, ())],
+    [Route(-5, 2, (-5, 2, 3)), Route(3, 4, (3, 4))],
+    [Route(0, MAX_VERTICES, (0, 1, MAX_VERTICES)),
+     Route(MAX_VERTICES - 1, 2, (MAX_VERTICES - 1, 2))],
+    [Route(4, 5, (4, 4, 5)), Route(6, 6, (6,))],
+    # route 1's step repeats route 0's, reversed; the empty paths and the
+    # ends of consecutive paths (7 to 8, 5 to 9) step nowhere
+    [Route(6, 7, ()), Route(5, 7, (5, 6, 7)), Route(8, 5, (8, 7, 6, 5)),
+     Route(9, 1, (9, 1)), Route(2, 3, ())],
+    [Route(-5, -5, (-5, -5, 2**63 - 1, -5)), Route(0, 1, (1, 0, 1, 0))],
+])
+def test_edges_used_counts_the_steps_that_are_edges(routes):
+    plan = RoutePlan(routes)
+    assert plan.edges_used == _edges_by_set(plan)
 
 
 def test_loads_plan_keeps_values_that_are_no_ids_as_given():

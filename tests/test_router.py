@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,23 @@ def test_route_names_the_first_of_many_clashes(blown2, monkeypatch, seed):
     with pytest.raises(RoutingError) as info:
         route(blown2, pairing)
     assert str(info.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("m", [16, 48])
+def test_route_holds_few_plan_sized_arrays_at_once(m):
+    # each walk-sized temporary is freed before the next is made, and the
+    # claims are checked by one sort of their keys, so routing a uniform
+    # pairing peaks below 6 int64 arrays the size of the plan's paths
+    b = build(m)
+    pairing = random_perfect_pairing(b.n, 1)
+    route(b, pairing)  # builds the blown cycle's cached class ids
+    tracemalloc.start()
+    try:
+        plan = route(b, pairing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * plan.paths.nbytes
 
 
 def test_phase_two_single_task_takes_smallest_free_z(blown2):

@@ -374,9 +374,11 @@ def dumps_plan(plan: RoutePlan, extras: dict[str, Any] | None = None) -> str:
     if min(v.min(initial=0) for v in (plan.x, plan.y, plan.paths)) < 0:
         raise ValueError("plan JSON holds vertex ids only; this plan holds "
                          "another value")
+    # the count's sort of step keys runs before any row text exists
+    edges_used = plan.edges_used
     step = max(1, _IDS_PER_CHUNK * len(plan.x) // max(len(plan.paths), 1))
     routes = [_route_rows(plan, rows) for rows in _slices(len(plan.x), step)]
-    return _dumps_rows({"routes": routes, "edges_used": plan.edges_used},
+    return _dumps_rows({"routes": routes, "edges_used": edges_used},
                        "routes", extras)
 
 

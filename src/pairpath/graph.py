@@ -8,7 +8,7 @@ with `as_ids`, encode edges with `edge_keys`, decode and look up keys through
 `first_claims`.  Two places read the key format themselves: a blown cycle
 writes its keys and decodes them in closed form (`blowup.BlownCycle.graph`
 and `has_edges`), and the router's self-check decodes the one key that its
-error names (`routing._check_disjoint`).  All metrics are pure functions;
+error names (`routing._raise_clash`).  All metrics are pure functions;
 Graph values are safe to share across threads and processes.
 """
 from __future__ import annotations

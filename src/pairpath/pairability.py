@@ -57,48 +57,40 @@ class _CapHit(Exception):
     pass
 
 
-def _residual_dist(adj, src: int, dst: int, used: set) -> float:
-    """Hop distance from src to dst (distinct, as a pair's ends are)
-    avoiding used edges; inf if cut off.  adj[v] lists (w, key of edge vw)
-    by ascending w; used holds keys."""
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w, e in adj[v]:
-                if w in dist or e in used:
-                    continue
-                if w == dst:
-                    return dist[v] + 1
-                dist[w] = dist[v] + 1
-                nxt.append(w)
-        frontier = nxt
-    return _INF
-
-
-def _residual_dist_all(adj, src: int, used: set, n: int) -> list[float]:
-    dist = [_INF] * n
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w, e in adj[v]:
-                if dist[w] == _INF and e not in used:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
+def _residual_dist(free: list[int], src: int, stop: int | None = None
+                   ) -> list[float]:
+    """Hop distances from src in the residual graph whose neighbour
+    bitmasks are `free`, inf where cut off, filled layer by layer.  With
+    `stop`, the fill ends at the layer that holds it: of that layer only
+    stop's entry is filled, and entries past it stay inf."""
+    dist = [_INF] * len(free)
+    seen = layer = 1 << src
+    stop_bit = 0 if stop is None else 1 << stop
+    d = 0
+    while layer:
+        if layer & stop_bit:
+            dist[stop] = d
+            break
+        reach = 0
+        while layer:
+            low = layer & -layer
+            v = low.bit_length() - 1
+            dist[v] = d
+            reach |= free[v]
+            layer ^= low
+        layer = reach & ~seen
+        seen |= layer
+        d += 1
     return dist
 
 
-def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
-    """adj[v] lists (w, key of edge vw) for every neighbour w of v; keys
-    come in order, so every list is sorted by neighbour."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for u, v, e in zip(*(a.tolist() for a in g.endpoints()), g.keys.tolist()):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
+def _adjacency(g: Graph) -> list[int]:
+    """One neighbour bitmask per vertex: bit w of adj[v] is set when v and
+    w are adjacent."""
+    adj = [0] * g.n
+    for u, v in zip(*(a.tolist() for a in g.endpoints())):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     return adj
 
 
@@ -110,14 +102,13 @@ class _Search:
     distances of unrouted pairs exceeds the edge supply.
     """
 
-    def __init__(self, adj: list[list[tuple[int, int]]],
-                 pairs: Sequence[tuple[int, int]], budget: int):
-        self.adj = adj
-        self.n = len(adj)
-        self.e_total = sum(map(len, adj)) // 2
+    def __init__(self, adj: list[int], pairs: Sequence[tuple[int, int]],
+                 budget: int):
+        self.free = list(adj)  # adj with both bits of used edges cleared
+        self.e_total = sum(mask.bit_count() for mask in adj) // 2
         self.pairs = pairs
         self.budget = budget
-        self.used: set = set()
+        self.used = 0  # edges cleared from free
         self.routed: list[list[int] | None] = [None] * len(pairs)
         self.nodes = 0
 
@@ -137,23 +128,23 @@ class _Search:
         dists = {}
         for i in open_pairs:
             x, y = self.pairs[i]
-            d = _residual_dist(self.adj, x, y, self.used)
+            d = _residual_dist(self.free, x, y)[y]
             if d == _INF:
                 return False
             dists[i] = d
-        if len(self.used) + sum(dists.values()) > self.e_total:
+        if self.used + sum(dists.values()) > self.e_total:
             return False
         # route the most constrained pair first: largest residual distance
         pick = max(open_pairs, key=lambda i: (dists[i], -i))
         x, y = self.pairs[pick]
-        to_target = _residual_dist_all(self.adj, y, self.used, self.n)
-        slack = self.e_total - len(self.used) - (sum(dists.values()) - dists[pick])
-        return self._extend(pick, [x], to_target, slack)
+        to_target = _residual_dist(self.free, y)
+        slack = self.e_total - self.used - (sum(dists.values()) - dists[pick])
+        return self._extend(pick, [x], 1 << x, to_target, slack)
 
-    def _extend(self, pick, path, to_target, slack) -> bool:
-        """Extend pair `pick`'s path from path[-1] to its target, one unused
-        edge to a vertex off the path at a time, while the path plus a
-        residual shortest finish stays within `slack` edges."""
+    def _extend(self, pick, path, on_path, to_target, slack) -> bool:
+        """Extend pair `pick`'s path from path[-1] to its target, one free
+        edge to a vertex off the path (`on_path`) at a time, while the path
+        plus a residual shortest finish stays within `slack` edges."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _CapHit
@@ -164,22 +155,28 @@ class _Search:
                 return True
             self.routed[pick] = None
             return False
-        length = len(path) - 1
+        finish = slack - len(path)  # the longest finish from a next vertex
+        free = self.free
         steps = []
-        for w, e in self.adj[cur]:
-            if w in path or e in self.used:
-                continue
-            if length + 1 + to_target[w] > slack:
-                continue
-            steps.append((to_target[w], w, e))
+        ahead = free[cur] & ~on_path
+        while ahead:
+            low = ahead & -ahead
+            w = low.bit_length() - 1
+            if to_target[w] <= finish:
+                steps.append((to_target[w], w))
+            ahead ^= low
         steps.sort()
-        for _, w, e in steps:
-            self.used.add(e)
+        for _, w in steps:
+            free[cur] ^= 1 << w
+            free[w] ^= 1 << cur
+            self.used += 1
             path.append(w)
-            if self._extend(pick, path, to_target, slack):
+            if self._extend(pick, path, on_path | 1 << w, to_target, slack):
                 return True
             path.pop()
-            self.used.discard(e)
+            self.used -= 1
+            free[cur] ^= 1 << w
+            free[w] ^= 1 << cur
         return False
 
 

@@ -25,19 +25,11 @@ import pairpath.pairability as pairability_module
 import pairpath.routing as routing_module
 from helpers import (ORACLE_GRAPHS, bfs_layers, dense_distances, dense_screen,
                      dumbbell, edge_cut_size, find_disjoint_paths,
-                     graphs_with_twins, pair_tuples, pairing_count, path_graph,
+                     graphs_with_twins, pairing_count, path_graph,
                      sorted_edges, twin_blowup)
 
 
 # ---------------------------------------------------------------- search
-
-
-def test_c4_is_not_path_pairable(c4):
-    verdict = is_path_pairable(c4)
-    assert verdict.status == NOT_PATH_PAIRABLE
-    assert verdict.witness is not None
-    assert pair_tuples(verdict.witness) == ((0, 2), (1, 3))
-    assert verdict.pairings_examined >= 1
 
 
 def test_c4_pairing_feasibility_split(c4):
@@ -52,6 +44,32 @@ def test_c4_pairing_feasibility_split(c4):
 
     other = find_disjoint_paths(c4, make_pairing([(0, 3), (1, 2)]))
     assert other.status == FEASIBLE
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_residual_dist_matches_networkx(data):
+    n = data.draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e, keep in zip(pairs, data.draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))))
+        if keep]
+    used = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
+    free = pairability_module._adjacency(make_graph(n, edges))
+    for u, v in used:
+        free[u] ^= 1 << v
+        free[v] ^= 1 << u
+    residual = nx.Graph()
+    residual.add_nodes_from(range(n))
+    residual.add_edges_from(e for e in edges if e not in used)
+    src, stop = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    reached = nx.single_source_shortest_path_length(residual, src)
+    full = pairability_module._residual_dist(free, src)
+    assert full == [reached.get(v, math.inf) for v in range(n)]
+    # the stopped form agrees at stop and fills no entry wrongly
+    part = pairability_module._residual_dist(free, src, stop)
+    assert part[stop] == full[stop]
+    assert all(d == full[v] for v, d in enumerate(part) if d != math.inf)
 
 
 def test_find_disjoint_paths_rejects_out_of_range_vertex(c4):
@@ -88,16 +106,6 @@ def test_scan_builds_one_adjacency_per_partition_and_no_plans(monkeypatch):
     assert len(built) == 5  # one per first pair (0, c)
 
 
-def test_q3_is_path_pairable(q3):
-    verdict = is_path_pairable(q3)
-    assert verdict.status == PATH_PAIRABLE
-    assert verdict.witness is None
-    assert verdict.pairings_examined == 105
-    # the exact work pins the search order, which follows the neighbour
-    # order of the adjacency lists
-    assert verdict.nodes_expanded == 1320
-
-
 def test_q3_antipodal_pairing_has_disjoint_paths(q3):
     # hardest case: every pair at distance 3
     pairing = make_pairing([(v, v ^ 7) for v in range(4)])
@@ -132,12 +140,6 @@ def test_small_complete_family_verdicts():
         == PATH_PAIRABLE
     assert is_path_pairable(generate("complete-bipartite", (2, 2))).status \
         == NOT_PATH_PAIRABLE
-
-
-def test_small_grid_verdict():
-    verdict = is_path_pairable(generate("grid2", (2, 3)))
-    assert verdict.status == PATH_PAIRABLE
-    assert verdict.pairings_examined == 15
 
 
 def test_enumeration_is_canonical_and_counted():
@@ -188,21 +190,48 @@ def test_tiny_budget_reports_inconclusive(petersen):
     assert result.status == CAP_HIT
 
 
-def test_worker_count_does_not_change_verdict(c4, petersen):
-    lone = is_path_pairable(c4, workers=1)
-    multi = is_path_pairable(c4, workers=2)
-    assert (lone.status, lone.witness) == (multi.status, multi.witness)
-
-    lone = is_path_pairable(petersen, workers=1)
-    multi = is_path_pairable(petersen, workers=2)
-    assert lone.status == multi.status == PATH_PAIRABLE
-    assert (lone.pairings_examined, lone.nodes_expanded) \
-        == (multi.pairings_examined, multi.nodes_expanded) == (945, 15692)
-
+# family, parameters, budget (None for the default) and the verdict:
+# status, witness, pairings examined and nodes expanded.  The exact work
+# pins the search order: each step goes to the free neighbour nearest the
+# target, the lowest id first among equals
+DECIDED = [
+    ("cycle", (4,), None, NOT_PATH_PAIRABLE, [[0, 2], [1, 3]], 2, 9),
+    ("cycle", (6,), None, NOT_PATH_PAIRABLE, [[0, 1], [2, 4], [3, 5]], 2, 9),
+    ("cycle", (8,), None, NOT_PATH_PAIRABLE,
+     [[0, 1], [2, 3], [4, 6], [5, 7]], 2, 12),
+    ("complete-bipartite", (2, 4), None, NOT_PATH_PAIRABLE,
+     [[0, 1], [2, 3], [4, 5]], 1, 9),
     # K_{2,10}: the first pairing decides while the second worker is into a
     # partition the serial scan never opens, which its stop flag then ends
-    k2_10 = generate("complete-bipartite", (2, 10))
-    assert is_path_pairable(k2_10, workers=2) == is_path_pairable(k2_10)
+    ("complete-bipartite", (2, 10), None, NOT_PATH_PAIRABLE,
+     [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]], 1, 21),
+    ("complete", (4,), None, PATH_PAIRABLE, None, 3, 12),
+    ("complete", (6,), None, PATH_PAIRABLE, None, 15, 90),
+    ("complete-bipartite", (3, 3), None, PATH_PAIRABLE, None, 15, 108),
+    ("complete-bipartite", (4, 4), None, PATH_PAIRABLE, None, 105, 1044),
+    ("grid2", (2, 3), None, PATH_PAIRABLE, None, 15, 111),
+    ("grid2", (2, 4), None, PATH_PAIRABLE, None, 105, 1050),
+    ("hypercube", (3,), None, PATH_PAIRABLE, None, 105, 1320),
+    ("petersen", (), None, PATH_PAIRABLE, None, 945, 15692),
+    ("petersen", (), 10, INCONCLUSIVE, None, 1, 11),
+    ("grid2", (2, 4), 8, INCONCLUSIVE, None, 4, 33),
+    ("complete", (6,), 5, INCONCLUSIVE, None, 1, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params, budget, status, witness, examined, nodes", DECIDED,
+    ids=["-".join(map(str, (row[0], *row[1], row[2] or "default")))
+         for row in DECIDED])
+def test_serial_and_pooled_scans_pin_the_search_order(
+        family, params, budget, status, witness, examined, nodes):
+    g = generate(family, params)
+    kwargs = {} if budget is None else {"budget": budget}
+    lone = is_path_pairable(g, **kwargs)
+    assert is_path_pairable(g, workers=2, **kwargs) == lone
+    assert (lone.status, lone.witness and lone.witness.ids.tolist(),
+            lone.pairings_examined, lone.nodes_expanded) \
+        == (status, witness, examined, nodes)
 
 
 class _RecordingPool:

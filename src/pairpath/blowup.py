@@ -42,7 +42,9 @@ class BlownCycle:
     `verify.verify_plan`, `graph.diameter`, `graph.distance_matrix` and
     `pairability.screen` read from a graph.  So those take a BlownCycle
     as it is, and only `graph`, the edge keys as a `Graph`, costs memory
-    in E = 2m*q^2; it is built on first use, so routing builds none."""
+    in E = 2m*q^2; it is built on first use, so routing builds none.  A
+    blown cycle's edges are looked up in closed form however it is held:
+    `graph.has_edges` is this `has_edges`."""
 
     m: int
 
@@ -134,7 +136,7 @@ class BlownCycle:
                + np.arange(q),
                out=keys[2 * q * q:].reshape(two_m - 2, q, q))
         keys.flags.writeable = False
-        return Graph(n=n, keys=keys)
+        return _BlownCycleGraph(n=n, keys=keys, m=self.m)
 
     def class_of(self, v: int) -> int:
         return v // self.q
@@ -144,6 +146,19 @@ class BlownCycle:
 
     def vertex(self, cls: int, idx: int) -> int:
         return (cls % self.num_classes) * self.q + idx % self.q
+
+
+@dataclass(frozen=True, eq=False)
+class _BlownCycleGraph(Graph):
+    """`BlownCycle.graph`: a Graph that also holds m, and looks its edges
+    up in closed form rather than in its keys; equality, hash and every
+    derived view are the Graph's.  It holds m, not the BlownCycle, so the
+    two form no reference cycle and refcounting alone frees the keys."""
+
+    m: int
+
+    def has_edges(self, keys: np.ndarray) -> np.ndarray:
+        return BlownCycle(self.m).has_edges(keys)
 
 
 def build(m: int) -> BlownCycle:

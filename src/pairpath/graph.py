@@ -117,10 +117,6 @@ def first_claims(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
-# keys per step of the build of `Graph.bits`, which bounds its temporaries
-_CHUNK = 1 << 13
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph: the vertex count n and the edge keys.
@@ -129,9 +125,11 @@ class Graph:
 
     `keys` is the one stored representation of the edge set: the sorted,
     duplicate-free int64 keys u*n + v with u < v (see `edge_keys`),
-    read-only.  `endpoints` decodes them; `csr` derives the adjacency lists,
-    `quotient` the false-twin quotient and `bits` the bit matrix that
-    `has_edges` reads from them, each on first use.
+    read-only.  `endpoints` decodes them, `has_edges` searches them, and
+    `csr` and `quotient` derive the adjacency lists and the false-twin
+    quotient from them on first use.  A blown cycle's graph is a subclass
+    that answers `has_edges` from m in closed form; it equals, and hashes
+    as, the Graph of the same keys.
     """
 
     n: int
@@ -153,44 +151,15 @@ class Graph:
         """Whether each of the int64 keys is an edge key of this graph.  A
         key outside 0..n*n-1, such as the -1 of `edge_keys`, is none.
 
-        One gather and one shift per key in `bits` when the graph has it;
-        otherwise a binary search in `keys`, where sorted keys are
-        fastest, and one gather of the key at each slot found, clipped to
-        the last."""
-        bits = self.bits
-        if bits is None:
-            if not len(self.keys):
-                return np.zeros(len(keys), dtype=bool)
-            slot = np.searchsorted(self.keys, keys)
-            np.minimum(slot, len(self.keys) - 1, out=slot)
-            return self.keys[slot] == keys
-        # a negative key reads >= 2**63, so every key outside 0..n*n-1 reads
-        # bit n*n, which is clear
-        at = np.minimum(keys.view(np.uint64),
-                        np.uint64(self.n * self.n)).view(np.int64)
-        return (bits[at >> 3] >> (at & 7).astype(np.uint8) & 1).astype(bool)
-
-    @cached_property
-    def bits(self) -> np.ndarray | None:
-        """The edge set as a read-only bit matrix, derived from `keys` on
-        first use: bit j & 7 of byte j >> 3 is set when j is an edge key,
-        for j in 0..n*n, and bit n*n is always clear.  None when the n*n
-        bits would take more memory than the 64-bit keys, n*n > 64E, as on
-        sparse graphs."""
-        n = operator.index(self.n)
-        if n * n > 64 * len(self.keys):
-            return None
-        bits = np.zeros(n * n // 8 + 1, dtype=np.uint8)
-        # the keys are sorted, so the keys of one byte are a run; a run
-        # split between two chunks ORs into its byte twice
-        for lo in range(0, len(self.keys), _CHUNK):
-            chunk = self.keys[lo:lo + _CHUNK]
-            byte = chunk >> 3
-            starts = np.flatnonzero(np.diff(byte, prepend=-1))
-            bits[byte[starts]] |= np.bitwise_or.reduceat(
-                np.uint8(1) << (chunk & 7).astype(np.uint8), starts)
-        bits.flags.writeable = False
-        return bits
+        A binary search in `keys`, where sorted keys are fastest, and one
+        gather of the key at each slot found, clipped to the last.  A blown
+        cycle's graph answers in closed form instead (see
+        `blowup.BlownCycle.graph`)."""
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=bool)
+        slot = np.searchsorted(self.keys, keys)
+        np.minimum(slot, len(self.keys) - 1, out=slot)
+        return self.keys[slot] == keys
 
     @cached_property
     def csr(self) -> Adjacency:

@@ -6,11 +6,12 @@ edge-disjointness, so construction bugs cannot leak into the check.  Vertex
 repetition inside a route is legal (only edges are consumed) and surfaces as a
 warning.
 
-The graph is anything with `n` and `has_edges`: a `Graph`, whose keys are
-looked up, or a `blowup.BlownCycle`, which answers from m alone.  The blown
-cycle's predicate is the graph's definition, classes u // q and v // q that
-differ by 1 or -1 mod 2m, not the router's reserved and free shift windows;
-tests pin it against the keys of the complete joins built by `make_graph`.
+The graph is anything with `n` and `has_edges`: a `Graph`, whose sorted keys
+are searched, or a blown cycle, as a `blowup.BlownCycle` or as its `graph`,
+both of which answer from m alone.  The blown cycle's predicate is the
+graph's definition, classes u // q and v // q that differ by 1 or -1 mod 2m,
+not the router's reserved and free shift windows; tests pin it against the
+keys of the complete joins built by `make_graph`.
 """
 from __future__ import annotations
 

@@ -14,8 +14,8 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from pairpath.blowup import (BlownCycle, BlowupError, build,
-                             free_common_neighbors)
+from pairpath.blowup import (BlownCycle, BlowupError, _BlownCycleGraph,
+                             build, free_common_neighbors)
 from pairpath.formats import FormatError
 from pairpath.graph import Graph, GraphError, as_ids, generate, make_graph
 from pairpath.pairability import (CANNOT_RULE_OUT, DEFAULT_NODE_BUDGET,
@@ -358,6 +358,14 @@ def blown_cycle_edges(b: BlownCycle) -> np.ndarray:
     edges[..., 1] = (np.arange(1, two_m + 1) % two_m * q).reshape(
         two_m, 1, 1) + np.arange(q)
     return edges.reshape(-1, 2)
+
+
+def edge_lookup(g: Graph) -> str:
+    """The lookup that g.has_edges takes: "closed-form" on a blown cycle's
+    graph, which answers from m, and "sorted-keys" on every other Graph,
+    which searches its keys."""
+    return {Graph.has_edges: "sorted-keys",
+            _BlownCycleGraph.has_edges: "closed-form"}[type(g).has_edges]
 
 
 def class_members(b: BlownCycle, cls: int) -> range:

@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 import pairpath.blowup as blowup_module
-from helpers import (blown_cycle_edges, class_members, degrees,
+from helpers import (blown_cycle_edges, class_members, degrees, edge_lookup,
                      matching_step, neighbors, reference_twin_classes,
                      sorted_edges, to_networkx)
 from pairpath.blowup import BlownCycle, BlowupError, build, free_common_neighbors
@@ -52,14 +54,13 @@ def test_graph_is_built_once_on_first_use():
 
 @pytest.mark.parametrize("m", [*range(2, 17), 32, 33])
 def test_keys_written_in_order_equal_make_graph(m):
-    # m = 32 is the largest blown cycle with a bit matrix, m = 33 the first
-    # without, so both edge lookups of the written keys are covered
+    # m = 32 and 33, an even and an odd m, write over a million keys each
     b = build(m)
     g = make_graph(b.n, blown_cycle_edges(b))
-    assert b.graph == g
+    assert b.graph == g and g == b.graph
+    assert hash(b.graph) == hash(g)
     assert b.graph.keys.dtype == np.int64
     assert not b.graph.keys.flags.writeable
-    assert (b.graph.bits is None) == (m > 32)
     assert (b.edge_count, b.max_degree) == (g.edge_count, g.max_degree)
 
 
@@ -67,17 +68,39 @@ def test_keys_written_in_order_equal_make_graph(m):
 def test_has_edges_is_the_graph_definition(m):
     # every key 0..n*n-1, so every pair u < v and every u >= v, and the
     # int64 values around and beyond that range; from m = 6 on, n*n keys
-    # span more than one chunk of has_edges
+    # span more than one chunk of has_edges.  The oracle is a plain Graph
+    # of the complete joins, looked up in its sorted keys
     b = build(m)
     n = b.n
+    oracle = make_graph(n, blown_cycle_edges(b))
+    assert edge_lookup(oracle) == "sorted-keys"
+    assert edge_lookup(b.graph) == "closed-form"
     keys = np.concatenate([np.arange(n * n), np.array(
         [-1, -2, -n, -n + 1, n * n, n * n + 1, -2**63, 2**63 - 1])])
-    found = b.has_edges(keys)
-    assert found.dtype == bool
-    assert np.array_equal(found, b.graph.has_edges(keys))
-    assert not found[n * n:].any()
-    assert np.array_equal(np.flatnonzero(found), b.graph.keys)
-    assert len(b.has_edges(keys[:0])) == 0
+    want = oracle.has_edges(keys)
+    assert not want[n * n:].any()
+    assert np.array_equal(np.flatnonzero(want), oracle.keys)
+    for found in (b.has_edges(keys), b.graph.has_edges(keys)):
+        assert found.dtype == bool
+        assert np.array_equal(found, want)
+    assert len(b.has_edges(keys[:0])) == len(b.graph.has_edges(keys[:0])) == 0
+
+
+def test_graph_holds_no_reference_to_its_blown_cycle():
+    # with the cyclic collector off, b is freed by its reference count
+    # alone, and the graph still answers from its own m
+    b = build(3)
+    gc.disable()
+    try:
+        r = weakref.ref(b)
+        g = b.graph
+        del b
+        assert r() is None
+    finally:
+        gc.enable()
+    oracle = make_graph(g.n, blown_cycle_edges(build(3)))
+    keys = np.arange(-1, g.n * g.n + 1)
+    assert np.array_equal(g.has_edges(keys), oracle.has_edges(keys))
 
 
 @pytest.mark.parametrize("m", range(2, 13))

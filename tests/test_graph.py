@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -9,9 +8,9 @@ from hypothesis import strategies as st
 
 import pairpath.graph as graph_module
 from helpers import (ORACLE_GRAPHS, bfs_layers, degrees, dense_distances,
-                     edge_cut_size, graphs_with_twins, neighbors, path_graph,
-                     reference_twin_classes, sorted_edges, to_networkx,
-                     twin_blowup)
+                     edge_cut_size, edge_lookup, graphs_with_twins, neighbors,
+                     path_graph, reference_twin_classes, sorted_edges,
+                     to_networkx, twin_blowup)
 from pairpath.blowup import build
 from pairpath.graph import (GraphError, as_ids, diameter, distance_matrix,
                             first_claims, generate, make_graph, twin_classes)
@@ -510,27 +509,27 @@ def test_equality_and_hash_ignore_the_built_csr():
     assert (base == 5) is False
 
 
-# (graph, whether it has a bit matrix): Graph.bits exists when n*n <= 64E;
-# the blown cycle at m = 32 and the 64-cycle are exactly at that bound
+# a blown cycle's graph answers from m in closed form, and every other
+# graph from its sorted keys
 EDGE_LOOKUP_GRAPHS = {
-    "blown-cycle-32": (lambda: build(32).graph, True),
-    "blown-cycle-33": (lambda: build(33).graph, False),
-    "cycle-64": (lambda: generate("cycle", (64,)), True),
-    "cycle-65": (lambda: generate("cycle", (65,)), False),
-    "complete-9": (lambda: generate("complete", (9,)), True),
-    "hypercube-10": (lambda: generate("hypercube", (10,)), False),
-    "no-edges-5": (lambda: make_graph(5, []), False),
-    "one-vertex": (lambda: make_graph(1, []), False),
-    "no-vertex": (lambda: make_graph(0, []), True),
-    "huge": (lambda: make_graph(10**9, [(0, 1), (5, 10**9 - 1)]), False),
+    "blown-cycle-32": lambda: build(32).graph,
+    "blown-cycle-33": lambda: build(33).graph,
+    "cycle-64": lambda: generate("cycle", (64,)),
+    "cycle-65": lambda: generate("cycle", (65,)),
+    "complete-9": lambda: generate("complete", (9,)),
+    "hypercube-10": lambda: generate("hypercube", (10,)),
+    "no-edges-5": lambda: make_graph(5, []),
+    "one-vertex": lambda: make_graph(1, []),
+    "no-vertex": lambda: make_graph(0, []),
+    "huge": lambda: make_graph(10**9, [(0, 1), (5, 10**9 - 1)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_LOOKUP_GRAPHS))
 def test_has_edges_is_key_membership_on_both_paths(name):
-    make, dense = EDGE_LOOKUP_GRAPHS[name]
-    g = make()
-    assert (g.bits is not None) == dense
+    g = EDGE_LOOKUP_GRAPHS[name]()
+    assert edge_lookup(g) == ("closed-form" if name.startswith("blown-cycle")
+                              else "sorted-keys")
     rng = np.random.default_rng(len(name))
     top = g.n * g.n
     queries = np.concatenate([
@@ -541,20 +540,6 @@ def test_has_edges_is_key_membership_on_both_paths(name):
         found = g.has_edges(keys)
         assert found.dtype == bool
         assert found.tolist() == [k in edges for k in keys.tolist()]
-
-
-def test_bit_matrix_is_built_in_bounded_memory():
-    # the bits take n*n/8 bytes, a fifth of the keys' memory here; the build
-    # must not make anything of n*n bytes, nor one key-sized temporary
-    g = build(24).graph
-    tracemalloc.start()
-    try:
-        bits = g.bits
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert bits.nbytes == g.n * g.n // 8 + 1 and not bits.flags.writeable
-    assert peak < bits.nbytes + g.keys.nbytes // 4
 
 
 def test_isolated_vertex_fails_before_csr():

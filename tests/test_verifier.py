@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairpath
-from helpers import (ORACLE_GRAPHS, pair_tuples, reference_verify_plan,
-                     to_networkx)
+from helpers import (ORACLE_GRAPHS, blown_cycle_edges, edge_lookup,
+                     pair_tuples, reference_verify_plan, to_networkx)
 from pairpath.blowup import build
 import pairpath.routing as routing_module
 from pairpath.formats import dumps_plan, loads_plan
@@ -263,14 +263,17 @@ MUTATIONS = PLAN_BAD_IDS + (
     "drop", "reuse-within", "reuse-across", "drop-pair")
 
 
-# the oracle graphs all have a bit matrix (Graph.bits); the 130-cycle is
-# sparse enough to be looked up in its sorted keys
+# the blown cycles of the oracle graphs answer from m in closed form; the
+# families and the 130-cycle are looked up in their sorted keys
 PLAN_GRAPHS = {**ORACLE_GRAPHS, "cycle-130": generate("cycle", (130,))}
 
 
 def test_plan_graphs_take_both_edge_lookups():
-    assert {name for name, g in PLAN_GRAPHS.items() if g.bits is None} \
-        == {"cycle-130"}
+    closed = {f"blown-cycle-{m}" for m in range(2, 6)}
+    assert closed < PLAN_GRAPHS.keys()
+    assert {name: edge_lookup(g) for name, g in PLAN_GRAPHS.items()} == {
+        name: "closed-form" if name in closed else "sorted-keys"
+        for name in PLAN_GRAPHS}
 
 
 @st.composite
@@ -532,12 +535,17 @@ def test_stray_end_on_a_huge_graph_allocates_nothing_of_size_n():
 @pytest.mark.parametrize("m", [16, 48])
 def test_verify_plan_holds_few_plan_sized_arrays_at_once(m):
     # each plan-sized temporary is freed before the next is made, so a
-    # clean plan's check peaks below 8 int64 arrays the size of its paths
+    # clean plan's check peaks below 8 int64 arrays the size of its paths,
+    # whether its steps are looked up in closed form or, on a plain Graph
+    # at m = 16, in sorted keys
     b = build(m)
     pairing = random_perfect_pairing(b.n, 1)
     plan = route(b, pairing)
-    for g in (b.graph, b):
-        verify_plan(g, pairing, plan)  # builds g's lookup (Graph.bits)
+    graphs = [b.graph, b]
+    if m == 16:
+        graphs.append(make_graph(b.n, blown_cycle_edges(b)))
+    for g in graphs:
+        verify_plan(g, pairing, plan)  # a first call, left out of the peak
         tracemalloc.start()
         try:
             report = verify_plan(g, pairing, plan)
